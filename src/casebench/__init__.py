@@ -46,13 +46,13 @@ from .metrics import (
 )
 from .minicorpus import load_mini_corpus
 from .queries import (
+    ParsedDocument,
     QrelsEntry,
     RetrievalQuery,
-    apply_view,
     build_queries,
     build_query,
-    classify_query,
     emit_qrels,
+    parse_document,
     sweep_query_length,
 )
 from .retrieval import (

@@ -456,7 +456,7 @@ def sentence_extraction_accuracy(
         span = CitationSpan(
             int(sample["citation_start"]), int(sample["citation_end"]), KIND_CASE, ""
         )
-        got = citation_sentence_bounds(sample["text"], span)
+        got = citation_sentence_bounds(sample["text"], span, table)
         want = (int(sample["sentence_start"]), int(sample["sentence_end"]))
         if got == want:
             correct += 1

@@ -41,8 +41,6 @@ CONFIG_KEYS = {
     "salient_k": int,
     "word_budget": int,
     "per_doc": int,
-    "threads": int,
-    "shards": int,
     "include_references_in_substring_check": bool,
 }
 
@@ -253,12 +251,9 @@ def cmd_sweep_lengths(args, cfg, out: OutputSet) -> dict:
     all_queries = []
     qrels = []
     for doc in docs:
-        spans = citations.find_citations(doc.text, table)
-        for central in spans:
-            if central.key is None or central.kind == citations.KIND_STATUTE:
-                continue
-            swept = queries.sweep_query_length(doc, central, lengths, reporters=table)
-            for q in swept:
+        parsed = queries.parse_document(doc, table)
+        for central in parsed.centrals():
+            for q in queries.sweep_query_length(parsed, central, lengths):
                 target = queries.resolve_target(q.target_keys, key_index)
                 if target is None or target == doc.doc_id:
                     continue
@@ -293,7 +288,7 @@ def cmd_index(args, cfg, out: OutputSet) -> dict:
         units = retrieval.documents_to_units(_load_corpus_file(args.input))
     if not units:
         raise DataError(f"no units in {args.input}")
-    index = retrieval.build_index(units, unit_kind=args.unit, shards=cfg.get("shards", 1))
+    index = retrieval.build_index(units, unit_kind=args.unit)
     retrieval.save_index(index, out.declare(args.output))
     return {"units": index.n_units, "vocabulary": index.vocabulary_size, "unit_kind": args.unit}
 
@@ -325,7 +320,7 @@ def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
     else:
         units = retrieval.documents_to_units(_load_corpus_file(args.corpus))
     rows = [obj for _, obj in corpus.iter_jsonl(args.quotes)]
-    n = cfg.get("ngram_n", args.n)
+    n = cfg.get("ngram_n", 5)
     runs = []
     empty = 0
     if args.mode == "ngram":
@@ -454,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="TOML-like key=value config file")
     parser.add_argument("--seed", type=int, help="seed for sampled artifacts")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; work is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="normalize raw case records into a corpus file")
@@ -499,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-genset", help="build generation instances with prompts")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--seed", type=int, dest="seed")
+    # SUPPRESS keeps an absent subcommand flag from overwriting the global --seed.
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--per-doc", type=int, dest="per_doc")
     p.add_argument("--salient-k", type=int, dest="salient_k")
     p.add_argument("--word-budget", type=int, dest="word_budget")
@@ -510,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--unit", default="passage", choices=["passage", "document"])
-    p.add_argument("--shards", type=int, dest="shards")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("search", help="BM25 search over an index, TREC run output")
@@ -529,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--unit", default="passage", choices=["passage", "document"])
     p.add_argument("--mode", default="ngram", choices=["ngram", "exact"])
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=int, dest="ngram_n", help="shingle length (default 5)")
     p.add_argument("--k", type=int, default=1000)
     p.set_defaults(func=cmd_search_quotes)
 
@@ -575,8 +569,6 @@ def _gather_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     if getattr(args, "include_references_in_substring_check", False):
         cfg["include_references_in_substring_check"] = True
     _validate_config(cfg)

@@ -5,13 +5,18 @@ single-removed masks only the central citation sentence; all-removed
 additionally strips every other case citation and short form from the
 window.  Statute citations always stay.  The cited document is the query's
 relevance target.
+
+Each document is parsed once (``parse_document``: words and citations under
+one reporter table); ``build_query`` then makes every requested view of one
+central citation from that parse.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .citations import (
@@ -25,7 +30,7 @@ from .citations import (
     extract_direct_quotes,
     find_citations,
 )
-from .corpus import CaseDocument, tokenize_words
+from .corpus import CaseDocument, WordSpan, tokenize_words
 
 VIEW_SINGLE_REMOVED = "single-removed"
 VIEW_ALL_REMOVED = "all-removed"
@@ -142,35 +147,65 @@ def _word_index_at(word_starts: list[int], char_pos: int) -> int:
     return max(0, bisect_right(word_starts, char_pos) - 1)
 
 
+@dataclass(frozen=True)
+class ParsedDocument:
+    """A document citation-parsed once under one reporter table, and
+    tokenized at most once; every query around its citations reads from it."""
+
+    doc_id: str
+    text: str
+    citations: list[CitationSpan]
+    table: ReporterTable
+
+    # Tokenized on first use, so a document without central citations is
+    # never tokenized.
+    @cached_property
+    def words(self) -> list[WordSpan]:
+        return tokenize_words(self.text)
+
+    @cached_property
+    def word_starts(self) -> list[int]:
+        return [w.start for w in self.words]
+
+    def centrals(self) -> list[CitationSpan]:
+        """Central candidates: full case citations and short forms that
+        resolve to a key."""
+        return [c for c in self.citations if c.key is not None and c.kind in (KIND_CASE, KIND_SHORT_FORM)]
+
+
+def parse_document(doc: CaseDocument, reporters: ReporterTable | None = None) -> ParsedDocument:
+    """Find the citations of ``doc`` under ``reporters`` (the default table
+    when None); its words are tokenized when a query first needs them."""
+    table = reporters or default_reporter_table()
+    return ParsedDocument(doc.doc_id, doc.text, find_citations(doc.text, table), table)
+
+
 def build_query(
-    doc: CaseDocument,
+    parsed: ParsedDocument,
     central: CitationSpan,
     window_words: int = DEFAULT_QUERY_WINDOW,
-    view: str = VIEW_SINGLE_REMOVED,
-    reporters: ReporterTable | None = None,
-    doc_citations: Sequence[CitationSpan] | None = None,
-) -> RetrievalQuery | None:
-    """Build one query around ``central``; None when its sentence bounds
-    cannot be found.
+    views: Sequence[str] = (VIEW_SINGLE_REMOVED,),
+) -> dict[str, RetrievalQuery] | None:
+    """Build the queries around ``central``, one per view, keyed by view in
+    the order given; None when its sentence bounds cannot be found.
 
     The window takes window_words//2 words on each side of the citation
     start, truncated at document edges without rebalancing, then extends to
-    cover the whole central sentence.
+    cover the whole central sentence.  Every view shares the window, the
+    targets and the direct/indirect kind.
     """
-    if view not in _VIEW_CODES:
-        raise ValueError(f"unknown view {view!r}")
+    for view in views:
+        if view not in _VIEW_CODES:
+            raise ValueError(f"unknown view {view!r}")
     if central.key is None:
         raise ValueError("central citation must carry a resolvable key")
-    table = reporters or default_reporter_table()
-    bounds = citation_sentence_bounds(doc.text, central)
+    text = parsed.text
+    bounds = citation_sentence_bounds(text, central, parsed.table)
     if bounds is None:
         return None
     sent_start, sent_end = bounds
 
-    words = tokenize_words(doc.text)
-    if not words:
-        return None
-    starts = [w.start for w in words]
+    words, starts = parsed.words, parsed.word_starts
     total = len(words)
     half = window_words // 2
     anchor = _word_index_at(starts, central.start)
@@ -184,57 +219,55 @@ def build_query(
     lo_c = words[lo_w].start
     hi_c = words[hi_w - 1].end
 
-    left = doc.text[lo_c:sent_start]
-    sentence = doc.text[sent_start:sent_end]
-    right = doc.text[sent_end:hi_c]
+    target_keys = _target_keys(parsed, central)
+    # A citation the window edge cuts through still counts: its in-window
+    # part is masked, so no fragment of a target survives.
+    window_citations = [c for c in parsed.citations if c.start < hi_c and lo_c < c.end]
+    kind = _classify(text, lo_c, hi_c, central, target_keys, window_citations, parsed.table)
 
-    if doc_citations is None:
-        doc_citations = find_citations(doc.text, table)
+    out = {}
+    for view in views:
+        masked, display = _mask(text, lo_c, hi_c, sent_start, sent_end, view, target_keys, window_citations)
+        out[view] = RetrievalQuery(
+            query_id=f"{parsed.doc_id}:{central.start}:{_VIEW_CODES[view]}",
+            doc_id=parsed.doc_id,
+            left_context=text[lo_c:sent_start],
+            central_sentence=text[sent_start:sent_end],
+            right_context=text[sent_end:hi_c],
+            view=view,
+            kind=kind,
+            masked_text=masked,
+            display_text=display,
+            target_keys=target_keys,
+            window_words=window_words,
+        )
+    return out
+
+
+def _target_keys(parsed: ParsedDocument, central: CitationSpan) -> tuple[CitationKey, ...]:
+    """The keys of the central's parallel run in order, led by the central
+    key when the run lacks it."""
     if central.kind == KIND_CASE:
-        group = _parallel_group(doc_citations, central, doc.text)
+        group = _parallel_group(parsed.citations, central, parsed.text)
     else:
         # A short-form central targets its antecedent's parallel run, so a
         # qrels target can resolve through any of the antecedent's reporters.
         antecedent = next(
             (
                 c
-                for c in reversed(doc_citations)
+                for c in reversed(parsed.citations)
                 if c.kind == KIND_CASE and c.end <= central.start and c.key == central.key
             ),
             None,
         )
-        group = _parallel_group(doc_citations, antecedent, doc.text) if antecedent else [central]
+        group = _parallel_group(parsed.citations, antecedent, parsed.text) if antecedent else [central]
     target_keys: list[CitationKey] = []
     for span in group:
         if span.key is not None and span.key not in target_keys:
             target_keys.append(span.key)
     if central.key not in target_keys:
         target_keys.insert(0, central.key)
-
-    window_citations = [
-        c
-        for c in doc_citations
-        if lo_c <= c.start and c.end <= hi_c
-    ]
-    kind = _classify(doc.text, lo_c, hi_c, central, tuple(target_keys), window_citations, table)
-
-    masked, display = _mask(
-        doc.text, lo_c, hi_c, sent_start, sent_end, view, tuple(target_keys), window_citations
-    )
-    query_id = f"{doc.doc_id}:{central.start}:{_VIEW_CODES[view]}"
-    return RetrievalQuery(
-        query_id=query_id,
-        doc_id=doc.doc_id,
-        left_context=left,
-        central_sentence=sentence,
-        right_context=right,
-        view=view,
-        kind=kind,
-        masked_text=masked,
-        display_text=display,
-        target_keys=tuple(target_keys),
-        window_words=window_words,
-    )
+    return tuple(target_keys)
 
 
 def _classify(
@@ -276,75 +309,25 @@ def _mask(
     left = text[lo_c:sent_start]
     right = text[sent_end:hi_c]
 
-    def spans_in(part_lo: int, part_hi: int) -> list[tuple[int, int]]:
+    def doomed(c: CitationSpan) -> bool:
         if view == VIEW_ALL_REMOVED:
-            doomed = (KIND_CASE, KIND_SHORT_FORM)
-            victims = [
-                c for c in window_citations if c.kind in doomed and part_lo <= c.start and c.end <= part_hi
-            ]
-        else:
-            # Residual full citations of the central case leak the target;
-            # they go too, even in the single-removed view.
-            victims = [
-                c
-                for c in window_citations
-                if c.kind == KIND_CASE
-                and c.key in target_keys
-                and part_lo <= c.start
-                and c.end <= part_hi
-            ]
-        return [(c.start - part_lo, c.end - part_lo) for c in victims]
+            return c.kind in (KIND_CASE, KIND_SHORT_FORM)
+        # Residual full citations of the central case leak the target;
+        # they go too, even in the single-removed view.
+        return c.kind == KIND_CASE and c.key in target_keys
+
+    def spans_in(part_lo: int, part_hi: int) -> list[tuple[int, int]]:
+        return [
+            (max(c.start, part_lo) - part_lo, min(c.end, part_hi) - part_lo)
+            for c in window_citations
+            if c.start < part_hi and part_lo < c.end and doomed(c)
+        ]
 
     left_clean = _remove_spans(left, spans_in(lo_c, sent_start))
     right_clean = _remove_spans(right, spans_in(sent_end, hi_c))
     masked = _seam_join(left_clean, right_clean)
     display = _seam_join(left_clean, "REDACTED", right_clean)
     return masked, display
-
-
-def apply_view(query: RetrievalQuery, view: str) -> str:
-    """Masked text of an already-built query under the given view."""
-    rebuilt = with_view(query, view)
-    return rebuilt.masked_text
-
-
-def with_view(query: RetrievalQuery, view: str) -> RetrievalQuery:
-    """Re-derive a query variant under another data view."""
-    if view not in _VIEW_CODES:
-        raise ValueError(f"unknown view {view!r}")
-    text = query.left_context + query.central_sentence + query.right_context
-    sent_start = len(query.left_context)
-    sent_end = sent_start + len(query.central_sentence)
-    window_citations = find_citations(text)
-    masked, display = _mask(
-        text, 0, len(text), sent_start, sent_end, view, query.target_keys, window_citations
-    )
-    base_id = query.query_id.rsplit(":", 1)[0]
-    return RetrievalQuery(
-        query_id=f"{base_id}:{_VIEW_CODES[view]}",
-        doc_id=query.doc_id,
-        left_context=query.left_context,
-        central_sentence=query.central_sentence,
-        right_context=query.right_context,
-        view=view,
-        kind=query.kind,
-        masked_text=masked,
-        display_text=display,
-        target_keys=query.target_keys,
-        window_words=query.window_words,
-    )
-
-
-def classify_query(query: RetrievalQuery, reporters: ReporterTable | None = None) -> str:
-    """direct | indirect from the query's pre-mask window text."""
-    table = reporters or default_reporter_table()
-    text = query.left_context + query.central_sentence + query.right_context
-    citations = find_citations(text, table)
-    for quote in extract_direct_quotes(text, citations=citations, reporters=table):
-        paired = quote.paired_citation
-        if paired is not None and paired.key is not None and paired.key in query.target_keys:
-            return KIND_DIRECT
-    return KIND_INDIRECT
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +399,21 @@ def build_queries(
     table = reporters or default_reporter_table()
     if key_index is None:
         key_index, _ = build_corpus_key_index(docs, table)
+    # The residual short-form tally reads the single-removed text, whichever
+    # views are emitted.
+    built_views = tuple(dict.fromkeys((VIEW_SINGLE_REMOVED, *views)))
     report = QueryConstructionReport()
     queries: list[RetrievalQuery] = []
     qrels: list[QrelsEntry] = []
     for doc in docs:
-        doc_citations = find_citations(doc.text, table)
-        centrals = [
-            c for c in doc_citations if c.key is not None and c.kind in (KIND_CASE, KIND_SHORT_FORM)
-        ]
-        for central in centrals:
+        parsed = parse_document(doc, table)
+        for central in parsed.centrals():
             report.centrals_considered += 1
-            base = build_query(
-                doc, central, window_words, VIEW_SINGLE_REMOVED, table, doc_citations
-            )
-            if base is None:
+            built = build_query(parsed, central, window_words, built_views)
+            if built is None:
                 report.skipped_no_bounds += 1
                 continue
+            base = built[VIEW_SINGLE_REMOVED]
             target_doc = resolve_target(base.target_keys, key_index)
             if target_doc is None or target_doc == doc.doc_id:
                 report.skipped_unresolvable += 1
@@ -442,7 +424,7 @@ def build_queries(
             if leftover_shorts:
                 report.residual_short_form_queries += 1
             for view in views:
-                q = base if view == VIEW_SINGLE_REMOVED else with_view(base, view)
+                q = built[view]
                 if kinds is not None and q.kind not in kinds:
                     continue
                 queries.append(q)
@@ -452,32 +434,18 @@ def build_queries(
 
 
 def sweep_query_length(
-    doc: CaseDocument,
+    parsed: ParsedDocument,
     central: CitationSpan,
     lengths: Sequence[int] = SWEEP_LENGTHS,
     view: str = VIEW_SINGLE_REMOVED,
-    reporters: ReporterTable | None = None,
 ) -> list[RetrievalQuery]:
     """One query per window length over the same central citation."""
     out = []
-    doc_citations = find_citations(doc.text, reporters)
     for length in lengths:
-        q = build_query(doc, central, length, view, reporters, doc_citations)
-        if q is not None:
-            q = RetrievalQuery(
-                query_id=f"{q.query_id}:w{length}",
-                doc_id=q.doc_id,
-                left_context=q.left_context,
-                central_sentence=q.central_sentence,
-                right_context=q.right_context,
-                view=q.view,
-                kind=q.kind,
-                masked_text=q.masked_text,
-                display_text=q.display_text,
-                target_keys=q.target_keys,
-                window_words=length,
-            )
-            out.append(q)
+        built = build_query(parsed, central, length, (view,))
+        if built is not None:
+            q = built[view]
+            out.append(replace(q, query_id=f"{q.query_id}:w{length}"))
     return out
 
 

@@ -124,42 +124,24 @@ def build_index(
     units: Sequence[tuple[str, str]],
     unit_kind: str = "passage",
     analyzer: AnalyzerConfig | None = None,
-    shards: int = 1,
 ) -> InvertedIndex:
-    """Build an inverted index over (unit_id, text) pairs.
-
-    ``shards`` splits the unit range into contiguous slices whose partial
-    postings are merged in order; the result is identical for any shard
-    count, which keeps large builds memory-bounded without changing output.
-    """
+    """Build an inverted index over (unit_id, text) pairs."""
     if not units:
         raise ValueError("cannot index an empty unit collection")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     analyzer = analyzer or AnalyzerConfig()
     unit_ids = [u[0] for u in units]
     if len(set(unit_ids)) != len(unit_ids):
         raise ValueError("unit ids must be unique")
-    n = len(units)
-    lengths = np.zeros(n, dtype=np.int64)
+    lengths = np.zeros(len(units), dtype=np.int64)
 
     merged: dict[str, tuple[list[int], list[int]]] = {}
-    bounds = [(s * n) // shards for s in range(shards + 1)]
-    for s in range(shards):
-        partial: dict[str, tuple[list[int], list[int]]] = {}
-        for idx in range(bounds[s], bounds[s + 1]):
-            terms = analyze(units[idx][1], analyzer)
-            lengths[idx] = len(terms)
-            for term, tf in Counter(terms).items():
-                ids, tfs = partial.setdefault(term, ([], []))
-                ids.append(idx)
-                tfs.append(tf)
-        for term, (ids, tfs) in partial.items():
-            if term in merged:
-                merged[term][0].extend(ids)
-                merged[term][1].extend(tfs)
-            else:
-                merged[term] = (ids, tfs)
+    for idx, (_, text) in enumerate(units):
+        terms = analyze(text, analyzer)
+        lengths[idx] = len(terms)
+        for term, tf in Counter(terms).items():
+            ids, tfs = merged.setdefault(term, ([], []))
+            ids.append(idx)
+            tfs.append(tf)
 
     postings = {
         term: (np.asarray(ids, dtype=np.uint32), np.asarray(tfs, dtype=np.uint32))

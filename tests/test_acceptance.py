@@ -291,7 +291,7 @@ def test_scale_smoke():
         (f"p{i:06d}", " ".join(passage_words(80)))
         for i in range(100_000)
     ]
-    index = build_index(units, shards=4)
+    index = build_index(units)
     assert index.n_units == 100_000
 
     hits = 0

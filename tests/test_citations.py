@@ -7,7 +7,9 @@ import pytest
 from casebench.citations import (
     CitationError,
     CitationKey,
+    ReporterTable,
     citation_sentence_bounds,
+    default_reporter_table,
     extract_direct_quotes,
     find_case_citations,
     find_citations,
@@ -221,6 +223,21 @@ class TestSentenceBounds:
         accuracy, n = sentence_extraction_accuracy(samples)
         assert n == 2
         assert accuracy == 0.5
+
+    def test_accuracy_uses_the_given_table(self):
+        # Unknown to the default table, "So." reads as a sentence end.
+        table = ReporterTable({**default_reporter_table().variants, "So. 2d": "So.2d"})
+        text = "Smith v. Jones, 477 U.S. 317 (1986), followed in Brown v. Board, 123 So. 2d 456 (1960). Next."
+        span = central_span(text, "477 U.S. 317")
+        sample = {
+            "text": text,
+            "citation_start": span.start,
+            "citation_end": span.end,
+            "sentence_start": 0,
+            "sentence_end": text.index(" Next."),
+        }
+        assert sentence_extraction_accuracy([sample], table) == (1.0, 1)
+        assert sentence_extraction_accuracy([sample]) == (0.0, 1)
 
 
 class TestDirectQuotes:

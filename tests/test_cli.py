@@ -55,7 +55,7 @@ def run_pipeline(workdir, raw):
     assert main(["eval-generation", str(genset), str(gens), "--output", str(genreport)]) == 0
     assert main(["search-quotes", str(corpus), str(quotes), str(quote_run), "--unit", "document", "--n", "5", "--k", "10"]) == 0
     assert main(["search-quotes", str(corpus), str(quotes), str(workdir / "quote_exact.trec"), "--unit", "document", "--mode", "exact"]) == 0
-    assert main(["index", str(passages), str(workdir / "passages.idx"), "--unit", "passage", "--shards", "2"]) == 0
+    assert main(["index", str(passages), str(workdir / "passages.idx"), "--unit", "passage"]) == 0
     assert main(["search", str(workdir / "passages.idx"), str(queries), str(workdir / "run_maxp.trec"), "--k", "10", "--maxp"]) == 0
     assert main(["density", str(corpus), str(density)]) == 0
     assert main(["stats", str(corpus), "--passages", str(passages), "--queries", str(queries), "--genset", str(genset)]) == 0
@@ -199,3 +199,29 @@ class TestSweepLengths:
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         lengths = {r["window_words"] for r in rows}
         assert lengths == {100, 300}
+
+
+class TestFlagPrecedence:
+    def test_global_seed_reaches_build_genset(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        genset = tmp_path / "genset.jsonl"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["--seed", "3", "build-genset", str(corpus), str(genset)]) == 0
+        manifest = json.loads((tmp_path / "genset.jsonl.manifest.json").read_text())
+        assert manifest["config"]["seed"] == 3
+        assert "threads" not in manifest["config"]
+
+    def test_search_quotes_n_overrides_config_and_is_recorded(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        quotes = tmp_path / "quotes.jsonl"
+        run = tmp_path / "quote_run.trec"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ngram_n = 3\n")
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["parse-citations", str(corpus), str(tmp_path / "c.jsonl"), "--quotes-out", str(quotes)]) == 0
+        rc = main(["--config", str(cfg), "search-quotes", str(corpus), str(quotes), str(run),
+                   "--unit", "document", "--n", "7", "--k", "5"])
+        assert rc == 0
+        assert run.read_text().split("\n", 1)[0].endswith("ngram-7")
+        manifest = json.loads((tmp_path / "quote_run.trec.manifest.json").read_text())
+        assert manifest["config"]["ngram_n"] == 7

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
-from casebench.citations import find_case_citations, find_statute_citations
+from casebench.citations import (
+    ReporterTable,
+    default_reporter_table,
+    find_case_citations,
+    find_statute_citations,
+)
 from casebench.corpus import tokenize_words
 from casebench.queries import (
     KIND_DIRECT,
@@ -8,16 +13,14 @@ from casebench.queries import (
     VIEW_ALL_REMOVED,
     VIEW_SINGLE_REMOVED,
     QrelsEntry,
-    apply_view,
     build_corpus_key_index,
     build_queries,
     build_query,
-    classify_query,
     emit_qrels,
+    parse_document,
     passage_qrels,
     read_qrels,
     sweep_query_length,
-    with_view,
     write_qrels,
 )
 from conftest import make_doc
@@ -43,6 +46,16 @@ def central_of(doc, key_str):
     return next(s for s in find_case_citations(doc.text) if str(s.key) == key_str)
 
 
+def one_query(doc, central, window_words=300, view=VIEW_SINGLE_REMOVED):
+    built = build_query(parse_document(doc), central, window_words, (view,))
+    return None if built is None else built[view]
+
+
+def so2d_table():
+    """The default reporter table extended with Southern Reporter, 2d."""
+    return ReporterTable({**default_reporter_table().variants, "So. 2d": "So.2d", "So.2d": "So.2d"})
+
+
 class TestBuildQuery:
     def test_edge_citation_window_split(self):
         # Word 19 ends a sentence; the citation starts at word position 20 of
@@ -53,7 +66,7 @@ class TestBuildQuery:
         words += [f"v{i}" for i in range(976)]
         doc = make_doc("edge", [" ".join(words)])
         central = find_case_citations(doc.text)[0]
-        q = build_query(doc, central, window_words=300)
+        q = one_query(doc, central, window_words=300)
         assert len(tokenize_words(q.left_context)) == 20
         combined = len(tokenize_words(q.central_sentence)) + len(tokenize_words(q.right_context))
         assert combined == 150
@@ -62,14 +75,14 @@ class TestBuildQuery:
         filler = " ".join(f"x{i}" for i in range(400)) + "."
         doc = make_doc("big", [filler + " " + QUERY_PARAGRAPH + " " + filler])
         central = central_of(doc, "601 U.S. 101")
-        q = build_query(doc, central, window_words=300)
+        q = one_query(doc, central, window_words=300)
         total = len(tokenize_words(q.left_context + q.central_sentence + q.right_context))
         sentence_words = len(tokenize_words(q.central_sentence))
         assert 300 <= total <= 300 + sentence_words
 
     def test_single_removed_keeps_non_central_citations_and_statutes(self):
         doc = query_doc()
-        q = build_query(doc, central_of(doc, "601 U.S. 101"), view=VIEW_SINGLE_REMOVED)
+        q = one_query(doc, central_of(doc, "601 U.S. 101"), view=VIEW_SINGLE_REMOVED)
         assert "601 U.S. 101" not in q.masked_text
         assert "Orton v. Delmar Packing Co., 602 U.S. 555" in q.masked_text
         assert "Fed.R.Civ.P. 56(c)" in q.masked_text
@@ -78,20 +91,20 @@ class TestBuildQuery:
 
     def test_single_removed_reparse_never_finds_central_key(self):
         doc = query_doc()
-        q = build_query(doc, central_of(doc, "601 U.S. 101"), view=VIEW_SINGLE_REMOVED)
+        q = one_query(doc, central_of(doc, "601 U.S. 101"), view=VIEW_SINGLE_REMOVED)
         for span in find_case_citations(q.masked_text):
             assert span.key != q.target_keys[0]
 
     def test_all_removed_strips_all_case_citations_keeps_statutes(self):
         doc = query_doc()
-        q = build_query(doc, central_of(doc, "601 U.S. 101"), view=VIEW_ALL_REMOVED)
+        q = one_query(doc, central_of(doc, "601 U.S. 101"), view=VIEW_ALL_REMOVED)
         assert find_case_citations(q.masked_text) == []
         assert [s.raw for s in find_statute_citations(q.masked_text)] == ["Fed.R.Civ.P. 56(c)"]
         assert "Id." not in q.masked_text
 
     def test_parallel_keys_become_targets(self):
         doc = query_doc()
-        q = build_query(doc, central_of(doc, "601 U.S. 101"))
+        q = one_query(doc, central_of(doc, "601 U.S. 101"))
         assert [str(k) for k in q.target_keys] == ["601 U.S. 101", "144 S.Ct. 901", "218 L.Ed.2d 44"]
 
     def test_residual_central_mention_also_masked(self):
@@ -101,41 +114,58 @@ class TestBuildQuery:
             "settles the point."
         )
         doc = make_doc("residual", [text])
-        q = build_query(doc, find_case_citations(doc.text)[0])
+        q = one_query(doc, find_case_citations(doc.text)[0])
         assert "601 U.S. 101" not in q.masked_text
 
     def test_no_citation_text_unchanged_under_both_views(self):
         text = "Plain words without any citation at all. Fed.R.Civ.P. 56(c) stays."
         doc = make_doc("plain", [text, QUERY_PARAGRAPH])
         central = central_of(doc, "602 U.S. 555")
-        q = build_query(doc, central)
-        sr = apply_view(q, VIEW_SINGLE_REMOVED)
-        ar = apply_view(q, VIEW_ALL_REMOVED)
+        built = build_query(parse_document(doc), central, views=(VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED))
+        sr = built[VIEW_SINGLE_REMOVED].masked_text
+        ar = built[VIEW_ALL_REMOVED].masked_text
         # The first paragraph carries no case citations: identical in both views.
         assert text.split(". ")[0] in sr and text.split(". ")[0] in ar
 
     def test_bounds_failure_skips_query(self):
         doc = make_doc("nofail", ["words 477 U.S. 317 with no ending at all"])
         central = find_case_citations(doc.text)[0]
-        assert build_query(doc, central) is None
+        assert build_query(parse_document(doc), central) is None
+
+    def test_window_edge_cutting_a_target_citation_is_masked(self):
+        # The 40-word window ends inside the second citation of the central
+        # case: its in-window part must go, not survive as "477 U.S. 317,".
+        filler = " ".join(f"w{i}" for i in range(30))
+        text = (
+            filler + ". The rule comes from Smith v. Jones, 477 U.S. 317 (1986). one two three four "
+            "five six seven eight nine ten Later cases agree, 477 U.S. 317, 322 (1986). End."
+        )
+        doc = make_doc("cut", [text])
+        central = find_case_citations(doc.text)[0]
+        built = build_query(parse_document(doc), central, 40, (VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED))
+        for q in built.values():
+            assert q.right_context.endswith("477 U.S. 317,")
+            assert "477 U.S." not in q.masked_text
+            assert q.masked_text.endswith("Later cases agree,")
 
 
 class TestClassify:
     def test_quote_attributed_through_id_is_direct(self):
         doc = query_doc()
-        q = build_query(doc, central_of(doc, "601 U.S. 101"))
+        q = one_query(doc, central_of(doc, "601 U.S. 101"))
         assert q.kind == KIND_DIRECT
-        assert classify_query(q) == KIND_DIRECT
 
     def test_no_quote_is_indirect(self):
         doc = query_doc()
-        q = build_query(doc, central_of(doc, "602 U.S. 555"))
+        q = one_query(doc, central_of(doc, "602 U.S. 555"))
         assert q.kind == KIND_INDIRECT
 
     def test_view_variant_keeps_kind(self):
         doc = query_doc()
-        q = build_query(doc, central_of(doc, "601 U.S. 101"))
-        assert with_view(q, VIEW_ALL_REMOVED).kind == q.kind
+        built = build_query(
+            parse_document(doc), central_of(doc, "601 U.S. 101"), views=(VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED)
+        )
+        assert {q.kind for q in built.values()} == {KIND_DIRECT}
 
 
 class TestSweep:
@@ -143,7 +173,7 @@ class TestSweep:
         filler = " ".join(f"x{i}" for i in range(600)) + "."
         doc = make_doc("sweepdoc", [filler + " " + QUERY_PARAGRAPH + " " + filler])
         central = central_of(doc, "601 U.S. 101")
-        swept = sweep_query_length(doc, central, lengths=(100, 300))
+        swept = sweep_query_length(parse_document(doc), central, lengths=(100, 300))
         assert len(swept) == 2
         q100, q300 = swept
         assert q100.central_sentence == q300.central_sentence
@@ -154,7 +184,7 @@ class TestSweep:
         filler = " ".join(f"x{i}" for i in range(200)) + "."
         doc = make_doc("tiny", [filler + " " + QUERY_PARAGRAPH + " " + filler])
         central = central_of(doc, "601 U.S. 101")
-        (q,) = sweep_query_length(doc, central, lengths=(2,))
+        (q,) = sweep_query_length(parse_document(doc), central, lengths=(2,))
         sentence_words = len(tokenize_words(q.central_sentence))
         assert len(tokenize_words(q.central_sentence)) == sentence_words
         assert "601 U.S. 101" in q.central_sentence
@@ -172,13 +202,13 @@ class TestQrels:
         doc = query_doc()
         corpus = list(mini_corpus) + [doc]
         index, _ = build_corpus_key_index(corpus)
-        q = build_query(doc, central_of(doc, "601 U.S. 101"))
+        q = one_query(doc, central_of(doc, "601 U.S. 101"))
         entries = emit_qrels([q], index)
         assert entries == [QrelsEntry(q.query_id, "us-601-101", 1)]
 
     def test_unresolvable_emits_nothing(self):
         doc = query_doc()
-        q = build_query(doc, central_of(doc, "601 U.S. 101"))
+        q = one_query(doc, central_of(doc, "601 U.S. 101"))
         assert emit_qrels([q], {}) == []
 
     def test_passage_qrels_inherit(self):
@@ -217,3 +247,37 @@ class TestBuildQueriesOverCorpus:
             assert entry.query_id == q.query_id
             assert entry.unit_id in {d.doc_id for d in mini_corpus}
             assert entry.unit_id != q.doc_id
+
+
+class TestCustomReporterTable:
+    """A table passed to build_queries governs every step, both views."""
+
+    TEXT = (
+        "The rule is settled. Smith v. Jones, 477 U.S. 317 (1986), followed in Brown v. "
+        "Board, 123 So. 2d 456 (1960). Courts apply it. Later, Smith v. Jones, 477 U.S. 317, "
+        "320 (1986), was read with Brown v. Board, 123 So. 2d 456, 460 (1960). The end."
+    )
+
+    def corpus(self):
+        return [make_doc("citing", [self.TEXT]), make_doc("smith", ["Opinion text."], cite="477 U.S. 317")]
+
+    def test_all_removed_strips_citations_of_the_added_reporter(self):
+        queries, _, _ = build_queries(self.corpus(), views=(VIEW_ALL_REMOVED,), reporters=so2d_table())
+        assert queries
+        for q in queries:
+            assert "So. 2d" not in q.masked_text
+
+    def test_central_sentence_does_not_end_inside_added_reporter(self):
+        queries, _, _ = build_queries(self.corpus(), reporters=so2d_table())
+        first = min(queries, key=lambda q: int(q.query_id.split(":")[1]))
+        assert first.central_sentence == (
+            "Smith v. Jones, 477 U.S. 317 (1986), followed in Brown v. Board, 123 So. 2d 456 (1960)."
+        )
+
+    def test_views_do_not_change_report(self):
+        reports = [
+            build_queries(self.corpus(), views=views, reporters=so2d_table())[2].to_dict()
+            for views in ((VIEW_SINGLE_REMOVED,), (VIEW_ALL_REMOVED,), (VIEW_ALL_REMOVED, VIEW_SINGLE_REMOVED))
+        ]
+        counts = [{k: v for k, v in r.items() if k != "built"} for r in reports]
+        assert counts[0] == counts[1] == counts[2]

@@ -96,17 +96,6 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index([("a", "x"), ("a", "y")])
 
-    def test_shard_count_does_not_change_output(self, tmp_path):
-        rng = random.Random(5)
-        units = rand_units(rng, 57, [f"t{i}" for i in range(40)])
-        blobs = []
-        for shards in (1, 2, 7):
-            idx = build_index(units, shards=shards)
-            path = tmp_path / f"s{shards}.idx"
-            save_index(idx, path)
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
-
     def test_rebuild_is_byte_deterministic(self, tmp_path):
         rng = random.Random(6)
         units = rand_units(rng, 40, ["x", "y", "z", "w"])

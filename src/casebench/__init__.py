@@ -57,6 +57,7 @@ from .queries import (
 )
 from .retrieval import (
     AnalyzerConfig,
+    EmptyQuoteError,
     InvertedIndex,
     NgramIndex,
     RankedList,

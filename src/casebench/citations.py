@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -389,29 +390,29 @@ def _caption_start(text: str, lo: int, v_pos: int) -> int | None:
 
 
 def citation_sentence_bounds(
-    text: str, citation: CitationSpan, reporters: ReporterTable | None = None
+    text: str, citation: CitationSpan, cases: Sequence[CitationSpan]
 ) -> tuple[int, int] | None:
     """Character span of the sentence containing ``citation``.
 
-    The start is the nearest preceding sentence starter (party caption,
-    Id., See, In re, ...) or sentence-terminal boundary, falling back to
-    the start of the enclosing paragraph.  The end is the first terminal
-    at or after the citation.  Returns None (failure) when no terminal
-    exists within the enclosing paragraph.
+    ``cases`` are the case citations of ``text`` ordered by start (at least
+    those of the citation's paragraph); their periods and year parentheticals
+    never terminate the sentence.  The start is the nearest preceding
+    sentence starter (party caption, Id., See, In re, ...) or
+    sentence-terminal boundary, falling back to the start of the enclosing
+    paragraph.  The end is the first terminal at or after the citation.
+    Returns None (failure) when no terminal exists within the enclosing
+    paragraph.
     """
     if not (0 <= citation.start < citation.end <= len(text)):
         raise ValueError("citation span outside text")
     para_lo = text.rfind("\n", 0, citation.start) + 1
     nl = text.find("\n", citation.end)
     para_hi = len(text) if nl == -1 else nl
-
-    # Other citations in the paragraph are opaque: their periods and
-    # year parentheticals never terminate the sentence.
-    skip_spans = [
-        (s.start, s.end)
-        for s in find_case_citations(text[para_lo:para_hi], reporters)
-    ]
-    skip_spans = [(para_lo + a, para_lo + b) for a, b in skip_spans]
+    # Case citations never cross a line break, so the paragraph's are
+    # exactly those starting inside it.
+    lo = bisect_left(cases, para_lo, key=lambda s: s.start)
+    hi = bisect_left(cases, para_hi, key=lambda s: s.start)
+    skip_spans = [(s.start, s.end) for s in cases[lo:hi]]
 
     end = next(
         _iter_terminals(
@@ -456,7 +457,8 @@ def sentence_extraction_accuracy(
         span = CitationSpan(
             int(sample["citation_start"]), int(sample["citation_end"]), KIND_CASE, ""
         )
-        got = citation_sentence_bounds(sample["text"], span, table)
+        text = sample["text"]
+        got = citation_sentence_bounds(text, span, find_case_citations(text, table))
         want = (int(sample["sentence_start"]), int(sample["sentence_end"]))
         if got == want:
             correct += 1

@@ -321,26 +321,15 @@ def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
         units = retrieval.documents_to_units(_load_corpus_file(args.corpus))
     rows = [obj for _, obj in corpus.iter_jsonl(args.quotes)]
     n = cfg.get("ngram_n", 5)
+    index = retrieval.NgramIndex(units, n)
+    search = retrieval.ngram_search if args.mode == "ngram" else retrieval.exact_match_search
     runs = []
     empty = 0
-    if args.mode == "ngram":
-        ngram_index = retrieval.NgramIndex(units, n)
-        for row in rows:
-            runs.append(
-                retrieval.ngram_search(ngram_index, row["quote"], n, args.k, query_id=row["query_id"])
-            )
-    else:
-        for row in rows:
-            try:
-                hits = retrieval.exact_match_search(units, row["quote"])
-            except ValueError:
-                empty += 1
-                continue
-            entries = tuple(
-                retrieval.RankedEntry(unit_id=u, score=1.0, rank=r)
-                for r, u in enumerate(hits[: args.k], 1)
-            )
-            runs.append(retrieval.RankedList(query_id=row["query_id"], entries=entries, k=args.k))
+    for row in rows:
+        try:
+            runs.append(search(index, row["quote"], args.k, query_id=row["query_id"]))
+        except retrieval.EmptyQuoteError:
+            empty += 1
     rows_written = retrieval.write_trec_run(runs, out.declare(args.output), tag=f"{args.mode}-{n}")
     return {"quotes": len(rows), "rows": rows_written, "rejected_empty": empty, "mode": args.mode}
 

@@ -298,27 +298,30 @@ def score_generation_run(
     instances: Sequence,
     generations: Iterable[dict],
     include_references_in_substring_check: bool = False,
-    averaging: str = "macro",
     reporters: ReporterTable | None = None,
 ) -> MetricReport:
-    """Score generated analyses against their generation instances.
+    """Score one system's generated analyses against their generation instances.
 
-    ``generations`` rows are {instance_id, system, output_text}.  Each scored
-    instance gets ROUGE-1/2/L F1 plus CR/CP/CFP computed against the gold
-    paragraph's citation set, with the instance prefix as grounding text.
+    ``generations`` rows are {instance_id, system, output_text}, at most one
+    per instance.  Each scored instance gets ROUGE-1/2/L F1 plus CR/CP/CFP
+    computed against the gold paragraph's citation set, with the instance
+    prefix as grounding text.
     """
-    if averaging not in ("macro", "micro"):
-        raise ValueError("averaging must be 'macro' or 'micro'")
     by_id = {inst.instance_id: inst for inst in instances}
     outputs: dict[str, str] = {}
     for row in generations:
-        outputs[row["instance_id"]] = row.get("output_text", "")
+        instance_id = row["instance_id"]
+        if instance_id in outputs:
+            raise ValueError(
+                f"instance_id {instance_id!r} repeats; give each system its own generations "
+                "file (eval-generation --compare scores a second one)"
+            )
+        outputs[instance_id] = row.get("output_text", "")
     missing = sorted(i for i in by_id if i not in outputs)
     extra = sorted(i for i in outputs if i not in by_id)
 
     per_query: dict[str, dict[str, float]] = {}
     degenerate = 0
-    totals = {"matched": 0, "relevant": 0, "generated": 0, "grounded": 0}
     for instance_id in sorted(set(by_id) & set(outputs)):
         inst = by_id[instance_id]
         text = extract_answer(outputs[instance_id])
@@ -332,12 +335,6 @@ def score_generation_run(
         )
         if report.degenerate:
             degenerate += 1
-        matched = sum(1 for v in report.verdicts if v.status == VERDICT_MATCHED)
-        grounded = sum(1 for v in report.verdicts if v.status != VERDICT_HALLUCINATED)
-        totals["matched"] += matched
-        totals["relevant"] += len(report.relevant)
-        totals["generated"] += len(report.generated)
-        totals["grounded"] += grounded
         per_query[instance_id] = {
             "rouge1": rouge_f(text, inst.gold, 1),
             "rouge2": rouge_f(text, inst.gold, 2),
@@ -346,14 +343,9 @@ def score_generation_run(
             "cp": float(report.cp),
             "cfp": float(report.cfp),
         }
-    macro = _macro(per_query)
-    if averaging == "micro" and totals["generated"]:
-        macro["cr"] = totals["matched"] / totals["relevant"]
-        macro["cp"] = totals["matched"] / totals["generated"]
-        macro["cfp"] = 1.0 - totals["grounded"] / totals["generated"]
     return MetricReport(
         per_query=per_query,
-        macro=macro,
+        macro=_macro(per_query),
         skipped={"missing_generations": len(missing), "unmatched_ids": len(extra), "degenerate": degenerate},
         missing_ids=missing,
         extra_ids=extra,

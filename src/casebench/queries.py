@@ -121,10 +121,9 @@ def _remove_spans(text: str, spans: Sequence[tuple[int, int]]) -> str:
     return re.sub(r"[ \t]*\x00[ \t]*", " ", "".join(out)).strip()
 
 
-def _parallel_group(citations: Sequence[CitationSpan], central: CitationSpan, text: str) -> list[CitationSpan]:
-    """The run of case citations joined to ``central`` by bare ", " gaps:
-    parallel reporters for the same decision."""
-    cases = [c for c in citations if c.kind == KIND_CASE]
+def _parallel_group(cases: Sequence[CitationSpan], central: CitationSpan, text: str) -> list[CitationSpan]:
+    """The run of ``cases`` (case citations, by start) joined to ``central``
+    by bare ", " gaps: parallel reporters for the same decision."""
     try:
         idx = next(i for i, c in enumerate(cases) if c.start == central.start and c.end == central.end)
     except StopIteration:
@@ -167,6 +166,10 @@ class ParsedDocument:
     def word_starts(self) -> list[int]:
         return [w.start for w in self.words]
 
+    @cached_property
+    def cases(self) -> list[CitationSpan]:
+        return [c for c in self.citations if c.kind == KIND_CASE]
+
     def centrals(self) -> list[CitationSpan]:
         """Central candidates: full case citations and short forms that
         resolve to a key."""
@@ -200,7 +203,7 @@ def build_query(
     if central.key is None:
         raise ValueError("central citation must carry a resolvable key")
     text = parsed.text
-    bounds = citation_sentence_bounds(text, central, parsed.table)
+    bounds = citation_sentence_bounds(text, central, parsed.cases)
     if bounds is None:
         return None
     sent_start, sent_end = bounds
@@ -248,7 +251,7 @@ def _target_keys(parsed: ParsedDocument, central: CitationSpan) -> tuple[Citatio
     """The keys of the central's parallel run in order, led by the central
     key when the run lacks it."""
     if central.kind == KIND_CASE:
-        group = _parallel_group(parsed.citations, central, parsed.text)
+        group = _parallel_group(parsed.cases, central, parsed.text)
     else:
         # A short-form central targets its antecedent's parallel run, so a
         # qrels target can resolve through any of the antecedent's reporters.
@@ -260,7 +263,7 @@ def _target_keys(parsed: ParsedDocument, central: CitationSpan) -> tuple[Citatio
             ),
             None,
         )
-        group = _parallel_group(parsed.citations, antecedent, parsed.text) if antecedent else [central]
+        group = _parallel_group(parsed.cases, antecedent, parsed.text) if antecedent else [central]
     target_keys: list[CitationKey] = []
     for span in group:
         if span.key is not None and span.key not in target_keys:

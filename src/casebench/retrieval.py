@@ -14,6 +14,7 @@ import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,6 +49,11 @@ class RankedList:
 
     def unit_ids(self) -> list[str]:
         return [e.unit_id for e in self.entries]
+
+
+def _ranked(query_id: str, scored: Sequence[tuple[str, float]], k: int) -> RankedList:
+    entries = tuple(RankedEntry(unit_id=u, score=s, rank=r) for r, (u, s) in enumerate(scored, 1))
+    return RankedList(query_id=query_id, entries=entries, k=k)
 
 
 @dataclass(frozen=True)
@@ -197,11 +203,7 @@ def bm25_search(
         return RankedList(query_id=query_id, entries=(), k=k)
     order = np.lexsort((index.id_rank[candidates], -scores[candidates]))
     top = candidates[order[:k]]
-    entries = tuple(
-        RankedEntry(unit_id=index.unit_ids[i], score=float(scores[i]), rank=r)
-        for r, i in enumerate(top, 1)
-    )
-    return RankedList(query_id=query_id, entries=entries, k=k)
+    return _ranked(query_id, [(index.unit_ids[i], float(scores[i])) for i in top], k)
 
 
 def aggregate_maxp(
@@ -221,105 +223,80 @@ def aggregate_maxp(
             doc_id = entry.unit_id.rsplit("#", 1)[0]
         if doc_id not in best or entry.score > best[doc_id]:
             best[doc_id] = entry.score
-    ordered = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    entries = tuple(
-        RankedEntry(unit_id=doc_id, score=score, rank=r)
-        for r, (doc_id, score) in enumerate(ordered, 1)
-    )
-    return RankedList(query_id=ranking.query_id, entries=entries, k=k)
+    return _ranked(ranking.query_id, sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k], k)
 
 
 # ---------------------------------------------------------------------------
 # Quote retrieval
 # ---------------------------------------------------------------------------
 
+class EmptyQuoteError(ValueError):
+    """A quote with nothing left to search for once curly marks are removed."""
+
+
 def _strip_curly_quotes(text: str) -> str:
     return text.replace("“", "").replace("”", "")
 
 
 class NgramIndex:
-    """Word n-gram shingle lookup over a unit collection.
+    """Quote lookup over a unit collection, for both quote searches.
 
-    Keeps raw texts so short quotes can fall back to exact substring search.
+    Word n-gram shingles (for ``ngram_search``) and curly-stripped texts
+    (for ``exact_match_search``) are each built on first use, at most once,
+    so a collection searched in one mode never builds the other's table.
     """
 
     def __init__(self, units: Sequence[tuple[str, str]], n: int):
         self.n = n
         self.unit_ids = [u[0] for u in units]
         self.texts = [u[1] for u in units]
-        self.grams: dict[tuple[str, ...], list[int]] = {}
-        for idx, (_, text) in enumerate(units):
+
+    @cached_property
+    def grams(self) -> dict[tuple[str, ...], list[int]]:
+        """Distinct shingle -> ascending unit indexes.  Shingles come from
+        the raw text: stripping the marks first would join "word“next"."""
+        n = self.n
+        grams: dict[tuple[str, ...], list[int]] = {}
+        for idx, text in enumerate(self.texts):
             words = fold_words(text)
-            seen: set[tuple[str, ...]] = set()
-            for i in range(len(words) - n + 1):
-                seen.add(tuple(words[i : i + n]))
-            for gram in seen:
-                self.grams.setdefault(gram, []).append(idx)
+            for gram in {tuple(words[i : i + n]) for i in range(len(words) - n + 1)}:
+                grams.setdefault(gram, []).append(idx)
+        return grams
+
+    @cached_property
+    def stripped_texts(self) -> list[str]:
+        return [_strip_curly_quotes(text) for text in self.texts]
 
 
-def ngram_search(
-    corpus: Sequence[tuple[str, str]] | NgramIndex,
-    quote: str,
-    n: int = 5,
-    k: int = 10,
-    query_id: str = "q",
-) -> RankedList:
+def ngram_search(index: NgramIndex, quote: str, k: int = 10, query_id: str = "q") -> RankedList:
     """Rank units by how many distinct word n-grams of the quote they contain.
 
     Words are case-folded and punctuation-stripped, so bracketed insertions
     and punctuation edits in a quote still leave the unaltered flanks
-    matchable.  Quotes shorter than n words fall back to exact substring
-    search (hits scored 1.0).
+    matchable.  Quotes shorter than the index's n words fall back to
+    ``exact_match_search``.
     """
-    if isinstance(corpus, NgramIndex):
-        if corpus.n != n:
-            raise ValueError(f"index built for n={corpus.n}, searched with n={n}")
-        index = corpus
-        units = list(zip(index.unit_ids, index.texts))
-    else:
-        units = list(corpus)
-        index = None
-
+    n = index.n
     quote_words = fold_words(quote)
     if len(quote_words) < n:
-        hits = exact_match_search(units, quote)
-        entries = tuple(
-            RankedEntry(unit_id=u, score=1.0, rank=r) for r, u in enumerate(hits[:k], 1)
-        )
-        return RankedList(query_id=query_id, entries=entries, k=k)
-
-    grams = {tuple(quote_words[i : i + n]) for i in range(len(quote_words) - n + 1)}
+        return exact_match_search(index, quote, k, query_id)
     counts: Counter[int] = Counter()
-    if index is not None:
-        for gram in grams:
-            for idx in index.grams.get(gram, ()):
-                counts[idx] += 1
-        unit_ids = index.unit_ids
-    else:
-        unit_ids = [u[0] for u in units]
-        for idx, (_, text) in enumerate(units):
-            words = fold_words(text)
-            unit_grams = {tuple(words[i : i + n]) for i in range(len(words) - n + 1)}
-            overlap = len(grams & unit_grams)
-            if overlap:
-                counts[idx] = overlap
-
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], unit_ids[kv[0]]))[:k]
-    entries = tuple(
-        RankedEntry(unit_id=unit_ids[idx], score=float(score), rank=r)
-        for r, (idx, score) in enumerate(ordered, 1)
-    )
-    return RankedList(query_id=query_id, entries=entries, k=k)
+    for gram in {tuple(quote_words[i : i + n]) for i in range(len(quote_words) - n + 1)}:
+        for idx in index.grams.get(gram, ()):
+            counts[idx] += 1
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], index.unit_ids[kv[0]]))
+    return _ranked(query_id, [(index.unit_ids[idx], float(c)) for idx, c in ordered[:k]], k)
 
 
-def exact_match_search(corpus: Sequence[tuple[str, str]], quote: str) -> list[str]:
-    """Unit ids whose raw text contains the quote as an exact substring,
-    after removing curly quotation marks from both sides.  Ascending id."""
+def exact_match_search(index: NgramIndex, quote: str, k: int = 10, query_id: str = "q") -> RankedList:
+    """Units whose raw text contains the quote as an exact substring, after
+    removing curly quotation marks from both sides; hits score 1.0 and run
+    by ascending id.  Raises ``EmptyQuoteError`` when nothing is left."""
     needle = _strip_curly_quotes(quote).strip()
     if not needle:
-        raise ValueError("empty quote")
-    hits = [unit_id for unit_id, text in corpus if needle in _strip_curly_quotes(text)]
-    return sorted(hits)
+        raise EmptyQuoteError("empty quote")
+    hits = sorted(u for u, text in zip(index.unit_ids, index.stripped_texts) if needle in text)
+    return _ranked(query_id, [(u, 1.0) for u in hits[:k]], k)
 
 
 # ---------------------------------------------------------------------------

@@ -195,16 +195,16 @@ def test_direct_quote_retrieval():
             altered_words = quote_words[:cut] + ["[Wage]"] + quote_words[cut:]
             altered.append((unit_id, " ".join(altered_words)))
 
+    index = NgramIndex(corpus, 5)
     for source, quote in verbatim:
-        hits = exact_match_search(corpus, quote)
+        hits = exact_match_search(index, quote, k=len(corpus)).unit_ids()
         assert source in hits, source
     for source, quote in altered:
-        assert exact_match_search(corpus, quote) == [], source
+        assert exact_match_search(index, quote, k=len(corpus)).unit_ids() == [], source
 
-    index = NgramIndex(corpus, 5)
     top_hits = 0
     for source, quote in altered:
-        ranked = ngram_search(index, quote, n=5, k=10)
+        ranked = ngram_search(index, quote, k=10)
         if ranked.entries and ranked.entries[0].unit_id == source:
             top_hits += 1
     assert top_hits >= 0.95 * len(altered), top_hits

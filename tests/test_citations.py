@@ -153,10 +153,14 @@ def central_span(text, key_str):
     return next(s for s in find_case_citations(text) if str(s.key) == key_str)
 
 
+def bounds(text, span):
+    return citation_sentence_bounds(text, span, find_case_citations(text))
+
+
 class TestSentenceBounds:
     def test_caption_through_year_parenthetical(self):
         span = central_span(PASSAGE, "477 U.S. 317")
-        start, end = citation_sentence_bounds(PASSAGE, span)
+        start, end = bounds(PASSAGE, span)
         assert PASSAGE[start:end] == (
             "Celotex Corp. v. Catrett, 477 U.S. 317, 322, 106 S.Ct. 2548, 91 L.Ed.2d 265 (1986)."
         )
@@ -166,12 +170,12 @@ class TestSentenceBounds:
         # The parallel S.Ct. cite inside the Celotex sentence comes first;
         # the one in the Id. sentence is the second occurrence.
         spans = [s for s in find_case_citations(PASSAGE) if str(s.key) == "106 S.Ct. 2548"]
-        start, end = citation_sentence_bounds(PASSAGE, spans[1])
+        start, end = bounds(PASSAGE, spans[1])
         assert PASSAGE[start:end] == "Id. at 325, 106 S.Ct. 2548."
 
     def test_semicolon_terminates(self):
         span = central_span(PASSAGE, "477 U.S. 242")
-        start, end = citation_sentence_bounds(PASSAGE, span)
+        start, end = bounds(PASSAGE, span)
         got = PASSAGE[start:end]
         assert got.startswith("Anderson v. Liberty Lobby")
         assert got.endswith("91 L.Ed.2d 202 (1986);")
@@ -183,7 +187,7 @@ class TestSentenceBounds:
             "fiduciaries.”). Rather, he is liable."
         )
         span = find_case_citations(text)[0]
-        start, end = citation_sentence_bounds(text, span)
+        start, end = bounds(text, span)
         got = text[start:end]
         assert got.startswith("Kayes")
         assert got.endswith("fiduciaries.”).")
@@ -191,7 +195,7 @@ class TestSentenceBounds:
     def test_no_terminal_in_paragraph_fails(self):
         text = "some words 477 U.S. 317 and more words with no end"
         span = find_case_citations(text)[0]
-        assert citation_sentence_bounds(text, span) is None
+        assert bounds(text, span) is None
 
     def test_subsequent_history_absorbed(self):
         text = (
@@ -200,15 +204,34 @@ class TestSentenceBounds:
             "L.Ed.2d 675 (1998). Thus it is."
         )
         span = central_span(text, "107 F.3d 1415")
-        start, end = citation_sentence_bounds(text, span)
+        start, end = bounds(text, span)
         assert text[start:end].endswith("(1998).")
         assert text[start:end].startswith("IT Corp.")
+
+    def test_given_spans_are_the_only_skip_spans(self):
+        # Not skipped, the parallel cites' year parenthetical closes the
+        # sentence before its semicolon.
+        span = central_span(PASSAGE, "477 U.S. 242")
+        start, end = citation_sentence_bounds(PASSAGE, span, [])
+        assert PASSAGE[start:end].endswith("91 L.Ed.2d 202 (1986)")
+
+    def test_spans_of_other_paragraphs_are_ignored(self):
+        text = "\n".join([PASSAGE] * 3)
+        offset = len(PASSAGE) + 1
+        spans = find_case_citations(text)
+        middle = [s for s in spans if offset <= s.start < 2 * offset]
+        own = find_case_citations(PASSAGE)
+        assert len(middle) == len(own)
+        for span, alone in zip(middle, own):
+            lo, hi = bounds(PASSAGE, alone)
+            assert citation_sentence_bounds(text, span, spans) == (lo + offset, hi + offset)
+            assert citation_sentence_bounds(text, span, middle) == (lo + offset, hi + offset)
 
     def test_accuracy_metric(self):
         samples = []
         for text in [PASSAGE]:
             span = central_span(text, "477 U.S. 317")
-            start, end = citation_sentence_bounds(text, span)
+            start, end = bounds(text, span)
             samples.append(
                 {
                     "text": text,

@@ -165,6 +165,48 @@ class TestCompareRuns:
         assert gains["rouge1"]["with_refs"] > gains["rouge1"]["without_refs"]
 
 
+    def test_repeated_instance_id_is_data_error(self, tmp_path, raw_corpus, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        genset = tmp_path / "genset.jsonl"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["build-genset", str(corpus), str(genset)]) == 0
+        first = json.loads(genset.read_text().splitlines()[0])["instance_id"]
+        both = tmp_path / "both.jsonl"
+        both.write_text("".join(
+            json.dumps({"instance_id": first, "system": system, "output_text": "x"}) + "\n"
+            for system in ("a", "b")
+        ))
+        report = tmp_path / "report.json"
+        rc = main(["eval-generation", str(genset), str(both), "--output", str(report)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert first in err and "--compare" in err
+        assert not report.exists()
+
+
+class TestSearchQuotes:
+    def test_empty_quote_counted_in_both_modes(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(json.dumps({
+            "id": "d1", "name": "n", "cite": "",
+            "opinions": [{"type": "m", "text": "The court said “” and then “summary judgment was proper” here."}],
+        }) + "\n")
+        corpus = tmp_path / "corpus.jsonl"
+        quotes = tmp_path / "quotes.jsonl"
+        assert main(["ingest", str(raw), str(corpus)]) == 0
+        assert main(["parse-citations", str(corpus), str(tmp_path / "c.jsonl"), "--quotes-out", str(quotes)]) == 0
+        assert [json.loads(line)["quote"] for line in quotes.read_text().splitlines()] == [
+            "", "summary judgment was proper",
+        ]
+        for mode in ("ngram", "exact"):
+            run = tmp_path / f"{mode}.trec"
+            rc = main(["search-quotes", str(corpus), str(quotes), str(run), "--unit", "document", "--mode", mode])
+            assert rc == 0, mode
+            assert run.read_text() == f"d1:q1 Q0 d1 1 1.000000 {mode}-5\n"
+            manifest = json.loads((tmp_path / f"{mode}.trec.manifest.json").read_text())
+            assert manifest["counts"]["rejected_empty"] == 1
+
+
 class TestLabeledAccuracy:
     def test_parse_citations_reports_accuracy(self, tmp_path, raw_corpus, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -173,7 +215,7 @@ class TestLabeledAccuracy:
         from casebench.citations import citation_sentence_bounds, find_case_citations
 
         span = find_case_citations(text)[0]
-        start, end = citation_sentence_bounds(text, span)
+        start, end = citation_sentence_bounds(text, span, find_case_citations(text))
         labeled = tmp_path / "labeled.jsonl"
         labeled.write_text(json.dumps({
             "text": text,

@@ -286,6 +286,15 @@ class TestScoreGenerationRun:
         assert report.extra_ids == ["zz"]
         assert report.per_query == {}
 
+    def test_repeated_instance_id_rejected(self):
+        inst = self.make_instance()
+        rows = [
+            {"instance_id": "i1", "system": "a", "output_text": inst.gold},
+            {"instance_id": "i1", "system": "b", "output_text": "Nothing cited."},
+        ]
+        with pytest.raises(ValueError, match="'i1'"):
+            score_generation_run([inst], rows)
+
     def test_compare_runs_gains(self):
         inst = self.make_instance()
         with_refs = score_generation_run(

@@ -6,8 +6,10 @@ from collections import Counter
 
 import pytest
 
+from casebench.corpus import fold_words
 from casebench.retrieval import (
     AnalyzerConfig,
+    EmptyQuoteError,
     IndexFormatError,
     NgramIndex,
     RankedList,
@@ -56,6 +58,21 @@ def bm25_oracle(units, query_terms, k1=1.2, b=0.75):
         for (unit_id, _), score in zip(units, scores)
         if score > 0.0
     ]
+    ranked.sort(key=lambda t: (-t[1], t[0]))
+    return ranked
+
+
+def ngram_overlap_oracle(units, quote, n):
+    """Score every unit by the distinct quote n-grams it holds, one unit at a
+    time; units sharing none are left out.  The quote has at least n words."""
+
+    def grams(text):
+        words = fold_words(text)
+        return {tuple(words[i : i + n]) for i in range(len(words) - n + 1)}
+
+    wanted = grams(quote)
+    ranked = [(unit_id, float(len(wanted & grams(text)))) for unit_id, text in units]
+    ranked = [r for r in ranked if r[1] > 0.0]
     ranked.sort(key=lambda t: (-t[1], t[0]))
     return ranked
 
@@ -200,66 +217,102 @@ class TestNgramSearch:
 
     def test_contained_quote_top_ranked_with_max_score(self):
         quote = "the entire Act clearly shows that the purpose"
-        ranked = ngram_search(self.CORPUS, quote, n=5, k=3)
+        ranked = ngram_search(NgramIndex(self.CORPUS, 5), quote, k=3)
         assert ranked.entries[0].unit_id == "doc0"
         q_words = len(quote.split())
         assert ranked.entries[0].score == q_words - 5 + 1
 
     def test_bracketed_insertion_still_matches_flanks(self):
+        index = NgramIndex(self.CORPUS, 5)
         quote = "A reading of the entire [Wage] Act clearly shows that the purpose of the Act is to assist"
-        assert exact_match_search(self.CORPUS, quote) == []
-        ranked = ngram_search(self.CORPUS, quote, n=5, k=3)
+        assert exact_match_search(index, quote).unit_ids() == []
+        ranked = ngram_search(index, quote, k=3)
         assert ranked.entries[0].unit_id == "doc0"
 
     def test_score_bounded_by_gram_count(self):
         rng = random.Random(11)
         vocab = [f"v{i}" for i in range(30)]
-        units = rand_units(rng, 25, vocab)
+        index = NgramIndex(rand_units(rng, 25, vocab), 5)
         for _ in range(50):
             quote = " ".join(rng.choices(vocab, k=rng.randint(5, 15)))
-            ranked = ngram_search(units, quote, n=5, k=25)
+            ranked = ngram_search(index, quote, k=25)
             bound = len(quote.split()) - 5 + 1
             for e in ranked.entries:
                 assert e.score <= bound
 
     def test_short_quote_falls_back_to_exact_match(self):
-        ranked = ngram_search(self.CORPUS, "purpose of the Act", n=5, k=3)
+        ranked = ngram_search(NgramIndex(self.CORPUS, 5), "purpose of the Act", k=3)
         assert {e.unit_id for e in ranked.entries} == {"doc0", "doc2"}
         assert all(e.score == 1.0 for e in ranked.entries)
 
-    def test_prebuilt_index_matches_scan(self):
-        quote = "that the purpose of the Act is to assist"
-        via_index = ngram_search(NgramIndex(self.CORPUS, 5), quote, n=5, k=3)
-        via_scan = ngram_search(self.CORPUS, quote, n=5, k=3)
-        assert [(e.unit_id, e.score) for e in via_index.entries] == [
-            (e.unit_id, e.score) for e in via_scan.entries
-        ]
+    def test_random_corpora_match_overlap_oracle(self):
+        rng = random.Random(5)
+        vocab = [f"w{i}" for i in range(12)] + ["w1“w2", "“w3”", "W4."]
+        for _ in range(40):
+            units = rand_units(rng, rng.randint(1, 60), vocab)
+            n = rng.randint(2, 6)
+            index = NgramIndex(units, n)
+            for _ in range(5):
+                words = rng.choice(units)[1].split() + rng.choices(vocab, k=n)
+                start = rng.randrange(len(words))
+                quote = " ".join(words[start : start + rng.randint(n, 12)])
+                if len(fold_words(quote)) < n:
+                    continue
+                k = rng.randint(1, len(units))
+                ranked = ngram_search(index, quote, k=k)
+                expected = ngram_overlap_oracle(units, quote, n)[:k]
+                assert [(e.unit_id, e.score) for e in ranked.entries] == expected
+                assert [e.rank for e in ranked.entries] == list(range(1, len(expected) + 1))
 
-    def test_index_n_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ngram_search(NgramIndex(self.CORPUS, 5), "a b c d e f", n=12, k=3)
+    def test_shingles_fold_the_raw_text(self):
+        # Stripped of its marks, "word“next" would read as the one word
+        # "wordnext"; shingles see two words, the exact search sees one.
+        index = NgramIndex([("a", "one two word“next three four")], 3)
+        assert ngram_search(index, "two word next", k=5).unit_ids() == ["a"]
+        assert ngram_search(index, "two wordnext three", k=5).unit_ids() == []
+        assert exact_match_search(index, "two wordnext three").unit_ids() == ["a"]
+
+    def test_each_table_is_built_once_and_only_when_used(self):
+        exact_only = NgramIndex(self.CORPUS, 5)
+        exact_match_search(exact_only, "purpose of the Act")
+        assert "grams" not in vars(exact_only)
+        index = NgramIndex(self.CORPUS, 5)
+        ngram_search(index, "that the purpose of the Act is to assist", k=3)
+        assert "stripped_texts" not in vars(index)
+        grams = index.grams
+        ngram_search(index, "purpose of the Act", k=3)  # under 5 words: exact
+        stripped = index.stripped_texts
+        ngram_search(index, "the purpose of the Act", k=3)
+        ngram_search(index, "of the Act", k=3)
+        assert index.grams is grams and index.stripped_texts is stripped
 
 
 class TestExactMatch:
     def test_verbatim_quote_found(self):
-        corpus = [("a", "he said “the sky is blue” today"), ("b", "other text")]
-        assert exact_match_search(corpus, "the sky is blue") == ["a"]
+        index = NgramIndex([("a", "he said “the sky is blue” today"), ("b", "other text")], 5)
+        ranked = exact_match_search(index, "the sky is blue", k=5, query_id="q1")
+        assert ranked.query_id == "q1" and ranked.k == 5
+        assert [(e.unit_id, e.score, e.rank) for e in ranked.entries] == [("a", 1.0, 1)]
 
     def test_punctuation_change_misses(self):
-        corpus = [("a", "an account of the time, place, and content")]
-        assert exact_match_search(corpus, "an account of the time place and content") == []
+        index = NgramIndex([("a", "an account of the time, place, and content")], 5)
+        assert exact_match_search(index, "an account of the time place and content").unit_ids() == []
 
     def test_curly_marks_normalized_on_both_sides(self):
-        corpus = [("a", "quote: “inner words” end")]
-        assert exact_match_search(corpus, "“inner words”") == ["a"]
+        index = NgramIndex([("a", "quote: “inner words” end")], 5)
+        assert exact_match_search(index, "“inner words”").unit_ids() == ["a"]
 
     def test_empty_quote_rejected(self):
-        with pytest.raises(ValueError):
-            exact_match_search([("a", "text")], "“”")
+        index = NgramIndex([("a", "text")], 5)
+        with pytest.raises(EmptyQuoteError):
+            exact_match_search(index, "“”")
+        with pytest.raises(EmptyQuoteError):
+            ngram_search(index, "“”")
 
     def test_ascending_id_order(self):
-        corpus = [("z", "needle here"), ("a", "needle here too")]
-        assert exact_match_search(corpus, "needle") == ["a", "z"]
+        index = NgramIndex([("z", "needle here"), ("a", "needle here too")], 5)
+        assert exact_match_search(index, "needle").unit_ids() == ["a", "z"]
+        assert exact_match_search(index, "needle", k=1).unit_ids() == ["a"]
 
 
 class TestSerialization:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -46,6 +46,15 @@ class CitationKey:
 
     def __str__(self) -> str:
         return f"{self.volume} {self.reporter} {self.page}"
+
+    @classmethod
+    def from_str(cls, s: str) -> CitationKey:
+        """The key whose ``str()`` is ``s``; no reporter table is consulted,
+        so a key reads back under any table it was written with."""
+        m = re.fullmatch(r"(\d+) (\S.*?) (\d+)", s)
+        if m is None:
+            raise CitationError(f"unparseable citation key {s!r}")
+        return cls(int(m.group(1)), m.group(2), int(m.group(3)))
 
 
 @dataclass(frozen=True)
@@ -489,43 +498,32 @@ def _same_sentence(text: str, a: int, b: int) -> bool:
     return next(_iter_terminals(text, a, b), None) is None
 
 
-def extract_direct_quotes(
-    text: str,
-    citations: Sequence[CitationSpan] | None = None,
-    reporters: ReporterTable | None = None,
-    max_pair_distance: int = QUOTE_PAIR_WINDOW,
-) -> list[QuoteSpan]:
-    """Curly-quoted extracts paired with their nearest case citation.
+def extract_direct_quotes(text: str, citations: Sequence[CitationSpan]) -> list[QuoteSpan]:
+    """Curly-quoted extracts of ``text`` paired with their nearest case
+    citation among ``citations`` (the spans of ``text``, ordered by start).
 
     A following citation in the same sentence wins; otherwise the nearest
     citation by distance between quote end and citation start, ties toward
-    the following one.  No citation within ``max_pair_distance`` characters
+    the following one.  No citation within ``QUOTE_PAIR_WINDOW`` characters
     leaves the quote unpaired.
     """
-    if citations is None:
-        citations = find_citations(text, reporters)
     candidates = [c for c in citations if c.kind in (KIND_CASE, KIND_SHORT_FORM)]
 
     quotes: list[QuoteSpan] = []
     for start, end in _balanced_quote_spans(text):
-        following = [
-            (c.start - end, c) for c in candidates if c.start >= end and c.start - end <= max_pair_distance
+        # Only citations starting within the pairing window can pair.
+        near = candidates[
+            bisect_left(candidates, end - QUOTE_PAIR_WINDOW, key=lambda c: c.start) :
+            bisect_right(candidates, end + QUOTE_PAIR_WINDOW, key=lambda c: c.start)
         ]
-        same_sentence = [(d, c) for d, c in following if _same_sentence(text, end, c.start)]
+        # A later citation is in the quote's sentence only if the nearest
+        # following one is.
+        following = next((c for c in near if c.start >= end), None)
         paired: CitationSpan | None = None
-        if same_sentence:
-            paired = min(same_sentence, key=lambda dc: dc[0])[1]
-        else:
-            best = None
-            for c in candidates:
-                dist = abs(c.start - end)
-                if dist > max_pair_distance:
-                    continue
-                rank = (dist, 0 if c.start >= end else 1, c.start)
-                if best is None or rank < best[0]:
-                    best = (rank, c)
-            if best is not None:
-                paired = best[1]
+        if following is not None and _same_sentence(text, end, following.start):
+            paired = following
+        elif near:
+            paired = min(near, key=lambda c: (abs(c.start - end), 0 if c.start >= end else 1, c.start))
         quotes.append(QuoteSpan(start=start, end=end, text=text[start:end], paired_citation=paired))
     return quotes
 

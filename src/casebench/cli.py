@@ -173,12 +173,12 @@ def cmd_parse_citations(args, cfg, out: OutputSet) -> dict:
     quote_rows = []
     counts = {"case": 0, "statute": 0, "short-form": 0, "quotes": 0}
     for doc in docs:
-        spans = citations.find_citations(doc.text, table)
-        for span in spans:
+        parsed = queries.parse_document(doc, table)
+        for span in parsed.citations:
             rows.append((doc.doc_id, span))
             counts[span.kind] += 1
         if args.quotes_out:
-            for i, quote in enumerate(citations.extract_direct_quotes(doc.text, spans, table)):
+            for i, quote in enumerate(parsed.quotes):
                 paired = quote.paired_citation
                 quote_rows.append(
                     {
@@ -205,6 +205,8 @@ def cmd_parse_citations(args, cfg, out: OutputSet) -> dict:
 
 def _parse_views(value: str) -> list[str]:
     views = [v.strip() for v in value.split(",") if v.strip()]
+    if not views:
+        raise ConfigError(f"--view names no view: {value!r}")
     for v in views:
         if v not in (queries.VIEW_SINGLE_REMOVED, queries.VIEW_ALL_REMOVED):
             raise ConfigError(f"unknown view {v!r}")
@@ -354,7 +356,7 @@ def cmd_eval_retrieval(args, cfg, out: OutputSet) -> dict:
 
 def cmd_eval_generation(args, cfg, out: OutputSet) -> dict:
     table = _reporters(args)
-    instances = genset.read_genset_jsonl(args.genset, table)
+    instances = genset.read_genset_jsonl(args.genset)
     gens = [obj for _, obj in corpus.iter_jsonl(args.generations)]
     include_refs = cfg.get("include_references_in_substring_check", False)
     report = metrics.score_generation_run(

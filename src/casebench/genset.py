@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .citations import (
@@ -79,14 +79,8 @@ def select_reference_paragraphs(
     return eligible
 
 
-def _salient_text(
-    cited_doc: CaseDocument,
-    gold_text: str,
-    salient_k: int,
-    window: int,
-    stride: int,
-) -> str:
-    passages = chunk_document(cited_doc, window, stride)
+def _salient_text(cited_doc: CaseDocument, gold_text: str, salient_k: int) -> str:
+    passages = chunk_document(cited_doc)
     if len(passages) <= 1:
         return cited_doc.text
     index = build_index([(p.passage_id, p.text) for p in passages], unit_kind="passage")
@@ -115,8 +109,6 @@ def build_generation_instance(
     word_budget: int = DEFAULT_WORD_BUDGET,
     key_index: Mapping[CitationKey, str] | None = None,
     reporters: ReporterTable | None = None,
-    window: int = 350,
-    stride: int = 175,
 ) -> GenerationInstance:
     """Assemble the instance for gold paragraph ``t`` of ``doc``.
 
@@ -149,7 +141,7 @@ def build_generation_instance(
         if target_id is None or target_id == doc.doc_id or target_id in resolved_docs:
             continue
         resolved_docs.add(target_id)
-        text = _salient_text(corpus[target_id], gold, salient_k, window, stride)
+        text = _salient_text(corpus[target_id], gold, salient_k)
         text = _truncate_words(text, word_budget - used_words)
         used_words += len(tokenize_words(text))
         references.append(ReferenceText(key=key, text=text))
@@ -167,14 +159,8 @@ def build_generation_instance(
         prompt_with_refs="",
         prompt_without_refs="",
     )
-    return GenerationInstance(
-        instance_id=instance.instance_id,
-        doc_id=instance.doc_id,
-        t=instance.t,
-        prefix=instance.prefix,
-        gold=instance.gold,
-        cited_keys=instance.cited_keys,
-        references=instance.references,
+    return replace(
+        instance,
         prompt_with_refs=render_prompt(instance, with_refs=True),
         prompt_without_refs=render_prompt(instance, with_refs=False),
     )
@@ -304,11 +290,11 @@ def write_genset_jsonl(instances: Iterable[GenerationInstance], path) -> int:
     return n
 
 
-def read_genset_jsonl(path, reporters: ReporterTable | None = None) -> list[GenerationInstance]:
-    from .citations import parse_citation_key
+def read_genset_jsonl(path) -> list[GenerationInstance]:
+    """Read instances back; keys parse from their own written form, so a
+    genset built under any reporter table reads back without it."""
     from .corpus import iter_jsonl
 
-    table = reporters or default_reporter_table()
     out = []
     for _, obj in iter_jsonl(path):
         out.append(
@@ -318,10 +304,9 @@ def read_genset_jsonl(path, reporters: ReporterTable | None = None) -> list[Gene
                 t=int(obj["t"]),
                 prefix=obj["prefix"],
                 gold=obj["gold"],
-                cited_keys=tuple(parse_citation_key(k, table) for k in obj["cited_keys"]),
+                cited_keys=tuple(CitationKey.from_str(k) for k in obj["cited_keys"]),
                 references=tuple(
-                    ReferenceText(parse_citation_key(r["key"], table), r["text"])
-                    for r in obj["references"]
+                    ReferenceText(CitationKey.from_str(r["key"]), r["text"]) for r in obj["references"]
                 ),
                 prompt_with_refs=obj["prompt_with_refs"],
                 prompt_without_refs=obj["prompt_without_refs"],

@@ -6,15 +6,16 @@ additionally strips every other case citation and short form from the
 window.  Statute citations always stay.  The cited document is the query's
 relevance target.
 
-Each document is parsed once (``parse_document``: words and citations under
-one reporter table); ``build_query`` then makes every requested view of one
-central citation from that parse.
+Each document is parsed once (``parse_document``: citations under one
+reporter table, then words and paired quotes on first use); ``build_query``
+then makes every requested view of one central citation from that parse,
+and nothing re-scans a window or a masked text.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -24,6 +25,7 @@ from .citations import (
     KIND_SHORT_FORM,
     CitationKey,
     CitationSpan,
+    QuoteSpan,
     ReporterTable,
     citation_sentence_bounds,
     default_reporter_table,
@@ -64,6 +66,9 @@ class RetrievalQuery:
     display_text: str
     target_keys: tuple[CitationKey, ...]
     window_words: int
+    # Some short form (Id., supra, at-page cite) outside the central sentence
+    # stays in the window and may refer to the masked case.  Not serialized.
+    residual_short_form: bool
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,8 @@ class QueryConstructionReport:
     built: int = 0
     skipped_no_bounds: int = 0
     skipped_unresolvable: int = 0
-    # single-removed queries whose window still carries short forms that may
-    # refer to the masked case (Id., supra, at-page cites).
+    # Built centrals whose window keeps a short form (Id., supra, at-page
+    # cite) outside the masked sentence; it may refer to the masked case.
     residual_short_form_queries: int = 0
 
     @property
@@ -148,8 +153,9 @@ def _word_index_at(word_starts: list[int], char_pos: int) -> int:
 
 @dataclass(frozen=True)
 class ParsedDocument:
-    """A document citation-parsed once under one reporter table, and
-    tokenized at most once; every query around its citations reads from it."""
+    """A document citation-parsed once under one reporter table; its words
+    and paired quotes are computed at most once.  Every query around its
+    citations, and the citation dump, reads from it."""
 
     doc_id: str
     text: str
@@ -165,6 +171,11 @@ class ParsedDocument:
     @cached_property
     def word_starts(self) -> list[int]:
         return [w.start for w in self.words]
+
+    @cached_property
+    def quotes(self) -> list[QuoteSpan]:
+        """Curly-quoted extracts paired with their citations, by start."""
+        return extract_direct_quotes(self.text, self.citations)
 
     @cached_property
     def cases(self) -> list[CitationSpan]:
@@ -197,6 +208,8 @@ def build_query(
     cover the whole central sentence.  Every view shares the window, the
     targets and the direct/indirect kind.
     """
+    if not views:
+        raise ValueError("views must not be empty")
     for view in views:
         if view not in _VIEW_CODES:
             raise ValueError(f"unknown view {view!r}")
@@ -226,7 +239,11 @@ def build_query(
     # A citation the window edge cuts through still counts: its in-window
     # part is masked, so no fragment of a target survives.
     window_citations = [c for c in parsed.citations if c.start < hi_c and lo_c < c.end]
-    kind = _classify(text, lo_c, hi_c, central, target_keys, window_citations, parsed.table)
+    kind = _classify(parsed, lo_c, hi_c, target_keys)
+    residual = any(
+        c.kind == KIND_SHORT_FORM and not (c.start < sent_end and sent_start < c.end)
+        for c in window_citations
+    )
 
     out = {}
     for view in views:
@@ -243,6 +260,7 @@ def build_query(
             display_text=display,
             target_keys=target_keys,
             window_words=window_words,
+            residual_short_form=residual,
         )
     return out
 
@@ -273,28 +291,18 @@ def _target_keys(parsed: ParsedDocument, central: CitationSpan) -> tuple[Citatio
     return tuple(target_keys)
 
 
-def _classify(
-    text: str,
-    lo_c: int,
-    hi_c: int,
-    central: CitationSpan,
-    target_keys: tuple[CitationKey, ...],
-    window_citations: Sequence[CitationSpan],
-    table: ReporterTable,
-) -> str:
-    """direct iff some quote in the window pairs with the central citation
-    (or a short form resolving to it)."""
-    window_text = text[lo_c:hi_c]
-    shifted = [
-        CitationSpan(c.start - lo_c, c.end - lo_c, c.kind, c.raw, c.key) for c in window_citations
-    ]
-    for quote in extract_direct_quotes(window_text, citations=shifted, reporters=table):
+def _classify(parsed: ParsedDocument, lo_c: int, hi_c: int, target_keys: tuple[CitationKey, ...]) -> str:
+    """direct iff some quote with both marks in the window [lo_c, hi_c) pairs
+    with a citation carrying a target key: the central citation, a parallel
+    cite of it, or a short form resolving to one of them."""
+    quotes = parsed.quotes
+    # A quote's start is one past its opening mark, and its end is the
+    # index of its closing mark.
+    for quote in quotes[bisect_left(quotes, lo_c + 1, key=lambda q: q.start) :]:
+        if quote.start >= hi_c:
+            break
         paired = quote.paired_citation
-        if paired is None:
-            continue
-        if paired.start + lo_c == central.start and paired.end + lo_c == central.end:
-            return KIND_DIRECT
-        if paired.key is not None and paired.key in target_keys:
+        if quote.end < hi_c and paired is not None and paired.key in target_keys:
             return KIND_DIRECT
     return KIND_INDIRECT
 
@@ -402,9 +410,6 @@ def build_queries(
     table = reporters or default_reporter_table()
     if key_index is None:
         key_index, _ = build_corpus_key_index(docs, table)
-    # The residual short-form tally reads the single-removed text, whichever
-    # views are emitted.
-    built_views = tuple(dict.fromkeys((VIEW_SINGLE_REMOVED, *views)))
     report = QueryConstructionReport()
     queries: list[RetrievalQuery] = []
     qrels: list[QrelsEntry] = []
@@ -412,19 +417,16 @@ def build_queries(
         parsed = parse_document(doc, table)
         for central in parsed.centrals():
             report.centrals_considered += 1
-            built = build_query(parsed, central, window_words, built_views)
+            built = build_query(parsed, central, window_words, views)
             if built is None:
                 report.skipped_no_bounds += 1
                 continue
-            base = built[VIEW_SINGLE_REMOVED]
-            target_doc = resolve_target(base.target_keys, key_index)
+            first = built[views[0]]
+            target_doc = resolve_target(first.target_keys, key_index)
             if target_doc is None or target_doc == doc.doc_id:
                 report.skipped_unresolvable += 1
                 continue
-            leftover_shorts = [
-                s for s in find_citations(base.masked_text, table) if s.kind == KIND_SHORT_FORM
-            ]
-            if leftover_shorts:
+            if first.residual_short_form:
                 report.residual_short_form_queries += 1
             for view in views:
                 q = built[view]

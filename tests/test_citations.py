@@ -143,6 +143,18 @@ class TestNormalize:
             key = CitationKey(rng.randint(1, 999), rng.choice(reporters), rng.randint(1, 9999))
             assert parse_citation_key(str(key)) == key
 
+    def test_key_reads_back_from_its_own_string_under_no_table(self):
+        rng = random.Random(7)
+        reporters = ["U.S.", "US", "So.2d", "F. Supp. 2d", "F."]
+        for _ in range(100):
+            key = CitationKey(rng.randint(1, 999), rng.choice(reporters), rng.randint(1, 9999))
+            assert CitationKey.from_str(str(key)) == key
+
+    @pytest.mark.parametrize("text", ["", "455 US", "US 310", "x455 US 310", "455 US 3a10", "455  310"])
+    def test_key_string_without_integer_volume_and_page_rejected(self, text):
+        with pytest.raises(CitationError):
+            CitationKey.from_str(text)
+
     def test_statute_span_rejected(self):
         span = find_statute_citations("Fed.R.Civ.P. 56(c)")[0]
         with pytest.raises(CitationError):
@@ -265,7 +277,7 @@ class TestSentenceBounds:
 
 class TestDirectQuotes:
     def test_quote_pairs_with_following_id(self):
-        quotes = extract_direct_quotes(PASSAGE)
+        quotes = extract_direct_quotes(PASSAGE, find_citations(PASSAGE))
         target = [q for q in quotes if q.text.startswith("that there is an absence")]
         assert len(target) == 1
         paired = target[0].paired_citation
@@ -274,29 +286,30 @@ class TestDirectQuotes:
         assert str(paired.key) == "91 L.Ed.2d 265"  # Id. resolves to the last parallel cite
 
     def test_ascii_quotes_ignored(self):
-        assert extract_direct_quotes('he said "hello" to 477 U.S. 317') == []
+        text = 'he said "hello" to 477 U.S. 317'
+        assert extract_direct_quotes(text, find_citations(text)) == []
 
     def test_nearer_of_two_following_citations_wins(self):
         text = "“quoted words” 1 F.3d 1 (1st Cir.1993) and later 2 F.3d 2 (1st Cir.1994)."
-        quotes = extract_direct_quotes(text)
+        quotes = extract_direct_quotes(text, find_citations(text))
         assert str(quotes[0].paired_citation.key) == "1 F.3d 1"
 
     def test_unpaired_when_farther_than_cap(self):
         text = "“quote”" + " filler" * 60 + " 1 F.3d 1 (1st Cir.1993)."
-        quotes = extract_direct_quotes(text)
+        quotes = extract_direct_quotes(text, find_citations(text))
         assert quotes[0].paired_citation is None
 
     def test_unbalanced_opener_skipped(self):
         text = "“outer “inner” tail"
-        quotes = extract_direct_quotes(text)
+        quotes = extract_direct_quotes(text, find_citations(text))
         assert [q.text for q in quotes] == ["inner"]
 
     def test_no_unmatched_marks_inside_spans(self, mini_corpus):
         for doc in mini_corpus:
-            for q in extract_direct_quotes(doc.text):
+            for q in extract_direct_quotes(doc.text, find_citations(doc.text)):
                 assert q.text.count("“") == q.text.count("”")
 
     def test_preceding_citation_pairs_for_explanatory_quote(self):
         text = "See Kayes v. Pacific Co., 51 F.3d 1449 (9th Cir.1995) (“officers are liable”)."
-        quotes = extract_direct_quotes(text)
+        quotes = extract_direct_quotes(text, find_citations(text))
         assert str(quotes[0].paired_citation.key) == "51 F.3d 1449"

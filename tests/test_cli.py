@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from casebench.citations import default_reporter_table
 from casebench.cli import main
+from casebench.corpus import read_corpus_jsonl
 from casebench.minicorpus import mini_corpus_path
+from casebench.queries import KIND_DIRECT, KIND_INDIRECT, VIEW_ALL_REMOVED, VIEW_SINGLE_REMOVED, build_queries
 
 
 @pytest.fixture()
@@ -46,12 +49,7 @@ def run_pipeline(workdir, raw):
     assert main(["eval-retrieval", str(run), str(qrels), "--k", "5,10", "--output", str(report)]) == 0
     assert main(["--seed", "0", "build-genset", str(corpus), str(genset)]) == 0
     # Self-scoring: gold paragraphs as the system output.
-    with open(genset, "r", encoding="utf-8") as f, open(gens, "w", encoding="utf-8") as out:
-        for line in f:
-            obj = json.loads(line)
-            out.write(json.dumps({
-                "instance_id": obj["instance_id"], "system": "gold", "output_text": obj["gold"],
-            }) + "\n")
+    write_gold_generations(genset, gens)
     assert main(["eval-generation", str(genset), str(gens), "--output", str(genreport)]) == 0
     assert main(["search-quotes", str(corpus), str(quotes), str(quote_run), "--unit", "document", "--n", "5", "--k", "10"]) == 0
     assert main(["search-quotes", str(corpus), str(quotes), str(workdir / "quote_exact.trec"), "--unit", "document", "--mode", "exact"]) == 0
@@ -60,6 +58,13 @@ def run_pipeline(workdir, raw):
     assert main(["density", str(corpus), str(density)]) == 0
     assert main(["stats", str(corpus), "--passages", str(passages), "--queries", str(queries), "--genset", str(genset)]) == 0
     return workdir
+
+
+def write_gold_generations(genset, path):
+    with open(genset, "r", encoding="utf-8") as f, open(path, "w", encoding="utf-8") as out:
+        for line in f:
+            obj = json.loads(line)
+            out.write(json.dumps({"instance_id": obj["instance_id"], "system": "gold", "output_text": obj["gold"]}) + "\n")
 
 
 def artifact_bytes(workdir):
@@ -137,6 +142,64 @@ class TestErrors:
         manifest = json.loads((tmp_path / "corpus.jsonl.manifest.json").read_text())
         assert manifest["counts"]["rejected"] == 1
         assert manifest["counts"]["documents"] == 1
+
+
+class TestCustomReporterGenset:
+    def test_genset_reads_back_under_its_own_table(self, tmp_path, raw_corpus):
+        # No canonical form of this table is also one of its variants.
+        table = {v: c.replace(".", "").replace(" ", "") for v, c in default_reporter_table().variants.items()}
+        reporters = tmp_path / "rep.json"
+        reporters.write_text(json.dumps(table))
+        corpus = tmp_path / "corpus.jsonl"
+        genset = tmp_path / "genset.jsonl"
+        gens = tmp_path / "gold.jsonl"
+        report = tmp_path / "report.json"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["build-genset", str(corpus), str(genset), "--reporters", str(reporters)]) == 0
+        keys = [k for line in genset.read_text().splitlines() for k in json.loads(line)["cited_keys"]]
+        assert any(k.split(" ")[1] == "US" for k in keys)
+        write_gold_generations(genset, gens)
+        rc = main(["eval-generation", str(genset), str(gens), "--output", str(report), "--reporters", str(reporters)])
+        assert rc == 0
+        assert json.loads(report.read_text())["macro"]["cr"] == 1.0
+        assert main(["stats", str(corpus), "--genset", str(genset)]) == 0
+
+
+class TestViews:
+    def test_empty_view_list_is_config_error(self, tmp_path, raw_corpus, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        queries = tmp_path / "queries.jsonl"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        rc = main(["build-queries", str(corpus), str(queries), str(tmp_path / "qrels.txt"), "--view", ","])
+        assert rc == 1
+        assert "--view" in capsys.readouterr().err
+        assert not queries.exists()
+
+
+class TestSingleParse:
+    def test_query_kind_follows_the_quote_dump(self, tmp_path, raw_corpus):
+        """A query is direct iff a --quotes-out row of its document, quoted
+        inside its window, pairs with one of its target keys."""
+        corpus = tmp_path / "corpus.jsonl"
+        quotes = tmp_path / "quotes.jsonl"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["parse-citations", str(corpus), str(tmp_path / "c.jsonl"), "--quotes-out", str(quotes)]) == 0
+        rows_by_doc: dict[str, list[dict]] = {}
+        for line in quotes.read_text().splitlines():
+            row = json.loads(line)
+            rows_by_doc.setdefault(row["doc_id"], []).append(row)
+        built, _, _ = build_queries(read_corpus_jsonl(corpus), views=(VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED))
+        kinds = set()
+        for q in built:
+            window = q.left_context + q.central_sentence + q.right_context
+            targets = {str(k) for k in q.target_keys}
+            paired = [
+                r for r in rows_by_doc.get(q.doc_id, [])
+                if f"“{r['quote']}”" in window and r["paired_key"] in targets
+            ]
+            assert q.kind == (KIND_DIRECT if paired else KIND_INDIRECT), q.query_id
+            kinds.add(q.kind)
+        assert kinds == {KIND_DIRECT, KIND_INDIRECT}
 
 
 class TestCompareRuns:

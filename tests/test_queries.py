@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from casebench.citations import (
     ReporterTable,
     default_reporter_table,
@@ -147,6 +149,39 @@ class TestBuildQuery:
             assert q.right_context.endswith("477 U.S. 317,")
             assert "477 U.S." not in q.masked_text
             assert q.masked_text.endswith("Later cases agree,")
+
+    def test_empty_views_rejected(self):
+        doc = query_doc()
+        with pytest.raises(ValueError):
+            build_query(parse_document(doc), central_of(doc, "601 U.S. 101"), views=())
+
+
+class TestResidualShortForms:
+    """A short form left in the window outside the central sentence is
+    tallied; one inside the masked sentence is not."""
+
+    def corpus(self):
+        in_context = make_doc("in-context", [
+            "The rule is settled. Smith v. Jones, 477 U.S. 317 (1986). Later courts read the rule "
+            "of the case cited supra broadly."
+        ])
+        in_sentence = make_doc("in-sentence", [
+            "The rule is settled. Smith v. Jones, 477 U.S. 317 (1986), and the case cited supra agree. "
+            "Later courts read the rule broadly."
+        ])
+        return [in_context, in_sentence, make_doc("smith", ["Opinion text."], cite="477 U.S. 317")]
+
+    def test_short_form_in_context_counts_and_one_in_central_sentence_does_not(self):
+        by_doc = {q.doc_id: q for q in build_queries(self.corpus())[0]}
+        assert "supra" in by_doc["in-context"].right_context
+        assert "supra" in by_doc["in-sentence"].central_sentence
+        for views in ((VIEW_SINGLE_REMOVED,), (VIEW_ALL_REMOVED,), (VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED)):
+            queries, _, report = build_queries(self.corpus(), views=views)
+            flags = {(q.doc_id, q.view): q.residual_short_form for q in queries}
+            assert flags == {
+                (doc_id, view): doc_id == "in-context" for doc_id in ("in-context", "in-sentence") for view in views
+            }
+            assert report.residual_short_form_queries == 1
 
 
 class TestClassify:

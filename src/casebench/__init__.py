@@ -13,7 +13,6 @@ from .citations import (
     find_citations,
     find_statute_citations,
     load_reporter_table,
-    normalize_citation,
     parse_citation_key,
 )
 from .corpus import (
@@ -51,7 +50,6 @@ from .queries import (
     RetrievalQuery,
     build_queries,
     build_query,
-    emit_qrels,
     parse_document,
     sweep_query_length,
 )

@@ -120,6 +120,8 @@ def default_reporter_table() -> ReporterTable:
 
 
 def load_reporter_table(path=None) -> ReporterTable:
+    """The table in the JSON file at ``path``; the default table when None.
+    Below the entry points every function takes its table as an argument."""
     if path is None:
         return default_reporter_table()
     with open(path, "r", encoding="utf-8") as f:
@@ -134,18 +136,17 @@ def _key_from_match(m: re.Match, table: ReporterTable) -> CitationKey:
     return CitationKey(volume=int(vol_digits), reporter=reporter, page=int(m.group("page")))
 
 
-def find_case_citations(text: str, reporters: ReporterTable | None = None) -> list[CitationSpan]:
+def find_case_citations(text: str, reporters: ReporterTable) -> list[CitationSpan]:
     """Full case citations, non-overlapping, ordered by start offset."""
-    table = reporters or default_reporter_table()
     spans = []
-    for m in table.case_re.finditer(text):
+    for m in reporters.case_re.finditer(text):
         spans.append(
             CitationSpan(
                 start=m.start(),
                 end=m.end(),
                 kind=KIND_CASE,
                 raw=m.group(0),
-                key=_key_from_match(m, table),
+                key=_key_from_match(m, reporters),
             )
         )
     return spans
@@ -185,7 +186,7 @@ def _overlaps(start: int, end: int, spans: Sequence[CitationSpan]) -> bool:
     return any(start < s.end and end > s.start for s in spans)
 
 
-def find_citations(text: str, reporters: ReporterTable | None = None) -> list[CitationSpan]:
+def find_citations(text: str, reporters: ReporterTable) -> list[CitationSpan]:
     """All citation spans (case, statute, short-form), ordered by start.
 
     Short forms are resolved where possible: ``Id.`` takes the key of the
@@ -194,9 +195,8 @@ def find_citations(text: str, reporters: ReporterTable | None = None) -> list[Ci
     of the nearest preceding full citation with the same volume and
     reporter.  Unresolvable short forms keep ``key=None``.
     """
-    table = reporters or default_reporter_table()
     statutes = find_statute_citations(text)
-    cases = [s for s in find_case_citations(text, table) if not _overlaps(s.start, s.end, statutes)]
+    cases = [s for s in find_case_citations(text, reporters) if not _overlaps(s.start, s.end, statutes)]
     blocked = statutes + cases
 
     shorts: list[CitationSpan] = []
@@ -206,11 +206,11 @@ def find_citations(text: str, reporters: ReporterTable | None = None) -> list[Ci
     for m in _SUPRA_RE.finditer(text):
         if not _overlaps(m.start(), m.end(), blocked):
             shorts.append(CitationSpan(m.start(), m.end(), KIND_SHORT_FORM, m.group(0)))
-    for m in table.at_cite_re.finditer(text):
+    for m in reporters.at_cite_re.finditer(text):
         if _overlaps(m.start(), m.end(), blocked):
             continue
         vol = int(m.group("vol"))
-        rep = table.canonical(m.group("rep"))
+        rep = reporters.canonical(m.group("rep"))
         key = None
         for prior in reversed(cases):
             if prior.end > m.start():
@@ -243,27 +243,12 @@ def find_citations(text: str, reporters: ReporterTable | None = None) -> list[Ci
     return resolved
 
 
-def normalize_citation(span: CitationSpan, reporters: ReporterTable | None = None) -> CitationKey:
-    """Canonical key for a case span: spacing/period variants folded, pincites
-    dropped, stray leading letters on the volume stripped."""
-    if span.kind != KIND_CASE:
-        raise CitationError(f"cannot normalize a {span.kind} span")
-    if span.key is not None:
-        return span.key
-    table = reporters or default_reporter_table()
-    m = table.case_re.search(span.raw)
-    if m is None:
-        raise CitationError(f"unparseable citation {span.raw!r}")
-    return _key_from_match(m, table)
-
-
-def parse_citation_key(s: str, reporters: ReporterTable | None = None) -> CitationKey:
+def parse_citation_key(s: str, reporters: ReporterTable) -> CitationKey:
     """Parse a citation string like ``"477 U.S. 317"`` into a key."""
-    table = reporters or default_reporter_table()
-    m = table.case_re.search(s)
+    m = reporters.case_re.search(s)
     if m is None:
         raise CitationError(f"unparseable citation key {s!r}")
-    return _key_from_match(m, table)
+    return _key_from_match(m, reporters)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +435,12 @@ def citation_sentence_bounds(
     return start, end
 
 
-def sentence_extraction_accuracy(
-    samples: Iterable[dict], reporters: ReporterTable | None = None
-) -> tuple[float, int]:
+def sentence_extraction_accuracy(samples: Iterable[dict], reporters: ReporterTable) -> tuple[float, int]:
     """Exact-match accuracy of sentence-bound extraction on labeled samples.
 
     Each sample carries ``text``, ``citation_start``, ``citation_end`` and the
     gold ``sentence_start``/``sentence_end``.  Returns (accuracy, n).
     """
-    table = reporters or default_reporter_table()
     correct = 0
     n = 0
     for sample in samples:
@@ -467,7 +449,7 @@ def sentence_extraction_accuracy(
             int(sample["citation_start"]), int(sample["citation_end"]), KIND_CASE, ""
         )
         text = sample["text"]
-        got = citation_sentence_bounds(text, span, find_case_citations(text, table))
+        got = citation_sentence_bounds(text, span, find_case_citations(text, reporters))
         want = (int(sample["sentence_start"]), int(sample["sentence_end"]))
         if got == want:
             correct += 1

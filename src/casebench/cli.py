@@ -141,6 +141,21 @@ def _reporters(args) -> citations.ReporterTable:
     return citations.load_reporter_table(getattr(args, "reporters", None))
 
 
+def _positive(flag: str, n: int) -> int:
+    if n < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {n}")
+    return n
+
+
+def _positive_ints(flag: str, value: str) -> list[int]:
+    """A comma list of integers, each at least 1; anything else is a usage
+    error."""
+    try:
+        return [_positive(flag, int(item)) for item in value.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated integers, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -244,11 +259,9 @@ def cmd_build_queries(args, cfg, out: OutputSet) -> dict:
 
 
 def cmd_sweep_lengths(args, cfg, out: OutputSet) -> dict:
+    lengths = _positive_ints("--lengths", args.lengths)
     docs = _load_corpus_file(args.input)
     table = _reporters(args)
-    lengths = [int(x) for x in args.lengths.split(",")]
-    if any(n <= 0 for n in lengths):
-        raise ConfigError("lengths must be positive")
     key_index, _ = queries.build_corpus_key_index(docs, table)
     all_queries = []
     qrels = []
@@ -296,6 +309,7 @@ def cmd_index(args, cfg, out: OutputSet) -> dict:
 
 
 def cmd_search(args, cfg, out: OutputSet) -> dict:
+    k = _positive("--k", args.k)
     try:
         index = retrieval.load_index(args.index)
     except retrieval.IndexFormatError as exc:
@@ -306,17 +320,18 @@ def cmd_search(args, cfg, out: OutputSet) -> dict:
     runs = []
     for row in rows:
         ranked = retrieval.bm25_search(
-            index, row["masked_text"], args.k, k1=k1, b=b, query_id=row["query_id"]
+            index, row["masked_text"], k, k1=k1, b=b, query_id=row["query_id"]
         )
         if args.maxp:
-            ranked = retrieval.aggregate_maxp(ranked, k=args.k)
+            ranked = retrieval.aggregate_maxp(ranked, k=k)
         runs.append(ranked)
     tag = "bm25-maxp" if args.maxp else "bm25"
     n = retrieval.write_trec_run(runs, out.declare(args.output), tag=tag)
-    return {"queries": len(runs), "rows": n, "k": args.k, "tag": tag}
+    return {"queries": len(runs), "rows": n, "k": k, "tag": tag}
 
 
 def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
+    k = _positive("--k", args.k)
     if args.unit == "passage":
         units = retrieval.passages_to_units(corpus.read_passages_jsonl(args.corpus))
     else:
@@ -329,7 +344,7 @@ def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
     empty = 0
     for row in rows:
         try:
-            runs.append(search(index, row["quote"], args.k, query_id=row["query_id"]))
+            runs.append(search(index, row["quote"], k, query_id=row["query_id"]))
         except retrieval.EmptyQuoteError:
             empty += 1
     rows_written = retrieval.write_trec_run(runs, out.declare(args.output), tag=f"{args.mode}-{n}")
@@ -337,11 +352,11 @@ def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
 
 
 def cmd_eval_retrieval(args, cfg, out: OutputSet) -> dict:
+    ks = _positive_ints("--k", args.k)
     run = retrieval.read_trec_run(args.run)
     qrels = queries.read_qrels(args.qrels)
     if not qrels:
         raise DataError(f"no positive judgments in {args.qrels}")
-    ks = [int(x) for x in args.k.split(",")]
     ranked = {qid: [unit for unit, _, _ in rows] for qid, rows in run.items()}
     report = metrics.evaluate_run(ranked, qrels, ks=ks)
     with open(out.declare(args.output), "w", encoding="utf-8") as f:
@@ -568,7 +583,13 @@ def _gather_config(args) -> dict:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 is the data-error code.
+        if exc.code == 2:
+            return EXIT_USAGE
+        raise
     out = OutputSet()
     try:
         cfg = _gather_config(args)
@@ -587,6 +608,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     if out.paths:
         manifest_path = out.paths[0].with_suffix(out.paths[0].suffix + ".manifest.json")
+        # Every file the command reads, the reporter table included.
         inputs = [
             p
             for p in (
@@ -599,6 +621,9 @@ def main(argv=None) -> int:
                 getattr(args, "qrels", None) if args.command == "eval-retrieval" else None,
                 getattr(args, "genset", None) if args.command == "eval-generation" else None,
                 getattr(args, "generations", None),
+                getattr(args, "compare", None),
+                getattr(args, "labeled_sample", None),
+                getattr(args, "reporters", None),
             )
             if p is not None and Path(p).exists()
         ]

@@ -63,18 +63,15 @@ class DensityProfile:
     decile_citations: tuple[int, ...]
 
 
-def select_reference_paragraphs(
-    doc: CaseDocument, reporters: ReporterTable | None = None
-) -> list[int]:
+def select_reference_paragraphs(doc: CaseDocument, reporters: ReporterTable) -> list[int]:
     """Eligible gold-paragraph indices t (1-based): floor(2N/3) <= t <= N-2,
     at least two case citations in the paragraph."""
-    table = reporters or default_reporter_table()
     n = len(doc.paragraphs)
     lo = max((2 * n) // 3, 1)
     hi = n - 2
     eligible = []
     for t in range(lo, hi + 1):
-        if len(find_case_citations(doc.paragraph_text(t - 1), table)) >= 2:
+        if len(find_case_citations(doc.paragraph_text(t - 1), reporters)) >= 2:
             eligible.append(t)
     return eligible
 
@@ -105,31 +102,29 @@ def build_generation_instance(
     doc: CaseDocument,
     t: int,
     corpus: Mapping[str, CaseDocument],
+    key_index: Mapping[CitationKey, str],
+    reporters: ReporterTable,
     salient_k: int = DEFAULT_SALIENT_K,
     word_budget: int = DEFAULT_WORD_BUDGET,
-    key_index: Mapping[CitationKey, str] | None = None,
-    reporters: ReporterTable | None = None,
 ) -> GenerationInstance:
     """Assemble the instance for gold paragraph ``t`` of ``doc``.
 
     cited_keys are the distinct case keys in the gold paragraph, in first-
-    mention order; each key resolving to a corpus document contributes a
-    reference text.  Raises GensetError when no key resolves.
+    mention order; each key resolving through ``key_index`` (built over
+    ``corpus`` under ``reporters``) contributes a reference text.  Raises
+    GensetError when no key resolves.
     """
-    table = reporters or default_reporter_table()
     n = len(doc.paragraphs)
     if not (1 <= t <= n):
         raise GensetError(f"paragraph index {t} out of range 1..{n}")
     if t < 2:
         raise GensetError("gold paragraph needs a non-empty prefix")
-    if key_index is None:
-        key_index, _ = build_corpus_key_index(corpus.values(), table)
 
     gold = doc.paragraph_text(t - 1)
     prefix = doc.text[: doc.paragraphs[t - 2][1]]
 
     cited_keys: list[CitationKey] = []
-    for span in find_case_citations(gold, table):
+    for span in find_case_citations(gold, reporters):
         if span.key not in cited_keys:
             cited_keys.append(span.key)
 
@@ -208,7 +203,8 @@ def build_genset(
     reporters: ReporterTable | None = None,
 ) -> tuple[list[GenerationInstance], list[str]]:
     """Sample up to ``per_doc`` gold paragraphs per document (fixed seed)
-    and build their instances.  Returns (instances, diagnostics)."""
+    and build their instances under ``reporters`` (the default table when
+    None).  Returns (instances, diagnostics)."""
     table = reporters or default_reporter_table()
     corpus = {d.doc_id: d for d in docs}
     key_index, _ = build_corpus_key_index(docs, table)
@@ -224,13 +220,7 @@ def build_genset(
             try:
                 instances.append(
                     build_generation_instance(
-                        doc,
-                        t,
-                        corpus,
-                        salient_k=salient_k,
-                        word_budget=word_budget,
-                        key_index=key_index,
-                        reporters=table,
+                        doc, t, corpus, key_index, table, salient_k=salient_k, word_budget=word_budget
                     )
                 )
             except GensetError as exc:
@@ -238,14 +228,11 @@ def build_genset(
     return instances, diagnostics
 
 
-def citation_density_profile(
-    docs: Sequence[CaseDocument], reporters: ReporterTable | None = None
-) -> DensityProfile:
+def citation_density_profile(docs: Sequence[CaseDocument], reporters: ReporterTable) -> DensityProfile:
     """Case citations per 100 words by paragraph-position decile, pooled
     across documents.  Bucket word counts partition the corpus words."""
     if not docs:
         raise ValueError("citation density requires at least one document")
-    table = reporters or default_reporter_table()
     words = [0] * 10
     cites = [0] * 10
     for doc in docs:
@@ -254,7 +241,7 @@ def citation_density_profile(
             decile = (10 * i) // n
             text = doc.paragraph_text(i)
             words[decile] += len(tokenize_words(text))
-            cites[decile] += len(find_case_citations(text, table))
+            cites[decile] += len(find_case_citations(text, reporters))
     densities = tuple(
         (100.0 * cites[d] / words[d]) if words[d] else 0.0 for d in range(10)
     )

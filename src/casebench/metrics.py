@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from .citations import (
     CitationKey,
     ReporterTable,
+    default_reporter_table,
     find_case_citations,
 )
 from .corpus import fold_words
@@ -57,9 +58,8 @@ def evaluate_run(
     run: Mapping[str, Sequence[str]],
     qrels: Mapping[str, set[str]],
     ks: Sequence[int] = (10, 100, 1000),
-    ndcg_k: int = 10,
 ) -> "MetricReport":
-    """Per-query and macro Recall@k / nDCG@k over a run.
+    """Per-query and macro Recall@k over a run, and nDCG@10.
 
     Queries present in qrels but missing from the run score zero and are
     counted; run-only queries are listed and excluded.
@@ -72,7 +72,7 @@ def evaluate_run(
             continue
         ranked = list(run.get(qid, ()))
         row = {f"recall@{k}": recall_at_k(ranked, positives, k) for k in ks}
-        row[f"ndcg@{ndcg_k}"] = ndcg_at_k(ranked, positives, ndcg_k)
+        row["ndcg@10"] = ndcg_at_k(ranked, positives, 10)
         per_query[qid] = row
     return MetricReport(
         per_query=per_query,
@@ -227,9 +227,11 @@ def citation_report(
     prefix_paragraphs: Sequence[str],
     reference_texts: Sequence[str] = (),
     include_references_in_substring_check: bool = False,
-    reporters: ReporterTable | None = None,
+    *,
+    reporters: ReporterTable,
 ) -> CitationReport:
-    """Extract citations from generated text and score them against C_r."""
+    """Extract citations from generated text under ``reporters`` and score
+    them against C_r."""
     spans = find_case_citations(generated_text, reporters)
     raw_forms: dict[CitationKey, str] = {}
     keys: list[CitationKey] = []
@@ -300,13 +302,16 @@ def score_generation_run(
     include_references_in_substring_check: bool = False,
     reporters: ReporterTable | None = None,
 ) -> MetricReport:
-    """Score one system's generated analyses against their generation instances.
+    """Score one system's generated analyses against their generation
+    instances, reading citations under ``reporters`` (the default table
+    when None).
 
     ``generations`` rows are {instance_id, system, output_text}, at most one
     per instance.  Each scored instance gets ROUGE-1/2/L F1 plus CR/CP/CFP
     computed against the gold paragraph's citation set, with the instance
     prefix as grounding text.
     """
+    table = reporters or default_reporter_table()
     by_id = {inst.instance_id: inst for inst in instances}
     outputs: dict[str, str] = {}
     for row in generations:
@@ -331,7 +336,7 @@ def score_generation_run(
             inst.prefix.split("\n"),
             [ref.text for ref in inst.references],
             include_references_in_substring_check,
-            reporters,
+            reporters=table,
         )
         if report.degenerate:
             degenerate += 1

@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from .citations import (
     KIND_CASE,
     KIND_SHORT_FORM,
+    CitationError,
     CitationKey,
     CitationSpan,
     QuoteSpan,
@@ -31,6 +32,7 @@ from .citations import (
     default_reporter_table,
     extract_direct_quotes,
     find_citations,
+    parse_citation_key,
 )
 from .corpus import CaseDocument, WordSpan, tokenize_words
 
@@ -187,11 +189,10 @@ class ParsedDocument:
         return [c for c in self.citations if c.key is not None and c.kind in (KIND_CASE, KIND_SHORT_FORM)]
 
 
-def parse_document(doc: CaseDocument, reporters: ReporterTable | None = None) -> ParsedDocument:
-    """Find the citations of ``doc`` under ``reporters`` (the default table
-    when None); its words are tokenized when a query first needs them."""
-    table = reporters or default_reporter_table()
-    return ParsedDocument(doc.doc_id, doc.text, find_citations(doc.text, table), table)
+def parse_document(doc: CaseDocument, reporters: ReporterTable) -> ParsedDocument:
+    """Find the citations of ``doc`` under ``reporters``; its words are
+    tokenized when a query first needs them."""
+    return ParsedDocument(doc.doc_id, doc.text, find_citations(doc.text, reporters), reporters)
 
 
 def build_query(
@@ -345,22 +346,21 @@ def _mask(
 # Corpus-level construction
 # ---------------------------------------------------------------------------
 
-def build_corpus_key_index(docs: Iterable[CaseDocument], reporters: ReporterTable | None = None) -> tuple[dict[CitationKey, str], list[str]]:
+def build_corpus_key_index(
+    docs: Iterable[CaseDocument], reporters: ReporterTable
+) -> tuple[dict[CitationKey, str], list[str]]:
     """Map each document's own reporter citation to its doc id.
 
     Duplicate reporter cites keep the first-indexed document; conflicts are
     reported for the construction log.
     """
-    from .citations import parse_citation_key, CitationError
-
-    table = reporters or default_reporter_table()
     index: dict[CitationKey, str] = {}
     conflicts: list[str] = []
     for doc in docs:
         if not doc.reporter_cite:
             continue
         try:
-            key = parse_citation_key(doc.reporter_cite, table)
+            key = parse_citation_key(doc.reporter_cite, reporters)
         except CitationError:
             conflicts.append(f"{doc.doc_id}: unparseable reporter_cite {doc.reporter_cite!r}")
             continue
@@ -379,37 +379,22 @@ def resolve_target(query_target_keys: Sequence[CitationKey], key_index: Mapping[
     return None
 
 
-def emit_qrels(
-    queries: Iterable[RetrievalQuery], key_index: Mapping[CitationKey, str]
-) -> list[QrelsEntry]:
-    """Doc-level qrels: one positive row per query, the document its central
-    citation cites to.  Parallel keys resolving to the same document dedup
-    to a single row; unresolvable queries emit nothing."""
-    out = []
-    for q in queries:
-        target = resolve_target(q.target_keys, key_index)
-        if target is not None:
-            out.append(QrelsEntry(q.query_id, target, 1))
-    return out
-
-
 def build_queries(
     docs: Sequence[CaseDocument],
     views: Sequence[str] = (VIEW_SINGLE_REMOVED,),
     kinds: Sequence[str] | None = None,
     window_words: int = DEFAULT_QUERY_WINDOW,
     reporters: ReporterTable | None = None,
-    key_index: Mapping[CitationKey, str] | None = None,
 ) -> tuple[list[RetrievalQuery], list[QrelsEntry], QueryConstructionReport]:
-    """Construct all queries over a corpus, with doc-level qrels.
+    """Construct all queries over a corpus, with doc-level qrels, under
+    ``reporters`` (the default table when None).
 
     Central candidates are full case citations plus short forms that
     resolve to a key; a query is emitted only when some parallel key
-    resolves to a corpus document.
+    resolves to a corpus document other than its own.
     """
     table = reporters or default_reporter_table()
-    if key_index is None:
-        key_index, _ = build_corpus_key_index(docs, table)
+    key_index, _ = build_corpus_key_index(docs, table)
     report = QueryConstructionReport()
     queries: list[RetrievalQuery] = []
     qrels: list[QrelsEntry] = []
@@ -442,14 +427,14 @@ def sweep_query_length(
     parsed: ParsedDocument,
     central: CitationSpan,
     lengths: Sequence[int] = SWEEP_LENGTHS,
-    view: str = VIEW_SINGLE_REMOVED,
 ) -> list[RetrievalQuery]:
-    """One query per window length over the same central citation."""
+    """One single-removed query per window length over the same central
+    citation."""
     out = []
     for length in lengths:
-        built = build_query(parsed, central, length, (view,))
+        built = build_query(parsed, central, length)
         if built is not None:
-            q = built[view]
+            q = built[VIEW_SINGLE_REMOVED]
             out.append(replace(q, query_id=f"{q.query_id}:w{length}"))
     return out
 

@@ -16,6 +16,7 @@ from casebench.citations import (
     find_case_citations,
     find_citations,
     find_statute_citations,
+    load_reporter_table,
     parse_citation_key,
 )
 from casebench.corpus import chunk_document
@@ -39,6 +40,8 @@ import conftest
 import fixtures
 from test_retrieval import bm25_oracle
 
+TABLE = load_reporter_table()
+
 
 def criterion(name):
     def wrap(fn):
@@ -61,8 +64,8 @@ def criterion(name):
 @criterion("citation-metrics fidelity")
 def test_citation_metrics_fidelity():
     started = time.perf_counter()
-    generated = [parse_citation_key(k) for k in fixtures.GENERATED_KEYS]
-    relevant = [parse_citation_key(k) for k in fixtures.RELEVANT_KEYS]
+    generated = [parse_citation_key(k, TABLE) for k in fixtures.GENERATED_KEYS]
+    relevant = [parse_citation_key(k, TABLE) for k in fixtures.RELEVANT_KEYS]
     report = citation_report_from_keys(
         generated,
         relevant,
@@ -149,7 +152,7 @@ def test_masking_soundness(mini_corpus):
     )
     assert queries
     for q in queries:
-        spans = find_citations(q.masked_text)
+        spans = find_citations(q.masked_text, TABLE)
         cases = [s for s in spans if s.kind == "case"]
         if q.view == VIEW_SINGLE_REMOVED:
             central_key = q.target_keys[0]
@@ -219,7 +222,7 @@ def test_generation_set_constraints(mini_corpus):
     for inst in instances:
         n = len(by_id[inst.doc_id].paragraphs)
         assert (2 * n) // 3 <= inst.t <= n - 2, inst.instance_id
-        assert len(find_case_citations(inst.gold)) >= 2, inst.instance_id
+        assert len(find_case_citations(inst.gold, TABLE)) >= 2, inst.instance_id
     fixture = next(i for i in instances if i.instance_id == "f2d-469-902:p3")
     assert fixture.prompt_with_refs == fixtures.GOLDEN_PROMPT_WITH_REFS
     assert fixture.prompt_without_refs == fixtures.GOLDEN_PROMPT_WITHOUT_REFS

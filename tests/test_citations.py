@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
+from casebench import citations, genset, metrics, queries
 from casebench.citations import (
     CitationError,
     CitationKey,
@@ -14,10 +16,12 @@ from casebench.citations import (
     find_case_citations,
     find_citations,
     find_statute_citations,
-    normalize_citation,
+    load_reporter_table,
     parse_citation_key,
     sentence_extraction_accuracy,
 )
+
+TABLE = load_reporter_table()
 
 # A summary-judgment passage in the Bluebook style the parser targets.
 PASSAGE = (
@@ -37,46 +41,78 @@ PASSAGE = (
 )
 
 
+class TestOneExplicitTable:
+    """Only the entry points fall back to the default reporter table; every
+    function below them must be handed one."""
+
+    def test_reporters_required_below_the_entry_points(self):
+        required = [
+            citations.find_case_citations,
+            citations.find_citations,
+            citations.parse_citation_key,
+            citations.sentence_extraction_accuracy,
+            queries.parse_document,
+            queries.build_corpus_key_index,
+            genset.select_reference_paragraphs,
+            genset.build_generation_instance,
+            genset.citation_density_profile,
+            metrics.citation_report,
+        ]
+        for fn in required:
+            param = inspect.signature(fn).parameters["reporters"]
+            assert param.default is inspect.Parameter.empty, fn.__name__
+
+    def test_entry_points_default_to_the_default_table(self):
+        for fn in (queries.build_queries, genset.build_genset, metrics.score_generation_run):
+            assert inspect.signature(fn).parameters["reporters"].default is None, fn.__name__
+        assert inspect.signature(citations.load_reporter_table).parameters["path"].default is None
+        assert load_reporter_table() is default_reporter_table()
+
+    def test_forgotten_table_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            find_citations("See 477 U.S. 317 (1986).")
+
+
 class TestFindCaseCitations:
     def test_parallel_run_yields_three_spans(self):
         text = "Celotex Corp. v. Catrett, 477 U.S. 317, 322, 106 S.Ct. 2548, 91 L.Ed.2d 265 (1986)"
-        spans = find_case_citations(text)
+        spans = find_case_citations(text, TABLE)
         assert [str(s.key) for s in spans] == ["477 U.S. 317", "106 S.Ct. 2548", "91 L.Ed.2d 265"]
 
     def test_no_citations(self):
-        assert find_case_citations("no citations here") == []
+        assert find_case_citations("no citations here", TABLE) == []
 
     def test_pincite_and_court_year_absorbed(self):
-        spans = find_case_citations("51 F.3d 1449, 1459 (9th Cir.1995)")
+        spans = find_case_citations("51 F.3d 1449, 1459 (9th Cir.1995)", TABLE)
         assert len(spans) == 1
         assert spans[0].raw == "51 F.3d 1449, 1459 (9th Cir.1995)"
         assert str(spans[0].key) == "51 F.3d 1449"
 
     def test_pincite_range(self):
-        spans = find_case_citations("404 U.S. 519, 520-21 (1972)")
+        spans = find_case_citations("404 U.S. 519, 520-21 (1972)", TABLE)
         assert len(spans) == 1
         assert str(spans[0].key) == "404 U.S. 519"
 
     def test_en_dash_pincite_range(self):
-        spans = find_case_citations("404 U.S. 519, 520–21 (1972)")
+        spans = find_case_citations("404 U.S. 519, 520–21 (1972)", TABLE)
         assert len(spans) == 1
         assert spans[0].raw.endswith("(1972)")
 
     def test_parallel_volume_not_swallowed_as_pincite(self):
-        spans = find_case_citations("477 U.S. 317, 106 S.Ct. 2548")
+        spans = find_case_citations("477 U.S. 317, 106 S.Ct. 2548", TABLE)
         assert [str(s.key) for s in spans] == ["477 U.S. 317", "106 S.Ct. 2548"]
 
     def test_adjacent_number_does_not_split(self):
-        spans = find_case_citations("144 S.Ct. 901, 218 L.Ed.2d 44 (2023)")
+        spans = find_case_citations("144 S.Ct. 901, 218 L.Ed.2d 44 (2023)", TABLE)
         assert [str(s.key) for s in spans] == ["144 S.Ct. 901", "218 L.Ed.2d 44"]
 
     def test_spaced_reporter_variants(self):
-        spans = find_case_citations("See 404 U. S. 519, 520 (1972) and 627 F. 2d 83, 86 (CA7 1980).")
+        spans = find_case_citations("See 404 U. S. 519, 520 (1972) and 627 F. 2d 83, 86 (CA7 1980).", TABLE)
         assert [str(s.key) for s in spans] == ["404 U.S. 519", "627 F.2d 83"]
 
     def test_ordered_and_nonoverlapping(self, mini_corpus):
         for doc in mini_corpus:
-            spans = find_case_citations(doc.text)
+            spans = find_case_citations(doc.text, TABLE)
             for a, b in zip(spans, spans[1:]):
                 assert a.end <= b.start
             for s in spans:
@@ -97,27 +133,27 @@ class TestFindStatuteCitations:
         assert find_statute_citations("section 3(5) of ERISA") == []
 
     def test_usc_not_matched_as_case(self):
-        assert find_case_citations("29 U.S.C. § 1002(5)") == []
+        assert find_case_citations("29 U.S.C. § 1002(5)", TABLE) == []
 
 
 class TestShortForms:
     def test_id_resolves_to_preceding_case(self):
-        spans = find_citations("See 477 U.S. 317, 322 (1986). Id. at 325.")
+        spans = find_citations("See 477 U.S. 317, 322 (1986). Id. at 325.", TABLE)
         id_span = [s for s in spans if s.raw.startswith("Id.")][0]
         assert str(id_span.key) == "477 U.S. 317"
 
     def test_id_unresolved_across_paragraphs(self):
-        spans = find_citations("See 477 U.S. 317 (1986).\nId. at 325.")
+        spans = find_citations("See 477 U.S. 317 (1986).\nId. at 325.", TABLE)
         id_span = [s for s in spans if s.raw.startswith("Id.")][0]
         assert id_span.key is None
 
     def test_statute_blocks_id_resolution(self):
-        spans = find_citations("See 477 U.S. 317 (1986). And 29 U.S.C. § 1002(5). Id.")
+        spans = find_citations("See 477 U.S. 317 (1986). And 29 U.S.C. § 1002(5). Id.", TABLE)
         id_span = [s for s in spans if s.raw.startswith("Id.")][0]
         assert id_span.key is None
 
     def test_at_cite_resolves_by_volume_and_reporter(self):
-        spans = find_citations("Hughes v. Rowe, 449 U.S. 5, 9 (1980). Later, 449 U.S. at 10.")
+        spans = find_citations("Hughes v. Rowe, 449 U.S. 5, 9 (1980). Later, 449 U.S. at 10.", TABLE)
         at_span = [s for s in spans if " at " in s.raw][-1]
         assert at_span.kind == "short-form"
         assert str(at_span.key) == "449 U.S. 5"
@@ -125,23 +161,23 @@ class TestShortForms:
 
 class TestNormalize:
     def test_spacing_variant_and_pincite_dropped(self):
-        span = find_case_citations("477 U. S. 317, 322")[0]
-        assert normalize_citation(span) == CitationKey(477, "U.S.", 317)
+        span = find_case_citations("477 U. S. 317, 322", TABLE)[0]
+        assert span.key == CitationKey(477, "U.S.", 317)
 
     def test_court_year_parenthetical_dropped(self):
-        span = find_case_citations("953 F.2d 1073, 1078 (7th Cir.1992)")[0]
-        assert str(normalize_citation(span)) == "953 F.2d 1073"
+        span = find_case_citations("953 F.2d 1073, 1078 (7th Cir.1992)", TABLE)[0]
+        assert str(span.key) == "953 F.2d 1073"
 
     def test_stray_leading_letter_stripped(self):
-        span = find_case_citations("P51 F.3d 1449, 1459 (9th Cir.1995)")[0]
-        assert str(normalize_citation(span)) == "51 F.3d 1449"
+        span = find_case_citations("P51 F.3d 1449, 1459 (9th Cir.1995)", TABLE)[0]
+        assert str(span.key) == "51 F.3d 1449"
 
     def test_round_trip_on_canonical_keys(self):
         rng = random.Random(99)
         reporters = ["U.S.", "S.Ct.", "L.Ed.2d", "F.2d", "F.3d", "F. Supp. 2d", "F.R.D.", "F."]
         for _ in range(200):
             key = CitationKey(rng.randint(1, 999), rng.choice(reporters), rng.randint(1, 9999))
-            assert parse_citation_key(str(key)) == key
+            assert parse_citation_key(str(key), TABLE) == key
 
     def test_key_reads_back_from_its_own_string_under_no_table(self):
         rng = random.Random(7)
@@ -155,18 +191,13 @@ class TestNormalize:
         with pytest.raises(CitationError):
             CitationKey.from_str(text)
 
-    def test_statute_span_rejected(self):
-        span = find_statute_citations("Fed.R.Civ.P. 56(c)")[0]
-        with pytest.raises(CitationError):
-            normalize_citation(span)
-
 
 def central_span(text, key_str):
-    return next(s for s in find_case_citations(text) if str(s.key) == key_str)
+    return next(s for s in find_case_citations(text, TABLE) if str(s.key) == key_str)
 
 
 def bounds(text, span):
-    return citation_sentence_bounds(text, span, find_case_citations(text))
+    return citation_sentence_bounds(text, span, find_case_citations(text, TABLE))
 
 
 class TestSentenceBounds:
@@ -181,7 +212,7 @@ class TestSentenceBounds:
         span = central_span(PASSAGE, "106 S.Ct. 2548")
         # The parallel S.Ct. cite inside the Celotex sentence comes first;
         # the one in the Id. sentence is the second occurrence.
-        spans = [s for s in find_case_citations(PASSAGE) if str(s.key) == "106 S.Ct. 2548"]
+        spans = [s for s in find_case_citations(PASSAGE, TABLE) if str(s.key) == "106 S.Ct. 2548"]
         start, end = bounds(PASSAGE, spans[1])
         assert PASSAGE[start:end] == "Id. at 325, 106 S.Ct. 2548."
 
@@ -198,7 +229,7 @@ class TestSentenceBounds:
             "(9th Cir.1995) (“This court has held corporate officers to be liable as "
             "fiduciaries.”). Rather, he is liable."
         )
-        span = find_case_citations(text)[0]
+        span = find_case_citations(text, TABLE)[0]
         start, end = bounds(text, span)
         got = text[start:end]
         assert got.startswith("Kayes")
@@ -206,7 +237,7 @@ class TestSentenceBounds:
 
     def test_no_terminal_in_paragraph_fails(self):
         text = "some words 477 U.S. 317 and more words with no end"
-        span = find_case_citations(text)[0]
+        span = find_case_citations(text, TABLE)[0]
         assert bounds(text, span) is None
 
     def test_subsequent_history_absorbed(self):
@@ -230,9 +261,9 @@ class TestSentenceBounds:
     def test_spans_of_other_paragraphs_are_ignored(self):
         text = "\n".join([PASSAGE] * 3)
         offset = len(PASSAGE) + 1
-        spans = find_case_citations(text)
+        spans = find_case_citations(text, TABLE)
         middle = [s for s in spans if offset <= s.start < 2 * offset]
-        own = find_case_citations(PASSAGE)
+        own = find_case_citations(PASSAGE, TABLE)
         assert len(middle) == len(own)
         for span, alone in zip(middle, own):
             lo, hi = bounds(PASSAGE, alone)
@@ -255,7 +286,7 @@ class TestSentenceBounds:
             )
         # One deliberately wrong label.
         samples.append(dict(samples[0], sentence_start=0, sentence_end=5))
-        accuracy, n = sentence_extraction_accuracy(samples)
+        accuracy, n = sentence_extraction_accuracy(samples, TABLE)
         assert n == 2
         assert accuracy == 0.5
 
@@ -272,12 +303,12 @@ class TestSentenceBounds:
             "sentence_end": text.index(" Next."),
         }
         assert sentence_extraction_accuracy([sample], table) == (1.0, 1)
-        assert sentence_extraction_accuracy([sample]) == (0.0, 1)
+        assert sentence_extraction_accuracy([sample], TABLE) == (0.0, 1)
 
 
 class TestDirectQuotes:
     def test_quote_pairs_with_following_id(self):
-        quotes = extract_direct_quotes(PASSAGE, find_citations(PASSAGE))
+        quotes = extract_direct_quotes(PASSAGE, find_citations(PASSAGE, TABLE))
         target = [q for q in quotes if q.text.startswith("that there is an absence")]
         assert len(target) == 1
         paired = target[0].paired_citation
@@ -287,29 +318,29 @@ class TestDirectQuotes:
 
     def test_ascii_quotes_ignored(self):
         text = 'he said "hello" to 477 U.S. 317'
-        assert extract_direct_quotes(text, find_citations(text)) == []
+        assert extract_direct_quotes(text, find_citations(text, TABLE)) == []
 
     def test_nearer_of_two_following_citations_wins(self):
         text = "“quoted words” 1 F.3d 1 (1st Cir.1993) and later 2 F.3d 2 (1st Cir.1994)."
-        quotes = extract_direct_quotes(text, find_citations(text))
+        quotes = extract_direct_quotes(text, find_citations(text, TABLE))
         assert str(quotes[0].paired_citation.key) == "1 F.3d 1"
 
     def test_unpaired_when_farther_than_cap(self):
         text = "“quote”" + " filler" * 60 + " 1 F.3d 1 (1st Cir.1993)."
-        quotes = extract_direct_quotes(text, find_citations(text))
+        quotes = extract_direct_quotes(text, find_citations(text, TABLE))
         assert quotes[0].paired_citation is None
 
     def test_unbalanced_opener_skipped(self):
         text = "“outer “inner” tail"
-        quotes = extract_direct_quotes(text, find_citations(text))
+        quotes = extract_direct_quotes(text, find_citations(text, TABLE))
         assert [q.text for q in quotes] == ["inner"]
 
     def test_no_unmatched_marks_inside_spans(self, mini_corpus):
         for doc in mini_corpus:
-            for q in extract_direct_quotes(doc.text, find_citations(doc.text)):
+            for q in extract_direct_quotes(doc.text, find_citations(doc.text, TABLE)):
                 assert q.text.count("“") == q.text.count("”")
 
     def test_preceding_citation_pairs_for_explanatory_quote(self):
         text = "See Kayes v. Pacific Co., 51 F.3d 1449 (9th Cir.1995) (“officers are liable”)."
-        quotes = extract_direct_quotes(text, find_citations(text))
+        quotes = extract_direct_quotes(text, find_citations(text, TABLE))
         assert str(quotes[0].paired_citation.key) == "51 F.3d 1449"

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from casebench.citations import default_reporter_table
+from casebench.citations import default_reporter_table, load_reporter_table
 from casebench.cli import main
 from casebench.corpus import read_corpus_jsonl
 from casebench.minicorpus import mini_corpus_path
 from casebench.queries import KIND_DIRECT, KIND_INDIRECT, VIEW_ALL_REMOVED, VIEW_SINGLE_REMOVED, build_queries
+
+TABLE = load_reporter_table()
 
 
 @pytest.fixture()
@@ -277,8 +280,8 @@ class TestLabeledAccuracy:
         text = "Prior sentence. See Tilden v. Marsh Chemical Corp., 601 U.S. 101, 105 (2023). Next."
         from casebench.citations import citation_sentence_bounds, find_case_citations
 
-        span = find_case_citations(text)[0]
-        start, end = citation_sentence_bounds(text, span, find_case_citations(text))
+        span = find_case_citations(text, TABLE)[0]
+        start, end = citation_sentence_bounds(text, span, find_case_citations(text, TABLE))
         labeled = tmp_path / "labeled.jsonl"
         labeled.write_text(json.dumps({
             "text": text,
@@ -330,3 +333,108 @@ class TestFlagPrecedence:
         assert run.read_text().split("\n", 1)[0].endswith("ngram-7")
         manifest = json.loads((tmp_path / "quote_run.trec.manifest.json").read_text())
         assert manifest["config"]["ngram_n"] == 7
+
+
+def manifest_inputs(output):
+    return json.loads(Path(f"{output}.manifest.json").read_text())["inputs"]
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestManifestInputs:
+    """A manifest hashes every file its command reads."""
+
+    def test_reporters_file_tells_two_tables_apart(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        reporters = tmp_path / "so2d.json"
+        reporters.write_text(json.dumps({**default_reporter_table().variants, "So. 2d": "So.2d"}))
+        manifests = []
+        for name, extra in (("default", []), ("so2d", ["--reporters", str(reporters)])):
+            out = tmp_path / name
+            out.mkdir()
+            rc = main(["build-queries", str(corpus), str(out / "queries.jsonl"), str(out / "qrels.txt"), *extra])
+            assert rc == 0
+            manifests.append((out / "queries.jsonl.manifest.json").read_text())
+        assert manifests[0] != manifests[1]
+        assert manifest_inputs(tmp_path / "so2d" / "queries.jsonl")["so2d.json"] == sha256_of(reporters)
+        assert "so2d.json" not in manifest_inputs(tmp_path / "default" / "queries.jsonl")
+
+    def test_eval_generation_hashes_the_compare_file(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        genset = tmp_path / "genset.jsonl"
+        gold = tmp_path / "gold.jsonl"
+        weak = tmp_path / "weak.jsonl"
+        report = tmp_path / "report.json"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["build-genset", str(corpus), str(genset)]) == 0
+        write_gold_generations(genset, gold)
+        weak.write_text(gold.read_text().replace('"system": "gold"', '"system": "weak"'))
+        assert main(["eval-generation", str(genset), str(gold), "--compare", str(weak), "--output", str(report)]) == 0
+        inputs = manifest_inputs(report)
+        assert inputs["weak.jsonl"] == sha256_of(weak)
+        assert set(inputs) == {"genset.jsonl", "gold.jsonl", "weak.jsonl"}
+
+    def test_parse_citations_hashes_the_labeled_sample(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        cites = tmp_path / "cites.jsonl"
+        labeled = tmp_path / "labeled.jsonl"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        labeled.write_text(json.dumps({
+            "text": "See 601 U.S. 101 (2023). Next.",
+            "citation_start": 4, "citation_end": 23, "sentence_start": 0, "sentence_end": 24,
+        }) + "\n")
+        assert main(["parse-citations", str(corpus), str(cites), "--labeled-sample", str(labeled)]) == 0
+        assert manifest_inputs(cites) == {"corpus.jsonl": sha256_of(corpus), "labeled.jsonl": sha256_of(labeled)}
+
+
+@pytest.fixture(scope="module")
+def searchable(tmp_path_factory):
+    """A corpus, its document index, queries, qrels, a run and quotes."""
+    work = tmp_path_factory.mktemp("searchable")
+    raw = work / "raw.jsonl"
+    raw.write_bytes(Path(str(mini_corpus_path())).read_bytes())
+    assert main(["ingest", str(raw), str(work / "corpus.jsonl")]) == 0
+    assert main(["index", str(work / "corpus.jsonl"), str(work / "docs.idx"), "--unit", "document"]) == 0
+    assert main(["build-queries", str(work / "corpus.jsonl"), str(work / "queries.jsonl"), str(work / "qrels.txt")]) == 0
+    assert main(["search", str(work / "docs.idx"), str(work / "queries.jsonl"), str(work / "run.trec"), "--k", "10"]) == 0
+    assert main(["parse-citations", str(work / "corpus.jsonl"), str(work / "c.jsonl"), "--quotes-out", str(work / "quotes.jsonl")]) == 0
+    return work
+
+
+class TestUsageErrors:
+    """Bad flags are usage errors: exit 1, and no output is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-lengths", "{w}/corpus.jsonl", "{o}", "{w}/sweep_qrels.txt", "--lengths", "100,,300"],
+        ["sweep-lengths", "{w}/corpus.jsonl", "{o}", "{w}/sweep_qrels.txt", "--lengths", "100,abc"],
+        ["sweep-lengths", "{w}/corpus.jsonl", "{o}", "{w}/sweep_qrels.txt", "--lengths", "0"],
+        ["eval-retrieval", "{w}/run.trec", "{w}/qrels.txt", "--k", "5,,10", "--output", "{o}"],
+        ["eval-retrieval", "{w}/run.trec", "{w}/qrels.txt", "--k", "0", "--output", "{o}"],
+        ["eval-retrieval", "{w}/run.trec", "{w}/qrels.txt", "--k", "5,-1", "--output", "{o}"],
+        ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--k", "-3"],
+        ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--k", "0"],
+        ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--k", "abc"],
+        ["search-quotes", "{w}/corpus.jsonl", "{w}/quotes.jsonl", "{o}", "--unit", "document", "--k", "0"],
+        ["search-quotes", "{w}/corpus.jsonl", "{w}/quotes.jsonl", "{o}", "--unit", "document", "--k", "-1"],
+        ["no-such-command", "{w}/corpus.jsonl"],
+    ], ids=[
+        "lengths-empty-item", "lengths-not-integer", "lengths-zero",
+        "eval-k-empty-item", "eval-k-zero", "eval-k-negative",
+        "search-k-negative", "search-k-zero", "search-k-not-integer",
+        "search-quotes-k-zero", "search-quotes-k-negative", "unknown-subcommand",
+    ])
+    def test_exits_1(self, searchable, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main([a.format(w=searchable, o=out) for a in argv])
+        assert rc == 1
+        assert capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--help"])
+        assert exc.value.code == 0
+        assert "--maxp" in capsys.readouterr().out

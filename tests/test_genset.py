@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import fixtures
-from casebench.citations import find_case_citations
+from casebench.citations import find_case_citations, load_reporter_table
 from casebench.corpus import tokenize_words
 from casebench.genset import (
     GensetError,
@@ -15,7 +15,10 @@ from casebench.genset import (
     select_reference_paragraphs,
     write_genset_jsonl,
 )
+from casebench.queries import build_corpus_key_index
 from conftest import make_doc
+
+TABLE = load_reporter_table()
 
 CITED_PARA = (
     "The rule is settled. Tilden v. Marsh Chemical Corp., 601 U.S. 101, 105 (2023); "
@@ -30,27 +33,33 @@ def twelve_para_doc():
     return make_doc("g12", paragraphs, cite="5 F.3d 500")
 
 
+def instance(doc, t, corpus, **kwargs):
+    """The instance built with a key index over ``corpus``, as build_genset builds it."""
+    key_index, _ = build_corpus_key_index(corpus.values(), TABLE)
+    return build_generation_instance(doc, t, corpus, key_index, TABLE, **kwargs)
+
+
 class TestSelectReferenceParagraphs:
     def test_twelve_paragraphs_citations_only_in_tenth(self):
         # N=12: floor(24/3)=8 <= t <= 10; only paragraph 10 has >= 2 citations.
-        assert select_reference_paragraphs(twelve_para_doc()) == [10]
+        assert select_reference_paragraphs(twelve_para_doc(), TABLE) == [10]
 
     def test_three_paragraphs_never_eligible(self):
         doc = make_doc("g3", [CITED_PARA] * 3)
-        assert select_reference_paragraphs(doc) == []
+        assert select_reference_paragraphs(doc, TABLE) == []
 
     def test_one_citation_not_enough(self):
         paragraphs = [f"Words {i}." for i in range(1, 13)]
         paragraphs[9] = "Single cite. Tilden v. Marsh Chemical Corp., 601 U.S. 101 (2023)."
         doc = make_doc("g1c", paragraphs)
-        assert select_reference_paragraphs(doc) == []
+        assert select_reference_paragraphs(doc, TABLE) == []
 
     def test_bounds_formula_on_mini_corpus(self, mini_corpus):
         for doc in mini_corpus:
             n = len(doc.paragraphs)
-            for t in select_reference_paragraphs(doc):
+            for t in select_reference_paragraphs(doc, TABLE):
                 assert (2 * n) // 3 <= t <= n - 2
-                assert len(find_case_citations(doc.paragraph_text(t - 1))) >= 2
+                assert len(find_case_citations(doc.paragraph_text(t - 1), TABLE)) >= 2
 
 
 class TestBuildInstance:
@@ -70,7 +79,7 @@ class TestBuildInstance:
 
     def test_instance_fields_and_contiguity(self):
         doc, corpus = self.corpus_with_authorities()
-        inst = build_generation_instance(doc, 10, corpus)
+        inst = instance(doc, 10, corpus)
         assert inst.t == 10
         assert inst.gold == CITED_PARA
         assert (inst.prefix + "\n" + inst.gold) in doc.text
@@ -83,23 +92,23 @@ class TestBuildInstance:
 
     def test_short_cited_case_contributes_whole_text(self):
         doc, corpus = self.corpus_with_authorities()
-        inst = build_generation_instance(doc, 10, corpus)
+        inst = instance(doc, 10, corpus)
         assert inst.references[0].text == corpus["auth1"].text
 
     def test_word_budget_truncates(self):
         doc, corpus = self.corpus_with_authorities()
-        inst = build_generation_instance(doc, 10, corpus, word_budget=10)
+        inst = instance(doc, 10, corpus, word_budget=10)
         total = sum(len(tokenize_words(r.text)) for r in inst.references)
         assert total <= 10
 
     def test_no_resolvable_keys_raises(self):
         doc = twelve_para_doc()
         with pytest.raises(GensetError):
-            build_generation_instance(doc, 10, {doc.doc_id: doc})
+            instance(doc, 10, {doc.doc_id: doc})
 
     def test_prompt_invariants(self):
         doc, corpus = self.corpus_with_authorities()
-        inst = build_generation_instance(doc, 10, corpus)
+        inst = instance(doc, 10, corpus)
         instruction_line = inst.prompt_with_refs.rsplit("\n", 1)[-1]
         for ref in inst.references:
             assert f"# Reference case {ref.key}\n" in inst.prompt_with_refs
@@ -136,7 +145,7 @@ class TestBuildGenset:
         for inst in instances:
             n = len(by_id[inst.doc_id].paragraphs)
             assert (2 * n) // 3 <= inst.t <= n - 2
-            assert len(find_case_citations(inst.gold)) >= 2
+            assert len(find_case_citations(inst.gold, TABLE)) >= 2
             assert len(inst.references) >= 2
 
     def test_round_trip(self, mini_corpus, tmp_path):
@@ -154,7 +163,7 @@ class TestDensityProfile:
         paragraphs = ["Plain filler words here."] * 9
         paragraphs.append("See Tilden v. Marsh Chemical Corp., 601 U.S. 101 (2023).")
         doc = make_doc("dens", paragraphs)
-        profile = citation_density_profile([doc])
+        profile = citation_density_profile([doc], TABLE)
         assert all(d == 0.0 for d in profile.decile_densities[:9])
         assert profile.decile_densities[9] > 0
 
@@ -164,14 +173,14 @@ class TestDensityProfile:
         body = " ".join(f"w{i}" for i in range(96))
         paragraphs = [f"{body} see {cite}." for _ in range(10)]
         doc = make_doc("unif", paragraphs)
-        profile = citation_density_profile([doc])
+        profile = citation_density_profile([doc], TABLE)
         assert all(d == pytest.approx(1.0) for d in profile.decile_densities)
 
     def test_bucket_words_partition_corpus(self, mini_corpus):
-        profile = citation_density_profile(mini_corpus)
+        profile = citation_density_profile(mini_corpus, TABLE)
         assert sum(profile.decile_words) == sum(d.word_count() for d in mini_corpus)
         assert len(profile.decile_densities) == 10
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            citation_density_profile([])
+            citation_density_profile([], TABLE)

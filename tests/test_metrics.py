@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import fixtures
-from casebench.citations import parse_citation_key
+from casebench.citations import load_reporter_table, parse_citation_key
 from casebench.metrics import (
     citation_report,
     citation_report_from_keys,
@@ -19,6 +19,8 @@ from casebench.metrics import (
     rouge_f,
     score_generation_run,
 )
+
+TABLE = load_reporter_table()
 
 
 class TestRecall:
@@ -145,7 +147,7 @@ class TestRouge:
 
 
 def keys(*strings):
-    return [parse_citation_key(s) for s in strings]
+    return [parse_citation_key(s, TABLE) for s in strings]
 
 
 class TestCitationReport:
@@ -203,12 +205,13 @@ class TestCitationReport:
             "As held in Hughes v. Rowe, 449 U.S. 5, 9-10 (1980), the rule stands.",
             keys("449 U.S. 5"),
             prefix_paragraphs=[],
+            reporters=TABLE,
         )
         assert report.cr == Fraction(1)
         assert report.cfp == Fraction(0)
 
     def test_empty_generation_degenerate(self):
-        report = citation_report("no citations at all", keys("1 F.3d 1"), [])
+        report = citation_report("no citations at all", keys("1 F.3d 1"), [], reporters=TABLE)
         assert report.degenerate
         assert (report.cr, report.cp, report.cfp) == (Fraction(0), Fraction(0), Fraction(0))
 

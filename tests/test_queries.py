@@ -7,6 +7,7 @@ from casebench.citations import (
     default_reporter_table,
     find_case_citations,
     find_statute_citations,
+    load_reporter_table,
 )
 from casebench.corpus import tokenize_words
 from casebench.queries import (
@@ -18,7 +19,6 @@ from casebench.queries import (
     build_corpus_key_index,
     build_queries,
     build_query,
-    emit_qrels,
     parse_document,
     passage_qrels,
     read_qrels,
@@ -26,6 +26,8 @@ from casebench.queries import (
     write_qrels,
 )
 from conftest import make_doc
+
+TABLE = load_reporter_table()
 
 # A window-sized passage with one statute, a central citation with a quote
 # attributed through an Id. short form, and one non-central citation.
@@ -45,11 +47,11 @@ def query_doc():
 
 
 def central_of(doc, key_str):
-    return next(s for s in find_case_citations(doc.text) if str(s.key) == key_str)
+    return next(s for s in find_case_citations(doc.text, TABLE) if str(s.key) == key_str)
 
 
 def one_query(doc, central, window_words=300, view=VIEW_SINGLE_REMOVED):
-    built = build_query(parse_document(doc), central, window_words, (view,))
+    built = build_query(parse_document(doc, TABLE), central, window_words, (view,))
     return None if built is None else built[view]
 
 
@@ -67,7 +69,7 @@ class TestBuildQuery:
         words += ["477", "U.S.", "317", "(1986)."]
         words += [f"v{i}" for i in range(976)]
         doc = make_doc("edge", [" ".join(words)])
-        central = find_case_citations(doc.text)[0]
+        central = find_case_citations(doc.text, TABLE)[0]
         q = one_query(doc, central, window_words=300)
         assert len(tokenize_words(q.left_context)) == 20
         combined = len(tokenize_words(q.central_sentence)) + len(tokenize_words(q.right_context))
@@ -94,13 +96,13 @@ class TestBuildQuery:
     def test_single_removed_reparse_never_finds_central_key(self):
         doc = query_doc()
         q = one_query(doc, central_of(doc, "601 U.S. 101"), view=VIEW_SINGLE_REMOVED)
-        for span in find_case_citations(q.masked_text):
+        for span in find_case_citations(q.masked_text, TABLE):
             assert span.key != q.target_keys[0]
 
     def test_all_removed_strips_all_case_citations_keeps_statutes(self):
         doc = query_doc()
         q = one_query(doc, central_of(doc, "601 U.S. 101"), view=VIEW_ALL_REMOVED)
-        assert find_case_citations(q.masked_text) == []
+        assert find_case_citations(q.masked_text, TABLE) == []
         assert [s.raw for s in find_statute_citations(q.masked_text)] == ["Fed.R.Civ.P. 56(c)"]
         assert "Id." not in q.masked_text
 
@@ -116,14 +118,14 @@ class TestBuildQuery:
             "settles the point."
         )
         doc = make_doc("residual", [text])
-        q = one_query(doc, find_case_citations(doc.text)[0])
+        q = one_query(doc, find_case_citations(doc.text, TABLE)[0])
         assert "601 U.S. 101" not in q.masked_text
 
     def test_no_citation_text_unchanged_under_both_views(self):
         text = "Plain words without any citation at all. Fed.R.Civ.P. 56(c) stays."
         doc = make_doc("plain", [text, QUERY_PARAGRAPH])
         central = central_of(doc, "602 U.S. 555")
-        built = build_query(parse_document(doc), central, views=(VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED))
+        built = build_query(parse_document(doc, TABLE), central, views=(VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED))
         sr = built[VIEW_SINGLE_REMOVED].masked_text
         ar = built[VIEW_ALL_REMOVED].masked_text
         # The first paragraph carries no case citations: identical in both views.
@@ -131,8 +133,8 @@ class TestBuildQuery:
 
     def test_bounds_failure_skips_query(self):
         doc = make_doc("nofail", ["words 477 U.S. 317 with no ending at all"])
-        central = find_case_citations(doc.text)[0]
-        assert build_query(parse_document(doc), central) is None
+        central = find_case_citations(doc.text, TABLE)[0]
+        assert build_query(parse_document(doc, TABLE), central) is None
 
     def test_window_edge_cutting_a_target_citation_is_masked(self):
         # The 40-word window ends inside the second citation of the central
@@ -143,8 +145,8 @@ class TestBuildQuery:
             "five six seven eight nine ten Later cases agree, 477 U.S. 317, 322 (1986). End."
         )
         doc = make_doc("cut", [text])
-        central = find_case_citations(doc.text)[0]
-        built = build_query(parse_document(doc), central, 40, (VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED))
+        central = find_case_citations(doc.text, TABLE)[0]
+        built = build_query(parse_document(doc, TABLE), central, 40, (VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED))
         for q in built.values():
             assert q.right_context.endswith("477 U.S. 317,")
             assert "477 U.S." not in q.masked_text
@@ -153,7 +155,7 @@ class TestBuildQuery:
     def test_empty_views_rejected(self):
         doc = query_doc()
         with pytest.raises(ValueError):
-            build_query(parse_document(doc), central_of(doc, "601 U.S. 101"), views=())
+            build_query(parse_document(doc, TABLE), central_of(doc, "601 U.S. 101"), views=())
 
 
 class TestResidualShortForms:
@@ -198,7 +200,7 @@ class TestClassify:
     def test_view_variant_keeps_kind(self):
         doc = query_doc()
         built = build_query(
-            parse_document(doc), central_of(doc, "601 U.S. 101"), views=(VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED)
+            parse_document(doc, TABLE), central_of(doc, "601 U.S. 101"), views=(VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED)
         )
         assert {q.kind for q in built.values()} == {KIND_DIRECT}
 
@@ -208,7 +210,7 @@ class TestSweep:
         filler = " ".join(f"x{i}" for i in range(600)) + "."
         doc = make_doc("sweepdoc", [filler + " " + QUERY_PARAGRAPH + " " + filler])
         central = central_of(doc, "601 U.S. 101")
-        swept = sweep_query_length(parse_document(doc), central, lengths=(100, 300))
+        swept = sweep_query_length(parse_document(doc, TABLE), central, lengths=(100, 300))
         assert len(swept) == 2
         q100, q300 = swept
         assert q100.central_sentence == q300.central_sentence
@@ -219,7 +221,7 @@ class TestSweep:
         filler = " ".join(f"x{i}" for i in range(200)) + "."
         doc = make_doc("tiny", [filler + " " + QUERY_PARAGRAPH + " " + filler])
         central = central_of(doc, "601 U.S. 101")
-        (q,) = sweep_query_length(parse_document(doc), central, lengths=(2,))
+        (q,) = sweep_query_length(parse_document(doc, TABLE), central, lengths=(2,))
         sentence_words = len(tokenize_words(q.central_sentence))
         assert len(tokenize_words(q.central_sentence)) == sentence_words
         assert "601 U.S. 101" in q.central_sentence
@@ -227,24 +229,27 @@ class TestSweep:
 
 class TestQrels:
     def test_key_index_first_wins_and_conflicts_logged(self, mini_corpus):
-        index, conflicts = build_corpus_key_index(mini_corpus)
+        index, conflicts = build_corpus_key_index(mini_corpus, TABLE)
         from casebench.citations import parse_citation_key
 
-        assert index[parse_citation_key("77 F.R.D. 120")] == "edge-dup-a"
+        assert index[parse_citation_key("77 F.R.D. 120", TABLE)] == "edge-dup-a"
         assert any("edge-dup-b" in c for c in conflicts)
 
-    def test_emit_qrels_resolves_first_parallel_key(self, mini_corpus):
+    def test_build_queries_qrels_resolve_first_parallel_key(self, mini_corpus):
         doc = query_doc()
-        corpus = list(mini_corpus) + [doc]
-        index, _ = build_corpus_key_index(corpus)
+        sct = make_doc("sct-144-901", ["Opinion text."], cite="144 S.Ct. 901")
         q = one_query(doc, central_of(doc, "601 U.S. 101"))
-        entries = emit_qrels([q], index)
-        assert entries == [QrelsEntry(q.query_id, "us-601-101", 1)]
+        # Both the U.S. and the S.Ct. cite resolve: the first wins.
+        _, qrels, _ = build_queries(list(mini_corpus) + [doc, sct])
+        assert [e for e in qrels if e.query_id == q.query_id] == [QrelsEntry(q.query_id, "us-601-101", 1)]
+        # Only the S.Ct. cite resolves: it is the first resolvable key.
+        _, qrels, _ = build_queries([doc, sct])
+        assert [e for e in qrels if e.query_id == q.query_id] == [QrelsEntry(q.query_id, "sct-144-901", 1)]
 
     def test_unresolvable_emits_nothing(self):
-        doc = query_doc()
-        q = one_query(doc, central_of(doc, "601 U.S. 101"))
-        assert emit_qrels([q], {}) == []
+        queries, qrels, report = build_queries([query_doc()])
+        assert queries == [] and qrels == []
+        assert report.skipped_unresolvable == report.centrals_considered > 0
 
     def test_passage_qrels_inherit(self):
         entries = [QrelsEntry("q1", "docA", 1)]
@@ -276,7 +281,7 @@ class TestBuildQueriesOverCorpus:
         assert queries and all(q.kind == KIND_DIRECT for q in queries)
 
     def test_every_query_has_resolvable_target(self, mini_corpus):
-        index, _ = build_corpus_key_index(mini_corpus)
+        index, _ = build_corpus_key_index(mini_corpus, TABLE)
         queries, qrels, _ = build_queries(mini_corpus)
         for q, entry in zip(queries, qrels):
             assert entry.query_id == q.query_id

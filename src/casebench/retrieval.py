@@ -12,10 +12,12 @@ import json
 import math
 import re
 import struct
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,11 +27,12 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 _MAGIC = b"CBIX"
-_VERSION = 1
+_VERSION = 2
 
 
 class IndexFormatError(ValueError):
-    """Serialized index file has the wrong magic or version."""
+    """Serialized index file has the wrong magic or version, or its
+    sections do not match its header and size."""
 
 
 @dataclass(frozen=True)
@@ -92,38 +95,77 @@ def analyze(text: str, config: AnalyzerConfig | None = None) -> list[str]:
     return pattern.findall(text)
 
 
-class InvertedIndex:
-    """Immutable term -> postings index over passages or documents.
+class _Postings(Mapping):
+    """Read-only term -> (unit indexes, tfs) view of an index's columns;
+    each lookup slices the columns, so nothing is copied or cached."""
 
-    Postings are per-term (unit index, term frequency) pairs sorted by unit
-    index; unit indexes follow input order and map to ``unit_ids``.
+    def __init__(self, index: "InvertedIndex"):
+        self._index = index
+
+    def __getitem__(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        index = self._index
+        i = index.term_ids[term]
+        lo, hi = index.offsets[i], index.offsets[i + 1]
+        return index.units[lo:hi], index.tfs[lo:hi]
+
+    def __iter__(self):
+        return iter(self._index.terms)
+
+    def __len__(self) -> int:
+        return len(self._index.terms)
+
+
+class InvertedIndex:
+    """Immutable columnar BM25 index over passages or documents.
+
+    ``terms`` is the sorted vocabulary.  The postings of ``terms[i]`` are
+    ``units[offsets[i]:offsets[i + 1]]``, ascending unit indexes, with
+    their term frequencies in ``tfs`` alongside.  Unit indexes follow input
+    order and map to ``unit_ids``.  ``postings`` views the same columns as
+    a term -> (ids, tfs) mapping.
     """
 
     def __init__(
         self,
         unit_ids: list[str],
         lengths: np.ndarray,
-        postings: dict[str, tuple[np.ndarray, np.ndarray]],
+        terms: list[str],
+        offsets: np.ndarray,
+        units: np.ndarray,
+        tfs: np.ndarray,
         unit_kind: str,
         analyzer: AnalyzerConfig,
     ):
+        for column in (lengths, offsets, units, tfs):
+            column.flags.writeable = False
         self.unit_ids = unit_ids
         self.lengths = lengths
-        self.postings = postings
+        self.terms = terms
+        self.term_ids = dict(zip(terms, range(len(terms))))
+        self.offsets = offsets
+        self.units = units
+        self.tfs = tfs
+        self.postings = _Postings(self)
         self.unit_kind = unit_kind
         self.analyzer = analyzer
         self.n_units = len(unit_ids)
         # Exact integer sum keeps the average reproducible across builds.
         self.avg_length = float(int(lengths.sum())) / self.n_units if self.n_units else 0.0
         # Rank of each unit id in ascending id order, for tie-breaking.
-        order = sorted(range(self.n_units), key=lambda i: unit_ids[i])
         self.id_rank = np.empty(self.n_units, dtype=np.int64)
-        for rank, idx in enumerate(order):
-            self.id_rank[idx] = rank
+        self.id_rank[sorted(range(self.n_units), key=unit_ids.__getitem__)] = np.arange(self.n_units)
+        self._norms: dict[tuple[float, float], np.ndarray] = {}
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self.postings)
+        return len(self.terms)
+
+    def _length_norm(self, k1: float, b: float) -> np.ndarray:
+        """Per-unit BM25 length normalisation, computed once per (k1, b)."""
+        norm = self._norms.get((k1, b))
+        if norm is None:
+            norm = self._norms[(k1, b)] = k1 * (1.0 - b + b * (self.lengths / self.avg_length))
+        return norm
 
 
 def build_index(
@@ -131,29 +173,44 @@ def build_index(
     unit_kind: str = "passage",
     analyzer: AnalyzerConfig | None = None,
 ) -> InvertedIndex:
-    """Build an inverted index over (unit_id, text) pairs."""
+    """Build an inverted index over (unit_id, text) pairs.
+
+    Every token becomes a term id in one flat array; sorting the
+    (term, unit) keys then yields the postings and their tfs at once.
+    """
     if not units:
         raise ValueError("cannot index an empty unit collection")
     analyzer = analyzer or AnalyzerConfig()
     unit_ids = [u[0] for u in units]
     if len(set(unit_ids)) != len(unit_ids):
         raise ValueError("unit ids must be unique")
-    lengths = np.zeros(len(units), dtype=np.int64)
+    n = len(units)
+    lengths = np.zeros(n, dtype=np.int64)
 
-    merged: dict[str, tuple[list[int], list[int]]] = {}
+    # A term unseen so far gets the next id: the factory returns the
+    # vocabulary's size before the term is inserted.
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__
+    tokens = array("q")
     for idx, (_, text) in enumerate(units):
         terms = analyze(text, analyzer)
         lengths[idx] = len(terms)
-        for term, tf in Counter(terms).items():
-            ids, tfs = merged.setdefault(term, ([], []))
-            ids.append(idx)
-            tfs.append(tf)
+        tokens.fromlist(list(map(vocab.__getitem__, terms)))
 
-    postings = {
-        term: (np.asarray(ids, dtype=np.uint32), np.asarray(tfs, dtype=np.uint32))
-        for term, (ids, tfs) in merged.items()
-    }
-    return InvertedIndex(unit_ids, lengths, postings, unit_kind, analyzer)
+    terms = sorted(vocab)
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[np.fromiter(map(vocab.__getitem__, terms), dtype=np.int64, count=len(terms))] = np.arange(len(terms))
+    keys = rank[np.frombuffer(tokens, dtype=np.int64)]
+    del tokens
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
+    keys, counts = np.unique(keys, return_counts=True)
+    term_of, unit_of = np.divmod(keys, n)
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(term_of, minlength=len(terms)), out=offsets[1:])
+    return InvertedIndex(
+        unit_ids, lengths, terms, offsets, unit_of.astype(np.uint32), counts.astype(np.uint32), unit_kind, analyzer
+    )
 
 
 def passages_to_units(passages) -> list[tuple[str, str]]:
@@ -183,27 +240,46 @@ def bm25_search(
     ascending unit id.
     """
     query_terms = analyze(query_text, index.analyzer)
-    if not query_terms:
-        return RankedList(query_id=query_id, entries=(), k=k)
-    scores = np.zeros(index.n_units, dtype=np.float64)
+    starts, ends, weights = [], [], []
+    offsets = index.offsets
     for term, qtf in sorted(Counter(query_terms).items()):
-        entry = index.postings.get(term)
-        if entry is None:
+        i = index.term_ids.get(term)
+        if i is None:
             continue
-        ids, tfs = entry
-        idf = bm25_idf(index.n_units, len(ids))
+        lo, hi = int(offsets[i]), int(offsets[i + 1])
+        idf = bm25_idf(index.n_units, hi - lo)
         if idf == 0.0:
             continue
-        tf = tfs.astype(np.float64)
-        norm = k1 * (1.0 - b + b * (index.lengths[ids] / index.avg_length))
-        scores[ids] += (qtf * idf) * (tf * (k1 + 1.0)) / (tf + norm)
-
-    candidates = np.nonzero(scores > 0.0)[0]
-    if candidates.size == 0:
+        starts.append(lo)
+        ends.append(hi)
+        weights.append(qtf * idf)
+    if not weights:
         return RankedList(query_id=query_id, entries=(), k=k)
-    order = np.lexsort((index.id_rank[candidates], -scores[candidates]))
-    top = candidates[order[:k]]
-    return _ranked(query_id, [(index.unit_ids[i], float(scores[i])) for i in top], k)
+
+    # Every scoring posting in one gather, terms in sorted order, so that
+    # bincount adds each unit's contributions in the same order as a
+    # term-at-a-time loop would: the scores are bit-identical to it.
+    starts_a = np.asarray(starts, dtype=np.int64)
+    sizes = np.asarray(ends, dtype=np.int64) - starts_a
+    ends_out = np.cumsum(sizes)
+    pos = np.arange(int(ends_out[-1]), dtype=np.int64) + np.repeat(starts_a - (ends_out - sizes), sizes)
+    ids = index.units[pos]
+    tf = index.tfs[pos].astype(np.float64)
+    norm = index._length_norm(k1, b)[ids]
+    contrib = np.repeat(np.asarray(weights, dtype=np.float64), sizes) * (tf * (k1 + 1.0)) / (tf + norm)
+    scores = np.bincount(ids, weights=contrib, minlength=index.n_units)
+
+    candidates = np.flatnonzero(scores > 0.0)
+    cand_scores = scores[candidates]
+    if 0 < k < candidates.size:
+        # The frontier keeps every unit tied with the k-th score, so the
+        # id tie-break below sees all of them.
+        kth = np.partition(cand_scores, candidates.size - k)[candidates.size - k]
+        keep = cand_scores >= kth
+        candidates, cand_scores = candidates[keep], cand_scores[keep]
+    order = np.lexsort((index.id_rank[candidates], -cand_scores))[:k]
+    top = candidates[order].tolist()
+    return _ranked(query_id, list(zip(map(index.unit_ids.__getitem__, top), cand_scores[order].tolist())), k)
 
 
 def aggregate_maxp(
@@ -304,64 +380,115 @@ def exact_match_search(index: NgramIndex, quote: str, k: int = 10, query_id: str
 # ---------------------------------------------------------------------------
 
 def save_index(index: InvertedIndex, path) -> None:
-    """Write the index: magic, version, JSON header, ids blob, lengths,
-    then per-term postings in sorted term order (deterministic bytes)."""
+    """Write the index: magic, version, JSON header, the unit-ids and terms
+    blobs, zero padding to a multiple of 8 bytes, then lengths, dfs, units
+    and tfs as raw little-endian u4 arrays.  The bytes are a function of
+    the units alone."""
     header = json.dumps(
         {
             "unit_kind": index.unit_kind,
             "n_units": index.n_units,
+            "n_terms": len(index.terms),
+            "n_postings": len(index.units),
             "analyzer": index.analyzer.to_dict(),
         },
         sort_keys=True,
     ).encode("utf-8")
     ids_blob = "\n".join(index.unit_ids).encode("utf-8")
+    terms_blob = "\n".join(index.terms).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(struct.pack("<Q", len(ids_blob)))
-        f.write(ids_blob)
-        f.write(index.lengths.astype("<u4").tobytes())
-        f.write(struct.pack("<I", len(index.postings)))
-        for term in sorted(index.postings):
-            ids, tfs = index.postings[term]
-            term_bytes = term.encode("utf-8")
-            f.write(struct.pack("<H", len(term_bytes)))
-            f.write(term_bytes)
-            f.write(struct.pack("<I", len(ids)))
-            f.write(ids.astype("<u4").tobytes())
-            f.write(tfs.astype("<u4").tobytes())
+        f.write(_MAGIC + struct.pack("<II", _VERSION, len(header)) + header)
+        f.write(struct.pack("<Q", len(ids_blob)) + ids_blob)
+        f.write(struct.pack("<Q", len(terms_blob)) + terms_blob)
+        f.write(bytes(_pad(f.tell())))
+        for column in (index.lengths, np.diff(index.offsets), index.units, index.tfs):
+            f.write(column.astype("<u4").tobytes())
+
+
+def _pad(pos: int) -> int:
+    """Zero bytes that put the arrays at a multiple of 8 in the file, so
+    that arrays viewed in the file's buffer are aligned: gathers from
+    unaligned arrays run several times slower."""
+    return -pos % 8
+
+
+class _Reader:
+    """Bounds-checked cursor over an index file's bytes."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> int:
+        """Claim the next ``n`` bytes; return where they start."""
+        start = self.pos
+        if n < 0 or start + n > len(self.data):
+            raise IndexFormatError(
+                f"truncated index: {what} needs {n} bytes at offset {start}, file has {len(self.data)}"
+            )
+        self.pos = start + n
+        return start
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self.take(struct.calcsize(fmt), what))
+
+    def lines(self, what: str, count: int) -> list[str]:
+        (size,) = self.unpack("<Q", f"{what} length")
+        start = self.take(size, what)
+        text = self.data[start : start + size].decode("utf-8")
+        items = text.split("\n") if count else []
+        if len(items) != count or (not count and text):
+            raise IndexFormatError(f"{what}: expected {count} entries, found {len(items)}")
+        return items
+
+    def u4(self, count: int, what: str) -> np.ndarray:
+        return np.frombuffer(self.data, dtype="<u4", count=count, offset=self.take(4 * count, what))
 
 
 def load_index(path) -> InvertedIndex:
+    """Read an index written by ``save_index``.  Every section is checked
+    against the header counts and the file size, so a truncated or
+    inconsistent file raises ``IndexFormatError``."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise IndexFormatError(f"not an index file (magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != _VERSION:
-            raise IndexFormatError(f"unsupported index version {version}")
-        (header_len,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(header_len).decode("utf-8"))
-        (ids_len,) = struct.unpack("<Q", f.read(8))
-        unit_ids = f.read(ids_len).decode("utf-8").split("\n")
-        n = header["n_units"]
-        if len(unit_ids) != n:
-            raise IndexFormatError("unit id count mismatch")
-        lengths = np.frombuffer(f.read(4 * n), dtype="<u4").astype(np.int64)
-        (n_terms,) = struct.unpack("<I", f.read(4))
-        postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for _ in range(n_terms):
-            (term_len,) = struct.unpack("<H", f.read(2))
-            term = f.read(term_len).decode("utf-8")
-            (df,) = struct.unpack("<I", f.read(4))
-            ids = np.frombuffer(f.read(4 * df), dtype="<u4").copy()
-            tfs = np.frombuffer(f.read(4 * df), dtype="<u4").copy()
-            postings[term] = (ids, tfs)
-    return InvertedIndex(
-        unit_ids, lengths, postings, header["unit_kind"], AnalyzerConfig.from_dict(header["analyzer"])
-    )
+        data = f.read()
+    r = _Reader(data)
+    magic = data[:4]
+    if magic != _MAGIC:
+        raise IndexFormatError(f"not an index file (magic {magic!r})")
+    r.take(4, "magic")
+    (version,) = r.unpack("<I", "version")
+    if version != _VERSION:
+        raise IndexFormatError(f"unsupported index version {version}")
+    (header_len,) = r.unpack("<I", "header length")
+    start = r.take(header_len, "header")
+    try:
+        header = json.loads(data[start : start + header_len].decode("utf-8"))
+        n_units, n_terms, n_postings = (int(header[key]) for key in ("n_units", "n_terms", "n_postings"))
+        unit_kind = str(header["unit_kind"])
+        analyzer = AnalyzerConfig.from_dict(header["analyzer"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IndexFormatError(f"bad index header: {exc}")
+    if min(n_units, n_terms, n_postings) < 0:
+        raise IndexFormatError("bad index header: negative count")
+    unit_ids = r.lines("unit ids", n_units)
+    terms = r.lines("terms", n_terms)
+    r.take(_pad(r.pos), "padding")
+    arrays_size, left = 4 * (n_units + n_terms + 2 * n_postings), len(data) - r.pos
+    if left != arrays_size:
+        raise IndexFormatError(
+            f"{'truncated' if left < arrays_size else 'oversized'} index: "
+            f"arrays need {arrays_size} bytes at offset {r.pos}, file has {left}"
+        )
+    lengths = r.u4(n_units, "lengths").astype(np.int64)
+    offsets = np.zeros(n_terms + 1, dtype=np.int64)
+    np.cumsum(r.u4(n_terms, "dfs"), out=offsets[1:])
+    if offsets[-1] != n_postings:
+        raise IndexFormatError(f"dfs sum to {offsets[-1]}, header says {n_postings} postings")
+    units = r.u4(n_postings, "units")
+    tfs = r.u4(n_postings, "tfs")
+    if n_postings and int(units.max()) >= n_units:
+        raise IndexFormatError(f"posting names unit {int(units.max())} of {n_units}")
+    return InvertedIndex(unit_ids, lengths, terms, offsets, units, tfs, unit_kind, analyzer)
 
 
 # ---------------------------------------------------------------------------

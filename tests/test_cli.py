@@ -132,6 +132,19 @@ class TestErrors:
         assert rc == 2
         assert not out.exists()
 
+    def test_truncated_index_is_data_error(self, tmp_path, raw_corpus, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        index = tmp_path / "docs.idx"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["index", str(corpus), str(index), "--unit", "document"]) == 0
+        index.write_bytes(index.read_bytes()[:-1])
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"query_id": "q1", "masked_text": "words"}\n')
+        out = tmp_path / "run.trec"
+        assert main(["search", str(index), str(queries), str(out)]) == 2
+        assert "truncated index" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejected_records_reported(self, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"
         raw.write_text(

@@ -16,7 +16,7 @@ MINI_PIPELINE_SHA256 = {
     "corpus.jsonl.manifest.json": "4b76debd53f7d58718677e6cdd10005064bcdd37a9116aeee004162d2f52579d",
     "density.json": "274a41f388a5febdb5eccbfb26d28d568e1d437e2d137f87eb86ed043a295c3c",
     "density.json.manifest.json": "103f703832dc73ef9b60257adad5b0f24ee3fcf77586613ecda5af29fc17f452",
-    "docs.idx": "29eab071cd6bde76d5877646d2818fafdea428e7d3a65b941c07f749b3996585",
+    "docs.idx": "943d4bccfb0cc6cf9e2a98aad1d3912fa7787696700b8b6163b0f9c80cb3fc82",
     "docs.idx.manifest.json": "315bd9c0bb6e9c8654976dac1c381aee8e68aea0fae037790741917eca4f895f",
     "generation_report.json": "05ad8acad4b1c2911c726616bb4731f64237f0e8829421214ee6368892b23669",
     "generation_report.json.manifest.json": "d7318e45be7c500b23693403c68dcba69ecdf0def2b6471d9f823a3ee995daf7",
@@ -24,7 +24,7 @@ MINI_PIPELINE_SHA256 = {
     "genset.jsonl": "167cb05b025df61fd432c69a865b0057866f6acf1623cf38a955cd3d299a64fd",
     "genset.jsonl.manifest.json": "428e440a55d748284d66871ef2dd8319f23078057e0a4040027c5bda5e165850",
     "passage_qrels.txt": "358f608241015af83a173b5e0360bcad3c2480289c1c76e2e8492581da62104b",
-    "passages.idx": "80c5c3305b4e9280a3cfb9adafe8a6e3a2fcfa4076a6aa9aae50301ece8fa0e1",
+    "passages.idx": "ae54f45a33b3cae22df57c579a698e72e53b3b7d15692154e63d6f59e308bf2d",
     "passages.idx.manifest.json": "81b3ae41848aec93fffcadd294a645f0a7715adc8856b96d8867dad7cd85e37d",
     "passages.jsonl": "dd72728208345c369a9512d4da25a3eeeaf2e2de7ea21b99f1c409985f67f81d",
     "passages.jsonl.manifest.json": "0c746e7697078ade059a8f34908ea7e178b3f67b4cd3c586401513ef52c59117",
@@ -39,9 +39,9 @@ MINI_PIPELINE_SHA256 = {
     "retrieval_report.json": "b57ee09abe0244cfb4b15ba650da0fa0c734e283c48c4d5cc5990f5c4186d23c",
     "retrieval_report.json.manifest.json": "7bb49dbd6abdb9750d38dd47fbd1a9b66b072d6a02b129e9631cb585ed150ff7",
     "run.trec": "c67d6aa75ab805218a6753073b5470a7807c1f10d769158b77a246ad77420dfe",
-    "run.trec.manifest.json": "4c08809c20f6e1990134fb3702a6710a90ab036fcd9638e460a66d1cb55a20e8",
+    "run.trec.manifest.json": "ceab9500221508f1bb9e30bde32c3441098a41ffa3a0f9c018857b49143cfed4",
     "run_maxp.trec": "12f6a2dfe400ec166af9bf87183813b1add89efeb9f3c496bad15df49ef73a0b",
-    "run_maxp.trec.manifest.json": "a16c375900dad05b6f0b73b07163070544cd7a5886b1d4d200ea74d3074e62e3",
+    "run_maxp.trec.manifest.json": "624cf638ec5f6f5cb6d9353c0a926c93ca577047f5c940e09d05e21f19de3f2e",
 }
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import struct
 from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 
@@ -146,15 +149,25 @@ class TestBM25:
 
     def test_random_corpora_match_oracle_exactly(self):
         rng = random.Random(42)
-        vocab = [f"w{i}" for i in range(60)]
-        for _ in range(30):
-            units = rand_units(rng, rng.randint(2, 120), vocab)
-            idx = build_index(units)
-            terms = rng.choices(vocab, k=rng.randint(1, 8))
-            ranked = bm25_search(idx, " ".join(terms), k=len(units))
-            expected = bm25_oracle(units, terms)
-            assert [e.unit_id for e in ranked.entries] == [u for u, _ in expected]
-            assert [e.score for e in ranked.entries] == [s for _, s in expected]
+        # The six-word vocabulary with one- to three-word units makes many
+        # units tie, also at the k-th score of a cut below the candidates.
+        tied_cuts = 0
+        for vocab, max_len in (([f"w{i}" for i in range(60)], 30), (list("abcdef"), 3)):
+            for _ in range(30):
+                units = rand_units(rng, rng.randint(2, 120), vocab, max_len)
+                idx = build_index(units)
+                terms = rng.choices(vocab, k=rng.randint(1, 8))
+                ranked = bm25_search(idx, " ".join(terms), k=len(units))
+                expected = bm25_oracle(units, terms)
+                assert [e.unit_id for e in ranked.entries] == [u for u, _ in expected]
+                assert [e.score for e in ranked.entries] == [s for _, s in expected]
+                if len(expected) < 2:
+                    continue
+                k = rng.randint(1, len(expected) - 1)
+                top = bm25_search(idx, " ".join(terms), k=k)
+                assert [(e.unit_id, e.score) for e in top.entries] == expected[:k]
+                tied_cuts += expected[k - 1][1] == expected[k][1]
+        assert tied_cuts >= 5
 
     def test_ties_break_by_ascending_unit_id(self):
         # Fillers keep df below N/2 so the floored idf stays positive.
@@ -328,6 +341,28 @@ class TestSerialization:
         b = bm25_search(loaded, "red blue", k=10)
         assert [(e.unit_id, e.score) for e in a.entries] == [(e.unit_id, e.score) for e in b.entries]
 
+    def test_postings_view_matches_brute_force(self, tmp_path):
+        rng = random.Random(9)
+        units = rand_units(rng, 50, [f"w{i}" for i in range(20)])
+        expected: dict[str, list[tuple[int, int]]] = {}
+        for i, (_, text) in enumerate(units):
+            for term, tf in Counter(analyze(text)).items():
+                expected.setdefault(term, []).append((i, tf))
+        built = build_index(units)
+        path = tmp_path / "i.idx"
+        save_index(built, path)
+        for index in (built, load_index(path)):
+            postings = index.postings
+            assert isinstance(postings, Mapping) and index.postings is postings
+            assert list(postings) == sorted(expected) and len(postings) == len(expected)
+            for term, pairs in expected.items():
+                ids, tfs = postings[term]
+                assert list(zip(ids.tolist(), tfs.tolist())) == pairs
+                with pytest.raises(ValueError):
+                    ids[0] = 0
+            assert postings.get("absent") is None
+            assert sum(len(ids) for ids, _ in postings.values()) == sum(map(len, expected.values()))
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.idx"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -337,6 +372,60 @@ class TestSerialization:
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "v9.idx"
         path.write_bytes(b"CBIX" + (9).to_bytes(4, "little") + b"\x00" * 16)
+        with pytest.raises(IndexFormatError):
+            load_index(path)
+
+
+def saved_index(tmp_path) -> bytes:
+    path = tmp_path / "whole.idx"
+    save_index(build_index(rand_units(random.Random(4), 30, ["red", "green", "blue", "cyan"])), path)
+    return path.read_bytes()
+
+
+def section_ends(data: bytes) -> dict[str, int]:
+    """Where each section of a v2 index file ends: magic, version and
+    header length, header, then the two length-prefixed text blobs."""
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    ends = {"magic": 4, "header": 12 + header_len}
+    pos = ends["header"]
+    for name in ("unit ids", "terms"):
+        (size,) = struct.unpack_from("<Q", data, pos)
+        pos = ends[name] = pos + 8 + size
+    return ends
+
+
+TRUNCATIONS = {
+    "inside the magic": lambda data: data[:2],
+    "inside the header": lambda data: data[: section_ends(data)["header"] - 5],
+    "after the header": lambda data: data[: section_ends(data)["header"]],
+    "after the unit ids": lambda data: data[: section_ends(data)["unit ids"]],
+    "after the terms": lambda data: data[: section_ends(data)["terms"]],
+    "inside the arrays": lambda data: data[: (section_ends(data)["terms"] + len(data)) // 2],
+    "one byte short": lambda data: data[:-1],
+    "one byte long": lambda data: data + b"\x00",
+}
+
+
+class TestDamagedIndex:
+    @pytest.mark.parametrize("cut", sorted(TRUNCATIONS))
+    def test_cut_file_is_a_format_error(self, tmp_path, cut):
+        path = tmp_path / "cut.idx"
+        path.write_bytes(TRUNCATIONS[cut](saved_index(tmp_path)))
+        with pytest.raises(IndexFormatError):
+            load_index(path)
+
+    @pytest.mark.parametrize("field", ["dfs", "units"])
+    def test_arrays_disagreeing_with_the_header_rejected(self, tmp_path, field):
+        data = bytearray(saved_index(tmp_path))
+        header = json.loads(data[12 : section_ends(bytes(data))["header"]])
+        n_terms, n_postings = header["n_terms"], header["n_postings"]
+        if field == "dfs":  # the dfs no longer sum to n_postings
+            at, value = len(data) - 4 * (n_terms + 2 * n_postings), n_postings + 1
+        else:  # a posting names a unit past the last one
+            at, value = len(data) - 8 * n_postings, header["n_units"]
+        data[at : at + 4] = struct.pack("<I", value)
+        path = tmp_path / f"{field}.idx"
+        path.write_bytes(bytes(data))
         with pytest.raises(IndexFormatError):
             load_index(path)
 

@@ -282,21 +282,14 @@ def bm25_search(
     return _ranked(query_id, list(zip(map(index.unit_ids.__getitem__, top), cand_scores[order].tolist())), k)
 
 
-def aggregate_maxp(
-    ranking: RankedList,
-    passage_to_doc: Mapping[str, str] | None = None,
-    k: int | None = None,
-) -> RankedList:
+def aggregate_maxp(ranking: RankedList, k: int | None = None) -> RankedList:
     """Document ranking from a passage ranking: each document takes the max
-    score among its ranked passages.  Default mapping strips the
-    "#<chunk>" suffix from passage ids."""
+    score among its ranked passages.  A passage's document is its id with
+    the "#<chunk>" suffix stripped."""
     k = k if k is not None else ranking.k
     best: dict[str, float] = {}
     for entry in ranking.entries:
-        if passage_to_doc is not None:
-            doc_id = passage_to_doc[entry.unit_id]
-        else:
-            doc_id = entry.unit_id.rsplit("#", 1)[0]
+        doc_id = entry.unit_id.rsplit("#", 1)[0]
         if doc_id not in best or entry.score > best[doc_id]:
             best[doc_id] = entry.score
     return _ranked(ranking.query_id, sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k], k)

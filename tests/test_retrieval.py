@@ -215,11 +215,6 @@ class TestMaxP:
         docs = aggregate_maxp(ranking, k=10)
         assert [e.unit_id for e in docs.entries] == ["A", "B"]
 
-    def test_explicit_mapping(self):
-        ranking = self.run([("p1", 2.0), ("p2", 8.0)])
-        docs = aggregate_maxp(ranking, {"p1": "docA", "p2": "docA"}, k=5)
-        assert [(e.unit_id, e.score) for e in docs.entries] == [("docA", 8.0)]
-
 
 class TestNgramSearch:
     CORPUS = [

@@ -95,14 +95,26 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_path, command: str, config: dict, inputs: list, counts: dict) -> None:
+# Argparse destinations that name a file the command reads; a manifest
+# hashes each one under its destination's name.
+INPUT_ROLES = (
+    "input", "index", "queries", "corpus", "quotes", "run", "qrels", "genset",
+    "generations", "compare", "labeled_sample", "reporters",
+)
+# Every other file-naming destination.  Any destination in neither list is
+# a setting, and the manifest's config records it.
+OUTPUT_PATHS = ("config", "output", "qrels_out", "quotes_out", "passage_qrels", "passages")
+
+
+def write_manifest(out_path, command: str, config: dict, inputs: dict, counts: dict) -> None:
+    """``inputs`` maps each role to the file read in it."""
     manifest = {
         "command": command,
         "config": {k: config[k] for k in sorted(config)},
         "config_hash": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode("utf-8")
         ).hexdigest(),
-        "inputs": {Path(p).name: _sha256(p) for p in inputs},
+        "inputs": {role: _sha256(inputs[role]) for role in sorted(inputs)},
         "counts": {k: counts[k] for k in sorted(counts)},
     }
     with open(out_path, "w", encoding="utf-8") as f:
@@ -240,7 +252,7 @@ def cmd_build_queries(args, cfg, out: OutputSet) -> dict:
         docs, views=views, kinds=kinds, window_words=window, reporters=table
     )
     queries.write_queries_jsonl(built, out.declare(args.output))
-    queries.write_qrels(qrels, out.declare(args.qrels))
+    queries.write_qrels(qrels, out.declare(args.qrels_out))
     counts = dict(report.to_dict())
     if args.passage_qrels:
         passages_by_doc: dict[str, list[str]] = {}
@@ -275,7 +287,7 @@ def cmd_sweep_lengths(args, cfg, out: OutputSet) -> dict:
                 all_queries.append(q)
                 qrels.append(queries.QrelsEntry(q.query_id, target, 1))
     queries.write_queries_jsonl(all_queries, out.declare(args.output))
-    queries.write_qrels(qrels, out.declare(args.qrels))
+    queries.write_qrels(qrels, out.declare(args.qrels_out))
     return {"queries": len(all_queries), "lengths": len(lengths)}
 
 
@@ -480,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-queries", help="construct masked queries and qrels")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("qrels")
+    p.add_argument("qrels_out", metavar="qrels")
     p.add_argument("--view", default="single-removed", help="comma list: single-removed,all-removed")
     p.add_argument("--kind", default="both", choices=["direct", "indirect", "both"])
     p.add_argument("--window-words", type=int, dest="query_window")
@@ -491,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-lengths", help="build queries across window lengths")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("qrels")
+    p.add_argument("qrels_out", metavar="qrels")
     p.add_argument("--lengths", default=",".join(str(n) for n in queries.SWEEP_LENGTHS))
     p.add_argument("--reporters")
     p.set_defaults(func=cmd_sweep_lengths)
@@ -581,6 +593,13 @@ def _gather_config(args) -> dict:
     return cfg
 
 
+def _settings(args) -> dict:
+    """Every flag and positional that names no file, as parsed.  Config
+    keys are left out: the gathered config holds their effective values."""
+    skip = {"command", "func", *INPUT_ROLES, *OUTPUT_PATHS, *CONFIG_KEYS}
+    return {dest: value for dest, value in vars(args).items() if dest not in skip}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -608,26 +627,12 @@ def main(argv=None) -> int:
         return EXIT_DATA
     if out.paths:
         manifest_path = out.paths[0].with_suffix(out.paths[0].suffix + ".manifest.json")
-        # Every file the command reads, the reporter table included.
-        inputs = [
-            p
-            for p in (
-                getattr(args, "input", None),
-                getattr(args, "index", None),
-                getattr(args, "queries", None),
-                getattr(args, "corpus", None),
-                getattr(args, "quotes", None),
-                getattr(args, "run", None),
-                getattr(args, "qrels", None) if args.command == "eval-retrieval" else None,
-                getattr(args, "genset", None) if args.command == "eval-generation" else None,
-                getattr(args, "generations", None),
-                getattr(args, "compare", None),
-                getattr(args, "labeled_sample", None),
-                getattr(args, "reporters", None),
-            )
-            if p is not None and Path(p).exists()
-        ]
-        write_manifest(manifest_path, args.command, cfg, inputs, counts)
+        inputs = {
+            role: path
+            for role in INPUT_ROLES
+            if (path := getattr(args, role, None)) is not None and Path(path).exists()
+        }
+        write_manifest(manifest_path, args.command, {**_settings(args), **cfg}, inputs, counts)
     return EXIT_OK
 
 

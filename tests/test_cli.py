@@ -372,8 +372,8 @@ class TestManifestInputs:
             assert rc == 0
             manifests.append((out / "queries.jsonl.manifest.json").read_text())
         assert manifests[0] != manifests[1]
-        assert manifest_inputs(tmp_path / "so2d" / "queries.jsonl")["so2d.json"] == sha256_of(reporters)
-        assert "so2d.json" not in manifest_inputs(tmp_path / "default" / "queries.jsonl")
+        assert manifest_inputs(tmp_path / "so2d" / "queries.jsonl")["reporters"] == sha256_of(reporters)
+        assert "reporters" not in manifest_inputs(tmp_path / "default" / "queries.jsonl")
 
     def test_eval_generation_hashes_the_compare_file(self, tmp_path, raw_corpus):
         corpus = tmp_path / "corpus.jsonl"
@@ -387,8 +387,8 @@ class TestManifestInputs:
         weak.write_text(gold.read_text().replace('"system": "gold"', '"system": "weak"'))
         assert main(["eval-generation", str(genset), str(gold), "--compare", str(weak), "--output", str(report)]) == 0
         inputs = manifest_inputs(report)
-        assert inputs["weak.jsonl"] == sha256_of(weak)
-        assert set(inputs) == {"genset.jsonl", "gold.jsonl", "weak.jsonl"}
+        assert inputs["compare"] == sha256_of(weak)
+        assert set(inputs) == {"genset", "generations", "compare"}
 
     def test_parse_citations_hashes_the_labeled_sample(self, tmp_path, raw_corpus):
         corpus = tmp_path / "corpus.jsonl"
@@ -400,7 +400,75 @@ class TestManifestInputs:
             "citation_start": 4, "citation_end": 23, "sentence_start": 0, "sentence_end": 24,
         }) + "\n")
         assert main(["parse-citations", str(corpus), str(cites), "--labeled-sample", str(labeled)]) == 0
-        assert manifest_inputs(cites) == {"corpus.jsonl": sha256_of(corpus), "labeled.jsonl": sha256_of(labeled)}
+        assert manifest_inputs(cites) == {"input": sha256_of(corpus), "labeled_sample": sha256_of(labeled)}
+
+    def test_same_named_inputs_keep_both_hashes(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        genset = tmp_path / "genset.jsonl"
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        gold, weak = tmp_path / "a" / "gens.jsonl", tmp_path / "b" / "gens.jsonl"
+        report = tmp_path / "report.json"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["build-genset", str(corpus), str(genset)]) == 0
+        write_gold_generations(genset, gold)
+        weak.write_text(gold.read_text().replace('"system": "gold"', '"system": "weak"'))
+        assert main(["eval-generation", str(genset), str(gold), "--compare", str(weak), "--output", str(report)]) == 0
+        assert manifest_inputs(report) == {
+            "genset": sha256_of(genset), "generations": sha256_of(gold), "compare": sha256_of(weak),
+        }
+
+
+def manifest_config(output):
+    manifest = json.loads(Path(f"{output}.manifest.json").read_text())
+    return manifest["config"], manifest["config_hash"]
+
+
+class TestManifestConfig:
+    """A manifest's config records every flag that names no file."""
+
+    def test_maxp_and_k_change_the_config_hash(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        passages = tmp_path / "passages.jsonl"
+        queries = tmp_path / "queries.jsonl"
+        index = tmp_path / "passages.idx"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["chunk", str(corpus), str(passages)]) == 0
+        assert main(["build-queries", str(corpus), str(queries), str(tmp_path / "qrels.txt")]) == 0
+        assert main(["index", str(passages), str(index)]) == 0
+        hashes = set()
+        for name, flags in (("plain", []), ("maxp", ["--maxp"]), ("k5", ["--k", "5"])):
+            run = tmp_path / f"{name}.trec"
+            assert main(["search", str(index), str(queries), str(run), *flags]) == 0
+            config, config_hash = manifest_config(run)
+            assert config["maxp"] == (name == "maxp") and config["k"] == (5 if name == "k5" else 1000)
+            hashes.add(config_hash)
+        assert len(hashes) == 3
+
+    def test_each_command_records_its_settings(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["parse-citations", str(corpus), str(tmp_path / "c.jsonl"), "--quotes-out",
+                     str(tmp_path / "quotes.jsonl")]) == 0
+        runs = {
+            "queries.jsonl": ["build-queries", str(corpus), str(tmp_path / "queries.jsonl"),
+                              str(tmp_path / "qrels.txt"), "--view", "all-removed", "--kind", "direct"],
+            "sweep.jsonl": ["sweep-lengths", str(corpus), str(tmp_path / "sweep.jsonl"),
+                            str(tmp_path / "sweep_qrels.txt"), "--lengths", "100,300"],
+            "docs.idx": ["index", str(corpus), str(tmp_path / "docs.idx"), "--unit", "document"],
+            "exact.trec": ["search-quotes", str(corpus), str(tmp_path / "quotes.jsonl"), str(tmp_path / "exact.trec"),
+                           "--unit", "document", "--mode", "exact", "--k", "7"],
+        }
+        expected = {
+            "queries.jsonl": {"view": "all-removed", "kind": "direct"},
+            "sweep.jsonl": {"lengths": "100,300"},
+            "docs.idx": {"unit": "document"},
+            "exact.trec": {"unit": "document", "mode": "exact", "k": 7},
+        }
+        for output, argv in runs.items():
+            assert main(argv) == 0
+            config, _ = manifest_config(tmp_path / output)
+            assert config == expected[output], output
 
 
 @pytest.fixture(scope="module")

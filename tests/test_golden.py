@@ -11,37 +11,37 @@ from test_cli import raw_corpus, run_pipeline  # noqa: F401  (raw_corpus is a fi
 
 MINI_PIPELINE_SHA256 = {
     "citations.jsonl": "218b51d33bf123d79a4cc7fe1f49a56cee19849ff627782d1c2488db7bd13201",
-    "citations.jsonl.manifest.json": "83372fcf83ec35d8b447633c5c94e53682c153132b4a60b46f1553afb7250026",
+    "citations.jsonl.manifest.json": "17d06f10c4936631010d445b2156475e958ace6af2e31de247a20e525377be74",
     "corpus.jsonl": "1367f068aecfccb77e9fe0007013f3b9bd7c2d2fc844b783e1b9add1d45151cd",
-    "corpus.jsonl.manifest.json": "4b76debd53f7d58718677e6cdd10005064bcdd37a9116aeee004162d2f52579d",
+    "corpus.jsonl.manifest.json": "89f6d57f7804953875743becfd73a172de619862cef05734a5b10053ff386e31",
     "density.json": "274a41f388a5febdb5eccbfb26d28d568e1d437e2d137f87eb86ed043a295c3c",
-    "density.json.manifest.json": "103f703832dc73ef9b60257adad5b0f24ee3fcf77586613ecda5af29fc17f452",
+    "density.json.manifest.json": "c1032f4e7bea45538b6f9fb5856f6e39e196221e003c3e43132b2e334a64d7cb",
     "docs.idx": "943d4bccfb0cc6cf9e2a98aad1d3912fa7787696700b8b6163b0f9c80cb3fc82",
-    "docs.idx.manifest.json": "315bd9c0bb6e9c8654976dac1c381aee8e68aea0fae037790741917eca4f895f",
+    "docs.idx.manifest.json": "af2cebcf5ccadd3b12af2b6f4c0ce3f9db2a34e1c194f45ebd58d8a87d6ecc26",
     "generation_report.json": "05ad8acad4b1c2911c726616bb4731f64237f0e8829421214ee6368892b23669",
-    "generation_report.json.manifest.json": "d7318e45be7c500b23693403c68dcba69ecdf0def2b6471d9f823a3ee995daf7",
+    "generation_report.json.manifest.json": "d15d9e7b7a52204da96730f75085fa2a0a18849c62cbc267d199a9121e766f81",
     "generations.jsonl": "d37c34116febf27ae0d673c82043d5884fcef6a45a3a9fb07638ad4ab818b481",
     "genset.jsonl": "167cb05b025df61fd432c69a865b0057866f6acf1623cf38a955cd3d299a64fd",
-    "genset.jsonl.manifest.json": "428e440a55d748284d66871ef2dd8319f23078057e0a4040027c5bda5e165850",
+    "genset.jsonl.manifest.json": "ebf68058a77645c53eca20bbd37ccc89877c16124d050b414f813de95fb14d18",
     "passage_qrels.txt": "358f608241015af83a173b5e0360bcad3c2480289c1c76e2e8492581da62104b",
     "passages.idx": "ae54f45a33b3cae22df57c579a698e72e53b3b7d15692154e63d6f59e308bf2d",
-    "passages.idx.manifest.json": "81b3ae41848aec93fffcadd294a645f0a7715adc8856b96d8867dad7cd85e37d",
+    "passages.idx.manifest.json": "795ab9a570a0d7cd577f8de1b056b3e351f5d60cc7c016ddcbb53661e38a06fb",
     "passages.jsonl": "dd72728208345c369a9512d4da25a3eeeaf2e2de7ea21b99f1c409985f67f81d",
-    "passages.jsonl.manifest.json": "0c746e7697078ade059a8f34908ea7e178b3f67b4cd3c586401513ef52c59117",
+    "passages.jsonl.manifest.json": "bf1481f38b64cc473567a57fb13b5f6ff521eea604479e665ca482c045843390",
     "qrels.txt": "7029d1b4cb7d2d16ebc563c239697b942b5230dbd530587319f399fc30c8290c",
     "queries.jsonl": "90d23d602f52bba8566444507c88444a47109f74e22bbd392833b700879acb0d",
-    "queries.jsonl.manifest.json": "f2573025ec694e25a63844449fc3066ec5873f509edaa1887429c00d8e569a18",
+    "queries.jsonl.manifest.json": "900b0394fce10b408893b51f009f6b6cedc2c89d54ea02f235f8623fa6734eb3",
     "quote_exact.trec": "7977bc087b9bcd3bf284e7b4f22ccb77d71056b25d28eedb107cb0f56ba0d4c2",
-    "quote_exact.trec.manifest.json": "26a1d56c1739f89d353f85c14885aeb9c7dcfe756898d008180e0c55d7a226de",
+    "quote_exact.trec.manifest.json": "ffb591b180c8bd008b51b55c67fe8fa482c3a0af39249baec8d62cce59698ac3",
     "quote_run.trec": "ad0abdb05ff50d1842b9327d41891af839470a78f0835181ad3e598002bbd810",
-    "quote_run.trec.manifest.json": "3725feef8cbdb880cfa43b6bb84e9a5bba6b556198684ca0dabcd2adf48ca45f",
+    "quote_run.trec.manifest.json": "86e5ca1e2fecbaa68c8d6dec6c5a19ddf5227b572d1c5d1833f53089e9a291f8",
     "quotes.jsonl": "cc9109e8f39dab71c0dbd6fb8816060094b8690cfca6ec2973025d8778b0c688",
     "retrieval_report.json": "b57ee09abe0244cfb4b15ba650da0fa0c734e283c48c4d5cc5990f5c4186d23c",
-    "retrieval_report.json.manifest.json": "7bb49dbd6abdb9750d38dd47fbd1a9b66b072d6a02b129e9631cb585ed150ff7",
+    "retrieval_report.json.manifest.json": "2890939b3b4a560fcd805964358c35aca4d6532d8b7f5971703697774c27d71d",
     "run.trec": "c67d6aa75ab805218a6753073b5470a7807c1f10d769158b77a246ad77420dfe",
-    "run.trec.manifest.json": "ceab9500221508f1bb9e30bde32c3441098a41ffa3a0f9c018857b49143cfed4",
+    "run.trec.manifest.json": "8598853645d1f5c51065fcf453b8e83e4f6e1a3ee38ea8d1704a9779b2b9a04c",
     "run_maxp.trec": "12f6a2dfe400ec166af9bf87183813b1add89efeb9f3c496bad15df49ef73a0b",
-    "run_maxp.trec.manifest.json": "624cf638ec5f6f5cb6d9353c0a926c93ca577047f5c940e09d05e21f19de3f2e",
+    "run_maxp.trec.manifest.json": "4b9f988bf831d053413b833f419d631b349e8df4bd774e5bd463c6db7114bf6b",
 }
 
 

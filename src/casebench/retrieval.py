@@ -191,7 +191,7 @@ def build_index(
     # vocabulary's size before the term is inserted.
     vocab: defaultdict[str, int] = defaultdict()
     vocab.default_factory = vocab.__len__
-    tokens = array("q")
+    tokens = array("i")
     for idx, (_, text) in enumerate(units):
         terms = analyze(text, analyzer)
         lengths[idx] = len(terms)
@@ -200,17 +200,27 @@ def build_index(
     terms = sorted(vocab)
     rank = np.empty(len(terms), dtype=np.int64)
     rank[np.fromiter(map(vocab.__getitem__, terms), dtype=np.int64, count=len(terms))] = np.arange(len(terms))
-    keys = rank[np.frombuffer(tokens, dtype=np.int64)]
+    # One (sorted term id, unit) key per token; sorted, a key's run length
+    # is its tf.  The steps work in place where they can, so the build
+    # holds about one int64 per token at its peak.
+    keys = rank[np.frombuffer(tokens, dtype=np.int32)]
     del tokens
     keys *= n
-    keys += np.repeat(np.arange(n, dtype=np.int64), lengths)
-    keys, counts = np.unique(keys, return_counts=True)
-    term_of, unit_of = np.divmod(keys, n)
-    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(term_of, minlength=len(terms)), out=offsets[1:])
-    return InvertedIndex(
-        unit_ids, lengths, terms, offsets, unit_of.astype(np.uint32), counts.astype(np.uint32), unit_kind, analyzer
-    )
+    keys += np.repeat(np.arange(n, dtype=np.int32), lengths)
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    tfs = np.empty(starts.size, dtype=np.uint32)
+    np.subtract(starts[1:], starts[:-1], out=tfs[:-1], casting="unsafe")
+    tfs[-1:] = keys.size - starts[-1:]
+    del starts
+    keys = keys[first]
+    del first
+    offsets = np.searchsorted(keys, np.arange(len(terms) + 1, dtype=np.int64) * n)
+    keys %= n
+    return InvertedIndex(unit_ids, lengths, terms, offsets, keys.astype(np.uint32), tfs, unit_kind, analyzer)
 
 
 def passages_to_units(passages) -> list[tuple[str, str]]:
@@ -240,33 +250,33 @@ def bm25_search(
     ascending unit id.
     """
     query_terms = analyze(query_text, index.analyzer)
-    starts, ends, weights = [], [], []
-    offsets = index.offsets
+    spans, sizes, weights = [], [], []
     for term, qtf in sorted(Counter(query_terms).items()):
         i = index.term_ids.get(term)
         if i is None:
             continue
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
+        lo, hi = int(index.offsets[i]), int(index.offsets[i + 1])
         idf = bm25_idf(index.n_units, hi - lo)
         if idf == 0.0:
             continue
-        starts.append(lo)
-        ends.append(hi)
+        spans.append(slice(lo, hi))
+        sizes.append(hi - lo)
         weights.append(qtf * idf)
     if not weights:
         return RankedList(query_id=query_id, entries=(), k=k)
 
-    # Every scoring posting in one gather, terms in sorted order, so that
-    # bincount adds each unit's contributions in the same order as a
-    # term-at-a-time loop would: the scores are bit-identical to it.
-    starts_a = np.asarray(starts, dtype=np.int64)
-    sizes = np.asarray(ends, dtype=np.int64) - starts_a
-    ends_out = np.cumsum(sizes)
-    pos = np.arange(int(ends_out[-1]), dtype=np.int64) + np.repeat(starts_a - (ends_out - sizes), sizes)
-    ids = index.units[pos]
-    tf = index.tfs[pos].astype(np.float64)
-    norm = index._length_norm(k1, b)[ids]
-    contrib = np.repeat(np.asarray(weights, dtype=np.float64), sizes) * (tf * (k1 + 1.0)) / (tf + norm)
+    # The postings of every scoring term, in sorted term order, so that
+    # bincount adds up each unit's contributions in the order of a
+    # term-at-a-time loop.  The in-place steps compute that loop's
+    # (qtf * idf) * (tf * (k1 + 1)) / (tf + norm) with the operands of +
+    # and * swapped, which IEEE arithmetic leaves bit-identical.
+    ids = np.concatenate([index.units[s] for s in spans])
+    contrib = np.concatenate([index.tfs[s] for s in spans]).astype(np.float64)
+    denom = index._length_norm(k1, b)[ids]
+    denom += contrib
+    contrib *= k1 + 1.0
+    contrib *= np.repeat(weights, sizes)
+    contrib /= denom
     scores = np.bincount(ids, weights=contrib, minlength=index.n_units)
 
     candidates = np.flatnonzero(scores > 0.0)

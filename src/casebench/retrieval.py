@@ -384,9 +384,8 @@ def exact_match_search(index: NgramIndex, quote: str, k: int = 10, query_id: str
 
 def save_index(index: InvertedIndex, path) -> None:
     """Write the index: magic, version, JSON header, the unit-ids and terms
-    blobs, zero padding to a multiple of 8 bytes, then lengths, dfs, units
-    and tfs as raw little-endian u4 arrays.  The bytes are a function of
-    the units alone."""
+    blobs, then lengths, dfs, units and tfs as raw little-endian u4
+    arrays.  The bytes are a function of the units alone."""
     header = json.dumps(
         {
             "unit_kind": index.unit_kind,
@@ -403,16 +402,8 @@ def save_index(index: InvertedIndex, path) -> None:
         f.write(_MAGIC + struct.pack("<II", _VERSION, len(header)) + header)
         f.write(struct.pack("<Q", len(ids_blob)) + ids_blob)
         f.write(struct.pack("<Q", len(terms_blob)) + terms_blob)
-        f.write(bytes(_pad(f.tell())))
         for column in (index.lengths, np.diff(index.offsets), index.units, index.tfs):
             f.write(column.astype("<u4").tobytes())
-
-
-def _pad(pos: int) -> int:
-    """Zero bytes that put the arrays at a multiple of 8 in the file, so
-    that arrays viewed in the file's buffer are aligned: gathers from
-    unaligned arrays run several times slower."""
-    return -pos % 8
 
 
 class _Reader:
@@ -436,11 +427,15 @@ class _Reader:
         return struct.unpack_from(fmt, self.data, self.take(struct.calcsize(fmt), what))
 
     def lines(self, what: str, count: int) -> list[str]:
+        """A length-prefixed UTF-8 blob of ``count`` newline-separated items."""
         (size,) = self.unpack("<Q", f"{what} length")
         start = self.take(size, what)
-        text = self.data[start : start + size].decode("utf-8")
-        items = text.split("\n") if count else []
-        if len(items) != count or (not count and text):
+        try:
+            text = self.data[start : start + size].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"{what}: {exc}")
+        items = text.split("\n") if text or count else []
+        if len(items) != count:
             raise IndexFormatError(f"{what}: expected {count} entries, found {len(items)}")
         return items
 
@@ -475,7 +470,6 @@ def load_index(path) -> InvertedIndex:
         raise IndexFormatError("bad index header: negative count")
     unit_ids = r.lines("unit ids", n_units)
     terms = r.lines("terms", n_terms)
-    r.take(_pad(r.pos), "padding")
     arrays_size, left = 4 * (n_units + n_terms + 2 * n_postings), len(data) - r.pos
     if left != arrays_size:
         raise IndexFormatError(

@@ -16,7 +16,7 @@ MINI_PIPELINE_SHA256 = {
     "corpus.jsonl.manifest.json": "89f6d57f7804953875743becfd73a172de619862cef05734a5b10053ff386e31",
     "density.json": "274a41f388a5febdb5eccbfb26d28d568e1d437e2d137f87eb86ed043a295c3c",
     "density.json.manifest.json": "c1032f4e7bea45538b6f9fb5856f6e39e196221e003c3e43132b2e334a64d7cb",
-    "docs.idx": "943d4bccfb0cc6cf9e2a98aad1d3912fa7787696700b8b6163b0f9c80cb3fc82",
+    "docs.idx": "d340b5edec9a60c7bb3b9cf76a2f16dc37500b0327d62497181d37a184b973f0",
     "docs.idx.manifest.json": "af2cebcf5ccadd3b12af2b6f4c0ce3f9db2a34e1c194f45ebd58d8a87d6ecc26",
     "generation_report.json": "05ad8acad4b1c2911c726616bb4731f64237f0e8829421214ee6368892b23669",
     "generation_report.json.manifest.json": "d15d9e7b7a52204da96730f75085fa2a0a18849c62cbc267d199a9121e766f81",
@@ -24,7 +24,7 @@ MINI_PIPELINE_SHA256 = {
     "genset.jsonl": "167cb05b025df61fd432c69a865b0057866f6acf1623cf38a955cd3d299a64fd",
     "genset.jsonl.manifest.json": "ebf68058a77645c53eca20bbd37ccc89877c16124d050b414f813de95fb14d18",
     "passage_qrels.txt": "358f608241015af83a173b5e0360bcad3c2480289c1c76e2e8492581da62104b",
-    "passages.idx": "ae54f45a33b3cae22df57c579a698e72e53b3b7d15692154e63d6f59e308bf2d",
+    "passages.idx": "8272f4e0dc9e84dc319e3596afcb291cab617b40c723a02ac11f0433cd3161b3",
     "passages.idx.manifest.json": "795ab9a570a0d7cd577f8de1b056b3e351f5d60cc7c016ddcbb53661e38a06fb",
     "passages.jsonl": "dd72728208345c369a9512d4da25a3eeeaf2e2de7ea21b99f1c409985f67f81d",
     "passages.jsonl.manifest.json": "bf1481f38b64cc473567a57fb13b5f6ff521eea604479e665ca482c045843390",
@@ -39,9 +39,9 @@ MINI_PIPELINE_SHA256 = {
     "retrieval_report.json": "b57ee09abe0244cfb4b15ba650da0fa0c734e283c48c4d5cc5990f5c4186d23c",
     "retrieval_report.json.manifest.json": "2890939b3b4a560fcd805964358c35aca4d6532d8b7f5971703697774c27d71d",
     "run.trec": "c67d6aa75ab805218a6753073b5470a7807c1f10d769158b77a246ad77420dfe",
-    "run.trec.manifest.json": "8598853645d1f5c51065fcf453b8e83e4f6e1a3ee38ea8d1704a9779b2b9a04c",
+    "run.trec.manifest.json": "bed5954165f21cb2129e8ecf0721f32e32f4af62f7f8faf56cc130a293554da5",
     "run_maxp.trec": "12f6a2dfe400ec166af9bf87183813b1add89efeb9f3c496bad15df49ef73a0b",
-    "run_maxp.trec.manifest.json": "4b9f988bf831d053413b833f419d631b349e8df4bd774e5bd463c6db7114bf6b",
+    "run_maxp.trec.manifest.json": "30e0eb42b92ed7596befb044088aa5326dd09a8d2b0ee4562e6c12961983081e",
 }
 
 

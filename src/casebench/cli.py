@@ -99,11 +99,12 @@ def _sha256(path) -> str:
 # hashes each one under its destination's name.
 INPUT_ROLES = (
     "input", "index", "queries", "corpus", "quotes", "run", "qrels", "genset",
-    "generations", "compare", "labeled_sample", "reporters",
+    "generations", "compare", "labeled_sample", "reporters", "passages",
 )
-# Every other file-naming destination.  Any destination in neither list is
-# a setting, and the manifest's config records it.
-OUTPUT_PATHS = ("config", "output", "qrels_out", "quotes_out", "passage_qrels", "passages")
+# The other destinations that name a file: outputs, and the config file,
+# whose settings the config records.  Any destination in neither list is
+# a setting, and the manifest's config records it too.
+OUTPUT_PATHS = ("config", "output", "qrels_out", "quotes_out", "passage_qrels")
 
 
 def write_manifest(out_path, command: str, config: dict, inputs: dict, counts: dict) -> None:

@@ -456,7 +456,7 @@ def load_index(path) -> InvertedIndex:
     r.take(4, "magic")
     (version,) = r.unpack("<I", "version")
     if version != _VERSION:
-        raise IndexFormatError(f"unsupported index version {version}")
+        raise IndexFormatError(f"unsupported index version {version}; rebuild it with this version's `index`")
     (header_len,) = r.unpack("<I", "header length")
     start = r.take(header_len, "header")
     try:

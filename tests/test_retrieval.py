@@ -397,7 +397,6 @@ TRUNCATIONS = {
     "after the terms": lambda data: data[: section_ends(data)["terms"]],
     "inside the arrays": lambda data: data[: (section_ends(data)["terms"] + len(data)) // 2],
     "one byte short": lambda data: data[:-1],
-    "one byte long": lambda data: data + b"\x00",
 }
 
 
@@ -409,17 +408,20 @@ class TestDamagedIndex:
         with pytest.raises(IndexFormatError):
             load_index(path)
 
-    @pytest.mark.parametrize("field", ["dfs", "units"])
-    def test_arrays_disagreeing_with_the_header_rejected(self, tmp_path, field):
+    @pytest.mark.parametrize("damage", ["dfs", "units", "trailing byte"])
+    def test_file_disagreeing_with_its_header_rejected(self, tmp_path, damage):
         data = bytearray(saved_index(tmp_path))
         header = json.loads(data[12 : section_ends(bytes(data))["header"]])
         n_terms, n_postings = header["n_terms"], header["n_postings"]
-        if field == "dfs":  # the dfs no longer sum to n_postings
-            at, value = len(data) - 4 * (n_terms + 2 * n_postings), n_postings + 1
-        else:  # a posting names a unit past the last one
-            at, value = len(data) - 8 * n_postings, header["n_units"]
-        data[at : at + 4] = struct.pack("<I", value)
-        path = tmp_path / f"{field}.idx"
+        if damage == "dfs":  # the dfs no longer sum to n_postings
+            at = len(data) - 4 * (n_terms + 2 * n_postings)
+            data[at : at + 4] = struct.pack("<I", n_postings + 1)
+        elif damage == "units":  # a posting names a unit past the last one
+            at = len(data) - 8 * n_postings
+            data[at : at + 4] = struct.pack("<I", header["n_units"])
+        else:
+            data += b"\x00"
+        path = tmp_path / "damaged.idx"
         path.write_bytes(bytes(data))
         with pytest.raises(IndexFormatError):
             load_index(path)

@@ -92,15 +92,21 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Exact LCS length by the bit-vector method of Allison & Dix (1986)
+    and Hyyrö (2004): one DP row packed into the int ``v``, whose zero
+    bits mark where the LCS grows, updated per token of the longer list."""
+    if len(a) < len(b):
+        a, b = b, a
+    masks: dict[str, int] = {}
+    for i, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << i
+    full = v = (1 << len(b)) - 1
     for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, 1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+        m = masks.get(x)
+        if m is not None:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _f1(match: float, cand_total: int, ref_total: int) -> float:

@@ -9,6 +9,7 @@ import pytest
 import fixtures
 from casebench.citations import load_reporter_table, parse_citation_key
 from casebench.metrics import (
+    _lcs_length,
     citation_report,
     citation_report_from_keys,
     compare_runs,
@@ -144,6 +145,47 @@ class TestRouge:
 
     def test_case_and_punctuation_folded(self):
         assert rouge_f("The Court HELD.", "the court held", 1) == 1.0
+
+
+def lcs_oracle(a, b):
+    """Textbook O(len(a) * len(b)) dynamic programme."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def rouge_l_oracle(cand, ref):
+    match = lcs_oracle(cand, ref)
+    if match == 0:
+        return 0.0
+    p, r = match / len(cand), match / len(ref)
+    return 2 * p * r / (p + r)
+
+
+class TestLcsOracle:
+    def test_hand_cases(self):
+        assert _lcs_length([], ["a"]) == 0
+        assert _lcs_length(["a", "b", "c", "b", "d", "a", "b"], ["b", "d", "c", "a", "b", "a"]) == 4
+        assert _lcs_length(["x"] * 70, ["x"] * 65) == 65
+
+    def test_random_sequences_match_oracle(self):
+        # Up to 300 words over 2-8 word vocabularies: the bit vectors span
+        # several 64-bit words and every token repeats many times.
+        rng = random.Random(7)
+        for _ in range(60):
+            vocab = [f"w{i}" for i in range(rng.randint(2, 8))]
+            a = rng.choices(vocab, k=rng.randint(0, 300))
+            b = rng.choices(vocab, k=rng.randint(0, 300))
+            want = lcs_oracle(a, b)
+            assert _lcs_length(a, b) == want
+            assert _lcs_length(b, a) == want
+            cand, ref = " ".join(a), " ".join(b)
+            assert rouge_f(cand, ref, "L") == rouge_l_oracle(a, b)
+            assert rouge_f(ref, cand, "L") == rouge_l_oracle(b, a)
 
 
 def keys(*strings):

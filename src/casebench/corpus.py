@@ -93,8 +93,9 @@ def _normalize_opinion(text: str) -> list[str]:
 def load_corpus(records: Iterable[dict]) -> tuple[list[CaseDocument], list[str]]:
     """Normalize raw case records into documents.
 
-    Returns (documents, diagnostics).  A record missing its id or carrying
-    no opinion text is rejected with a diagnostic; the stream continues.
+    Returns (documents, diagnostics).  A record missing its id, with
+    whitespace in its id, or carrying no opinion text is rejected with a
+    diagnostic; the stream continues.
     """
     docs: list[CaseDocument] = []
     diagnostics: list[str] = []
@@ -108,6 +109,10 @@ def load_corpus(records: Iterable[dict]) -> tuple[list[CaseDocument], list[str]]
             diagnostics.append(f"record {i}: missing id")
             continue
         doc_id = str(doc_id)
+        if any(map(str.isspace, doc_id)):
+            # Index files and TREC runs separate ids by whitespace.
+            diagnostics.append(f"record {i}: id {doc_id!r} contains whitespace")
+            continue
         if doc_id in seen:
             diagnostics.append(f"record {i}: duplicate doc_id {doc_id!r}")
             continue

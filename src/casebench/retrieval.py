@@ -17,11 +17,14 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .corpus import fold_words
+
+# numpy is imported by the functions that touch index arrays, so the CLI
+# stages that never build, load or search an index start without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -136,6 +139,8 @@ class InvertedIndex:
         unit_kind: str,
         analyzer: AnalyzerConfig,
     ):
+        import numpy as np
+
         for column in (lengths, offsets, units, tfs):
             column.flags.writeable = False
         self.unit_ids = unit_ids
@@ -178,6 +183,8 @@ def build_index(
     Every token becomes a term id in one flat array; sorting the
     (term, unit) keys then yields the postings and their tfs at once.
     """
+    import numpy as np
+
     if not units:
         raise ValueError("cannot index an empty unit collection")
     analyzer = analyzer or AnalyzerConfig()
@@ -249,6 +256,8 @@ def bm25_search(
     Only units sharing at least one scoring term appear; ties break by
     ascending unit id.
     """
+    import numpy as np
+
     query_terms = analyze(query_text, index.analyzer)
     spans, sizes, weights = [], [], []
     for term, qtf in sorted(Counter(query_terms).items()):
@@ -386,6 +395,8 @@ def save_index(index: InvertedIndex, path) -> None:
     """Write the index: magic, version, JSON header, the unit-ids and terms
     blobs, then lengths, dfs, units and tfs as raw little-endian u4
     arrays.  The bytes are a function of the units alone."""
+    import numpy as np
+
     header = json.dumps(
         {
             "unit_kind": index.unit_kind,
@@ -440,6 +451,8 @@ class _Reader:
         return items
 
     def u4(self, count: int, what: str) -> np.ndarray:
+        import numpy as np
+
         return np.frombuffer(self.data, dtype="<u4", count=count, offset=self.take(4 * count, what))
 
 
@@ -447,6 +460,8 @@ def load_index(path) -> InvertedIndex:
     """Read an index written by ``save_index``.  Every section is checked
     against the header counts and the file size, so a truncated or
     inconsistent file raises ``IndexFormatError``."""
+    import numpy as np
+
     with open(path, "rb") as f:
         data = f.read()
     r = _Reader(data)
@@ -510,10 +525,10 @@ def read_trec_run(path) -> dict[str, list[tuple[str, float, int]]]:
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) < 6:
+            if len(parts) != 6:
                 raise ValueError(f"{path}:{lineno}: malformed run line")
-            qid, _, unit_id, rank, score = parts[0], parts[1], parts[2], int(parts[3]), float(parts[4])
-            runs.setdefault(qid, []).append((unit_id, score, rank))
+            qid, _, unit_id, rank, score, _ = parts
+            runs.setdefault(qid, []).append((unit_id, float(score), int(rank)))
     for qid in runs:
         runs[qid].sort(key=lambda t: t[2])
     return runs

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import casebench
 from casebench.citations import default_reporter_table, load_reporter_table
 from casebench.cli import main
 from casebench.corpus import read_corpus_jsonl
@@ -158,6 +162,30 @@ class TestErrors:
         manifest = json.loads((tmp_path / "corpus.jsonl.manifest.json").read_text())
         assert manifest["counts"]["rejected"] == 1
         assert manifest["counts"]["documents"] == 1
+
+
+    def test_id_with_whitespace_rejected_at_ingest(self, tmp_path, capsys):
+        # Accepted, the id "a b" became the TREC row "q1 Q0 a b 2 ...",
+        # which eval-retrieval could not read back.
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(
+            json.dumps({"id": doc_id, "name": "", "cite": "", "opinions": [{"type": "m", "text": text}]}) + "\n"
+            for doc_id, text in (("a b", "alpha beta"), ("c", "beta gamma"), ("d", "delta"), ("e", "delta"), ("f", "delta"))
+        ))
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["ingest", str(raw), str(corpus)]) == 0
+        assert "rejected: record 0: id 'a b' contains whitespace" in capsys.readouterr().err
+        assert [doc.doc_id for doc in read_corpus_jsonl(corpus)] == ["c", "d", "e", "f"]
+        index = tmp_path / "docs.idx"
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"query_id": "q1", "masked_text": "beta"}\n')
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 c 1\n")
+        run = tmp_path / "run.trec"
+        assert main(["index", str(corpus), str(index), "--unit", "document"]) == 0
+        assert main(["search", str(index), str(queries), str(run)]) == 0
+        assert run.read_text().split()[:3] == ["q1", "Q0", "c"]
+        assert main(["eval-retrieval", str(run), str(qrels), "--output", str(tmp_path / "report.json")]) == 0
 
 
 class TestCustomReporterGenset:
@@ -519,3 +547,53 @@ class TestUsageErrors:
             main(["search", "--help"])
         assert exc.value.code == 0
         assert "--maxp" in capsys.readouterr().out
+
+
+# Runs each stage's argv in turn in one interpreter and records, after the
+# import and after every stage, its exit code and whether numpy is loaded.
+_STAGES_SCRIPT = """
+import json, sys
+from casebench.cli import main
+seen = [["import", 0, "numpy" in sys.modules]]
+for name, argv in json.loads(sys.argv[1]):
+    seen.append([name, main(argv), "numpy" in sys.modules])
+with open(sys.argv[2], "w") as f:
+    json.dump(seen, f)
+"""
+
+
+class TestNumpyOnlyWhereBM25Runs:
+    def test_stages_without_bm25_never_import_numpy(self, searchable, tmp_path):
+        genset = tmp_path / "genset.jsonl"
+        gens = tmp_path / "gens.jsonl"
+        assert main(["build-genset", str(searchable / "corpus.jsonl"), str(genset)]) == 0
+        write_gold_generations(genset, gens)
+        w = tmp_path / "w"
+        w.mkdir()
+        raw = w / "raw.jsonl"
+        raw.write_bytes(Path(str(mini_corpus_path())).read_bytes())
+        corpus = str(w / "corpus.jsonl")
+        stages = [
+            ("ingest", ["ingest", str(raw), corpus]),
+            ("chunk", ["chunk", corpus, str(w / "passages.jsonl")]),
+            ("parse-citations", ["parse-citations", corpus, str(w / "c.jsonl"), "--quotes-out", str(w / "quotes.jsonl")]),
+            ("build-queries", ["build-queries", corpus, str(w / "queries.jsonl"), str(w / "qrels.txt")]),
+            ("density", ["density", corpus, str(w / "density.json")]),
+            ("search-quotes", ["search-quotes", corpus, str(w / "quotes.jsonl"), str(w / "quotes.trec"), "--unit", "document"]),
+            ("eval-retrieval", ["eval-retrieval", str(searchable / "run.trec"), str(w / "qrels.txt"),
+                                "--output", str(w / "retrieval.json")]),
+            ("eval-generation", ["eval-generation", str(genset), str(gens), "--output", str(w / "generation.json")]),
+            ("index", ["index", corpus, str(w / "docs.idx"), "--unit", "document"]),
+        ]
+        src = str(Path(casebench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        seen = w / "seen.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", _STAGES_SCRIPT, json.dumps(stages), str(seen)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # index runs last: it must load numpy, or the guard could not fail.
+        assert [tuple(row) for row in json.loads(seen.read_text())] == (
+            [("import", 0, False)] + [(name, 0, False) for name, _ in stages[:-1]] + [("index", 0, True)]
+        )

@@ -50,6 +50,14 @@ class TestLoadCorpus:
         assert len(docs) == 1
         assert any("duplicate" in d for d in diags)
 
+    @pytest.mark.parametrize("doc_id", ["a b", "a\nb", "a\tb", " a", "a\u00a0b"])
+    def test_id_with_whitespace_rejected(self, doc_id):
+        # Index files join unit ids with newlines and TREC runs split on
+        # whitespace, so such an id would break a later stage.
+        docs, diags = load_corpus([record(doc_id=doc_id), record()])
+        assert [d.doc_id for d in docs] == ["d1"]
+        assert diags == [f"record 0: id {doc_id!r} contains whitespace"]
+
     def test_paragraph_spans_partition_text(self, mini_corpus):
         for doc in mini_corpus:
             pos = 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import struct
 from collections import Counter
 from collections.abc import Mapping
@@ -442,4 +443,11 @@ class TestTrecIO:
         path = tmp_path / "bad.trec"
         path.write_text("q1 Q0 doc1\n")
         with pytest.raises(ValueError):
+            read_trec_run(path)
+
+    @pytest.mark.parametrize("line", ["q1 Q0 d1 1 1.000000", "q1 Q0 a b 2 1.000000 tag", "q1 Q0 d1 1 1.0 tag extra"])
+    def test_line_without_six_fields_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.trec"
+        path.write_text("q1 Q0 d0 1 2.000000 tag\n" + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed run line")):
             read_trec_run(path)

@@ -549,6 +549,58 @@ class TestUsageErrors:
         assert "--maxp" in capsys.readouterr().out
 
 
+def jsonl(*rows) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+GENSET_ROW = {
+    "instance_id": "d:p3", "doc_id": "d", "t": 3, "prefix": "A.\nB.", "gold": "C.",
+    "cited_keys": ["1 U.S. 1"], "references": [], "prompt_with_refs": "p", "prompt_without_refs": "p",
+}
+PASSAGE_ROW = {"passage_id": "d#0", "doc_id": "d", "word_start": 0, "word_end": 1, "text": "word"}
+DOC_ROW = {"doc_id": "d", "title": "", "reporter_cite": "", "text": "word", "paragraphs": [[0, 4]]}
+
+
+class TestDataErrors:
+    """A malformed input file is a data error: exit 2, and every output of
+    the command is removed.  ``files`` are written to the work directory;
+    the first one is the malformed file."""
+
+    @pytest.mark.parametrize("argv, files", [
+        (["index", "{d}/passages.jsonl", "{o}"], {"passages.jsonl": jsonl(PASSAGE_ROW, PASSAGE_ROW)}),
+        (["index", "{d}/corpus.jsonl", "{o}", "--unit", "document"], {"corpus.jsonl": jsonl(DOC_ROW, DOC_ROW)}),
+        (["density", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": ""}),
+        (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--output", "{o}"],
+         {"genset.jsonl": jsonl({k: v for k, v in GENSET_ROW.items() if k != "cited_keys"}), "gens.jsonl": ""}),
+        (["parse-citations", "{w}/corpus.jsonl", "{o}", "--labeled-sample", "{d}/labeled.jsonl"],
+         {"labeled.jsonl": jsonl({"text": "short", "citation_start": 10, "citation_end": 20,
+                                  "sentence_start": 0, "sentence_end": 5})}),
+        (["build-queries", "{w}/corpus.jsonl", "{o}", "{d}/qrels.txt", "--reporters", "{d}/rep.json"],
+         {"rep.json": '{"U.S.": '}),
+        (["eval-retrieval", "{w}/run.trec", "{d}/qrels.txt", "--output", "{o}"], {"qrels.txt": "q1 0 d1 yes\n"}),
+        (["eval-retrieval", "{d}/run.trec", "{w}/qrels.txt", "--output", "{o}"],
+         {"run.trec": "q1 Q0 d1 1 high bm25\n"}),
+        (["search", "{w}/docs.idx", "{d}/queries.jsonl", "{o}"], {"queries.jsonl": jsonl({"masked_text": "words"})}),
+        (["search", "{w}/docs.idx", "{d}/queries.jsonl", "{o}"], {"queries.jsonl": jsonl({"query_id": "q1"})}),
+        (["search-quotes", "{w}/corpus.jsonl", "{d}/quotes.jsonl", "{o}", "--unit", "document"],
+         {"quotes.jsonl": jsonl({"query_id": "q1"})}),
+        (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--output", "{o}"],
+         {"gens.jsonl": jsonl({"output_text": "x"}), "genset.jsonl": jsonl(GENSET_ROW)}),
+    ], ids=[
+        "index-duplicate-passage-ids", "index-duplicate-doc-ids", "density-empty-corpus",
+        "genset-without-cited-keys", "labeled-span-outside-text", "reporters-malformed-json",
+        "qrels-non-numeric-relevance", "run-non-numeric-score", "queries-without-query-id",
+        "queries-without-masked-text", "quotes-without-quote", "generations-without-instance-id",
+    ])
+    def test_exits_2(self, searchable, tmp_path, capsys, argv, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        rc = main([a.format(w=searchable, d=tmp_path, o=tmp_path / "out") for a in argv])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
 # Runs each stage's argv in turn in one interpreter and records, after the
 # import and after every stage, its exit code and whether numpy is loaded.
 _STAGES_SCRIPT = """

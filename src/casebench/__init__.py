@@ -17,6 +17,7 @@ from .citations import (
 )
 from .corpus import (
     CaseDocument,
+    DataError,
     Passage,
     WordSpan,
     chunk_document,
@@ -51,7 +52,6 @@ from .queries import (
     build_queries,
     build_query,
     parse_document,
-    sweep_query_length,
 )
 from .retrieval import (
     AnalyzerConfig,

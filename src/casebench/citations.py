@@ -19,6 +19,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
+from .corpus import DataError, read_jsonl, str_field, write_jsonl
+
 KIND_CASE = "case"
 KIND_STATUTE = "statute"
 KIND_SHORT_FORM = "short-form"
@@ -125,7 +127,13 @@ def load_reporter_table(path=None) -> ReporterTable:
     if path is None:
         return default_reporter_table()
     with open(path, "r", encoding="utf-8") as f:
-        return ReporterTable(json.load(f))
+        try:
+            variants = json.load(f)
+            if not isinstance(variants, dict) or not all(isinstance(v, str) for v in variants.values()):
+                raise ValueError("expected an object mapping reporter variants to canonical names")
+            return ReporterTable(variants)
+        except ValueError as exc:  # malformed JSON and bytes that are not UTF-8 included
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def _key_from_match(m: re.Match, table: ReporterTable) -> CitationKey:
@@ -435,6 +443,19 @@ def citation_sentence_bounds(
     return start, end
 
 
+def read_labeled_samples(path) -> list[dict]:
+    """Rows for ``sentence_extraction_accuracy``; a citation span must lie
+    inside its text."""
+    return read_jsonl(path, _labeled_sample)
+
+
+def _labeled_sample(row: dict) -> dict:
+    sample = {k: int(row[k]) for k in ("citation_start", "citation_end", "sentence_start", "sentence_end")}
+    if not 0 <= sample["citation_start"] < sample["citation_end"] <= len(str_field(row, "text")):
+        raise ValueError("citation span outside text")
+    return {**sample, "text": row["text"]}
+
+
 def sentence_extraction_accuracy(samples: Iterable[dict], reporters: ReporterTable) -> tuple[float, int]:
     """Exact-match accuracy of sentence-bound extraction on labeled samples.
 
@@ -516,21 +537,16 @@ def extract_direct_quotes(text: str, citations: Sequence[CitationSpan]) -> list[
 
 def write_citations_jsonl(rows: Iterable[tuple[str, CitationSpan]], path) -> int:
     """Write (doc_id, span) rows as {doc_id, start, end, kind, key} JSONL."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for doc_id, span in rows:
-            f.write(
-                json.dumps(
-                    {
-                        "doc_id": doc_id,
-                        "start": span.start,
-                        "end": span.end,
-                        "kind": span.kind,
-                        "key": str(span.key) if span.key else None,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            n += 1
-    return n
+    return write_jsonl(
+        (
+            {
+                "doc_id": doc_id,
+                "start": span.start,
+                "end": span.end,
+                "kind": span.kind,
+                "key": str(span.key) if span.key else None,
+            }
+            for doc_id, span in rows
+        ),
+        path,
+    )

@@ -3,7 +3,8 @@
 paths.  Every subcommand writes a manifest recording its config hash, input
 hashes, and counts, so identical runs produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage or config error, 2 data error.
+Exit codes: 0 success, 1 usage or config error, 2 a malformed or unreadable
+input file (``DataError``, ``OSError``); any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ EXIT_DATA = 2
 
 
 class ConfigError(Exception):
-    pass
-
-
-class DataError(Exception):
     pass
 
 
@@ -49,28 +46,31 @@ def load_config_file(path) -> dict:
     """Parse flat "key = value" lines; '#' starts a comment.  Unknown keys
     and unparseable values are configuration errors."""
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip().strip('"')
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            caster = CONFIG_KEYS[key]
-            try:
-                if caster is bool:
-                    if value.lower() not in ("true", "false", "1", "0"):
-                        raise ValueError(value)
-                    out[key] = value.lower() in ("true", "1")
-                else:
-                    out[key] = caster(value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip().strip('"')
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        caster = CONFIG_KEYS[key]
+        try:
+            if caster is bool:
+                if value.lower() not in ("true", "false", "1", "0"):
+                    raise ValueError(value)
+                out[key] = value.lower() in ("true", "1")
+            else:
+                out[key] = caster(value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}")
     _validate_config(out)
     return out
 
@@ -137,17 +137,7 @@ class OutputSet:
 
     def discard_all(self) -> None:
         for p in self.paths:
-            try:
-                p.unlink()
-            except FileNotFoundError:
-                pass
-
-
-def _load_corpus_file(path) -> list[corpus.CaseDocument]:
-    try:
-        return corpus.read_corpus_jsonl(path)
-    except (OSError, ValueError, KeyError) as exc:
-        raise DataError(f"cannot read corpus {path}: {exc}")
+            p.unlink(missing_ok=True)
 
 
 def _reporters(args) -> citations.ReporterTable:
@@ -158,6 +148,15 @@ def _positive(flag: str, n: int) -> int:
     if n < 1:
         raise ConfigError(f"{flag} must be at least 1, got {n}")
     return n
+
+
+def _chunking(cfg) -> tuple[int, int]:
+    """The configured passage (window, stride); window < stride skips words."""
+    window = cfg.get("window", corpus.DEFAULT_WINDOW)
+    stride = cfg.get("stride", corpus.DEFAULT_STRIDE)
+    if window < stride:
+        raise ConfigError(f"window ({window}) must be at least stride ({stride})")
+    return window, stride
 
 
 def _positive_ints(flag: str, value: str) -> list[int]:
@@ -176,7 +175,7 @@ def _positive_ints(flag: str, value: str) -> list[int]:
 def cmd_ingest(args, cfg, out: OutputSet) -> dict:
     docs, diagnostics = corpus.load_corpus_jsonl(args.input)
     if not docs:
-        raise DataError(f"no loadable records in {args.input}")
+        raise corpus.DataError(f"no loadable records in {args.input}")
     n = corpus.write_corpus_jsonl(docs, out.declare(args.output))
     for d in diagnostics:
         print(f"rejected: {d}", file=sys.stderr)
@@ -184,9 +183,8 @@ def cmd_ingest(args, cfg, out: OutputSet) -> dict:
 
 
 def cmd_chunk(args, cfg, out: OutputSet) -> dict:
-    docs = _load_corpus_file(args.input)
-    window = cfg.get("window", corpus.DEFAULT_WINDOW)
-    stride = cfg.get("stride", corpus.DEFAULT_STRIDE)
+    window, stride = _chunking(cfg)
+    docs = corpus.read_corpus_jsonl(args.input)
     passages = []
     for doc in docs:
         passages.extend(corpus.chunk_document(doc, window, stride))
@@ -195,7 +193,7 @@ def cmd_chunk(args, cfg, out: OutputSet) -> dict:
 
 
 def cmd_parse_citations(args, cfg, out: OutputSet) -> dict:
-    docs = _load_corpus_file(args.input)
+    docs = corpus.read_corpus_jsonl(args.input)
     table = _reporters(args)
     rows = []
     quote_rows = []
@@ -219,11 +217,9 @@ def cmd_parse_citations(args, cfg, out: OutputSet) -> dict:
                 counts["quotes"] += 1
     citations.write_citations_jsonl(rows, out.declare(args.output))
     if args.quotes_out:
-        with open(out.declare(args.quotes_out), "w", encoding="utf-8") as f:
-            for row in quote_rows:
-                f.write(json.dumps(row, ensure_ascii=False) + "\n")
+        corpus.write_jsonl(quote_rows, out.declare(args.quotes_out))
     if args.labeled_sample:
-        samples = [obj for _, obj in corpus.iter_jsonl(args.labeled_sample)]
+        samples = citations.read_labeled_samples(args.labeled_sample)
         accuracy, n = citations.sentence_extraction_accuracy(samples, table)
         counts["labeled_samples"] = n
         counts["sentence_extraction_accuracy"] = round(accuracy, 4)
@@ -242,27 +238,24 @@ def _parse_views(value: str) -> list[str]:
 
 
 def cmd_build_queries(args, cfg, out: OutputSet) -> dict:
-    docs = _load_corpus_file(args.input)
-    table = _reporters(args)
     views = _parse_views(args.view)
+    chunking = _chunking(cfg) if args.passage_qrels else None
+    docs = corpus.read_corpus_jsonl(args.input)
+    table = _reporters(args)
     kinds = None
     if args.kind != "both":
         kinds = [args.kind]
     window = cfg.get("query_window", queries.DEFAULT_QUERY_WINDOW)
     built, qrels, report = queries.build_queries(
-        docs, views=views, kinds=kinds, window_words=window, reporters=table
+        docs, views=views, kinds=kinds, window_words=(window,), reporters=table
     )
     queries.write_queries_jsonl(built, out.declare(args.output))
     queries.write_qrels(qrels, out.declare(args.qrels_out))
     counts = dict(report.to_dict())
-    if args.passage_qrels:
-        passages_by_doc: dict[str, list[str]] = {}
-        window_w = cfg.get("window", corpus.DEFAULT_WINDOW)
-        stride_w = cfg.get("stride", corpus.DEFAULT_STRIDE)
-        for doc in docs:
-            passages_by_doc[doc.doc_id] = [
-                p.passage_id for p in corpus.chunk_document(doc, window_w, stride_w)
-            ]
+    if chunking:
+        passages_by_doc = {
+            doc.doc_id: [p.passage_id for p in corpus.chunk_document(doc, *chunking)] for doc in docs
+        }
         pq = queries.passage_qrels(qrels, passages_by_doc)
         queries.write_qrels(pq, out.declare(args.passage_qrels))
         counts["passage_qrels"] = len(pq)
@@ -273,27 +266,15 @@ def cmd_build_queries(args, cfg, out: OutputSet) -> dict:
 
 def cmd_sweep_lengths(args, cfg, out: OutputSet) -> dict:
     lengths = _positive_ints("--lengths", args.lengths)
-    docs = _load_corpus_file(args.input)
-    table = _reporters(args)
-    key_index, _ = queries.build_corpus_key_index(docs, table)
-    all_queries = []
-    qrels = []
-    for doc in docs:
-        parsed = queries.parse_document(doc, table)
-        for central in parsed.centrals():
-            for q in queries.sweep_query_length(parsed, central, lengths):
-                target = queries.resolve_target(q.target_keys, key_index)
-                if target is None or target == doc.doc_id:
-                    continue
-                all_queries.append(q)
-                qrels.append(queries.QrelsEntry(q.query_id, target, 1))
-    queries.write_queries_jsonl(all_queries, out.declare(args.output))
+    docs = corpus.read_corpus_jsonl(args.input)
+    built, qrels, report = queries.build_queries(docs, window_words=lengths, reporters=_reporters(args))
+    queries.write_queries_jsonl(built, out.declare(args.output))
     queries.write_qrels(qrels, out.declare(args.qrels_out))
-    return {"queries": len(all_queries), "lengths": len(lengths)}
+    return {**report.to_dict(), "queries": len(built), "lengths": len(lengths)}
 
 
 def cmd_build_genset(args, cfg, out: OutputSet) -> dict:
-    docs = _load_corpus_file(args.input)
+    docs = corpus.read_corpus_jsonl(args.input)
     table = _reporters(args)
     instances, diagnostics = genset.build_genset(
         docs,
@@ -313,9 +294,9 @@ def cmd_index(args, cfg, out: OutputSet) -> dict:
     if args.unit == "passage":
         units = retrieval.passages_to_units(corpus.read_passages_jsonl(args.input))
     else:
-        units = retrieval.documents_to_units(_load_corpus_file(args.input))
+        units = retrieval.documents_to_units(corpus.read_corpus_jsonl(args.input))
     if not units:
-        raise DataError(f"no units in {args.input}")
+        raise corpus.DataError(f"no units in {args.input}")
     index = retrieval.build_index(units, unit_kind=args.unit)
     retrieval.save_index(index, out.declare(args.output))
     return {"units": index.n_units, "vocabulary": index.vocabulary_size, "unit_kind": args.unit}
@@ -323,10 +304,7 @@ def cmd_index(args, cfg, out: OutputSet) -> dict:
 
 def cmd_search(args, cfg, out: OutputSet) -> dict:
     k = _positive("--k", args.k)
-    try:
-        index = retrieval.load_index(args.index)
-    except retrieval.IndexFormatError as exc:
-        raise DataError(str(exc))
+    index = retrieval.load_index(args.index)
     rows = queries.read_queries_jsonl(args.queries)
     k1 = cfg.get("bm25_k1", retrieval.BM25_K1)
     b = cfg.get("bm25_b", retrieval.BM25_B)
@@ -348,8 +326,8 @@ def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
     if args.unit == "passage":
         units = retrieval.passages_to_units(corpus.read_passages_jsonl(args.corpus))
     else:
-        units = retrieval.documents_to_units(_load_corpus_file(args.corpus))
-    rows = [obj for _, obj in corpus.iter_jsonl(args.quotes)]
+        units = retrieval.documents_to_units(corpus.read_corpus_jsonl(args.corpus))
+    rows = queries.read_queries_jsonl(args.quotes, "quote")
     n = cfg.get("ngram_n", 5)
     index = retrieval.NgramIndex(units, n)
     search = retrieval.ngram_search if args.mode == "ngram" else retrieval.exact_match_search
@@ -369,7 +347,7 @@ def cmd_eval_retrieval(args, cfg, out: OutputSet) -> dict:
     run = retrieval.read_trec_run(args.run)
     qrels = queries.read_qrels(args.qrels)
     if not qrels:
-        raise DataError(f"no positive judgments in {args.qrels}")
+        raise corpus.DataError(f"no positive judgments in {args.qrels}")
     ranked = {qid: [unit for unit, _, _ in rows] for qid, rows in run.items()}
     report = metrics.evaluate_run(ranked, qrels, ks=ks)
     with open(out.declare(args.output), "w", encoding="utf-8") as f:
@@ -385,14 +363,14 @@ def cmd_eval_retrieval(args, cfg, out: OutputSet) -> dict:
 def cmd_eval_generation(args, cfg, out: OutputSet) -> dict:
     table = _reporters(args)
     instances = genset.read_genset_jsonl(args.genset)
-    gens = [obj for _, obj in corpus.iter_jsonl(args.generations)]
-    include_refs = cfg.get("include_references_in_substring_check", False)
+    gens = metrics.read_generations_jsonl(args.generations)
+    include_refs = cfg.setdefault("include_references_in_substring_check", False)
     report = metrics.score_generation_run(
         instances, gens, include_references_in_substring_check=include_refs, reporters=table
     )
     result = report.to_dict()
     if args.compare:
-        other = [obj for _, obj in corpus.iter_jsonl(args.compare)]
+        other = metrics.read_generations_jsonl(args.compare)
         other_report = metrics.score_generation_run(
             instances, other, include_references_in_substring_check=include_refs, reporters=table
         )
@@ -409,9 +387,10 @@ def cmd_eval_generation(args, cfg, out: OutputSet) -> dict:
 
 
 def cmd_density(args, cfg, out: OutputSet) -> dict:
-    docs = _load_corpus_file(args.input)
-    table = _reporters(args)
-    profile = genset.citation_density_profile(docs, table)
+    docs = corpus.read_corpus_jsonl(args.input)
+    if not docs:
+        raise corpus.DataError(f"no documents in {args.input}")
+    profile = genset.citation_density_profile(docs, _reporters(args))
     payload = {
         "decile_densities": list(profile.decile_densities),
         "decile_words": list(profile.decile_words),
@@ -424,7 +403,7 @@ def cmd_density(args, cfg, out: OutputSet) -> dict:
 
 
 def cmd_stats(args, cfg, out: OutputSet) -> dict:
-    docs = _load_corpus_file(args.input)
+    docs = corpus.read_corpus_jsonl(args.input)
     rows = [("documents", len(docs), _avg(d.word_count() for d in docs))]
     if args.passages:
         passages = corpus.read_passages_jsonl(args.passages)
@@ -558,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("generations")
     p.add_argument("--compare", help="second generations file for paired gains")
     p.add_argument("--output", default="generation_report.json")
-    p.add_argument("--include-references-in-substring-check", action="store_true",
+    # None when absent, so a config file's value stands.
+    p.add_argument("--include-references-in-substring-check", action="store_true", default=None,
                    dest="include_references_in_substring_check")
     p.add_argument("--reporters")
     p.set_defaults(func=cmd_eval_generation)
@@ -588,8 +568,6 @@ def _gather_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if getattr(args, "include_references_in_substring_check", False):
-        cfg["include_references_in_substring_check"] = True
     _validate_config(cfg)
     return cfg
 
@@ -614,18 +592,15 @@ def main(argv=None) -> int:
     try:
         cfg = _gather_config(args)
         counts = args.func(args, cfg, out)
-    except ConfigError as exc:
+    except BaseException as exc:
         out.discard_all()
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        out.discard_all()
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError, KeyError) as exc:
-        out.discard_all()
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        if isinstance(exc, ConfigError):
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if isinstance(exc, (corpus.DataError, OSError)):
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        raise
     if out.paths:
         manifest_path = out.paths[0].with_suffix(out.paths[0].suffix + ".manifest.json")
         inputs = {

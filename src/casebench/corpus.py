@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 DEFAULT_WINDOW = 350
 DEFAULT_STRIDE = 175
@@ -21,6 +23,10 @@ _WORD_RE = re.compile(r"\S+")
 _FOLD_RE = re.compile(r"[0-9a-z]+")
 _PARA_BREAK_RE = re.compile(r"\n[ \t]*\n+")
 _HSPACE_RE = re.compile(r"[ \t\f\v]+")
+
+
+class DataError(ValueError):
+    """An input file is malformed; the message names the file and line."""
 
 
 @dataclass(frozen=True)
@@ -104,14 +110,10 @@ def load_corpus(records: Iterable[dict]) -> tuple[list[CaseDocument], list[str]]
         if not isinstance(rec, dict):
             diagnostics.append(f"record {i}: not an object")
             continue
-        doc_id = rec.get("id")
-        if doc_id is None or str(doc_id) == "":
-            diagnostics.append(f"record {i}: missing id")
-            continue
-        doc_id = str(doc_id)
-        if any(map(str.isspace, doc_id)):
-            # Index files and TREC runs separate ids by whitespace.
-            diagnostics.append(f"record {i}: id {doc_id!r} contains whitespace")
+        try:
+            doc_id = _checked_id(rec.get("id"), "id")
+        except ValueError as exc:
+            diagnostics.append(f"record {i}: {exc}")
             continue
         if doc_id in seen:
             diagnostics.append(f"record {i}: duplicate doc_id {doc_id!r}")
@@ -140,6 +142,16 @@ def load_corpus(records: Iterable[dict]) -> tuple[list[CaseDocument], list[str]]
         )
         seen.add(doc_id)
     return docs, diagnostics
+
+
+def _checked_id(value, field: str) -> str:
+    """``value`` as an id: non-empty, and no whitespace, which splits ids in index and run files."""
+    if value is None or str(value) == "":
+        raise ValueError(f"missing {field}")
+    value = str(value)
+    if any(map(str.isspace, value)):
+        raise ValueError(f"{field} {value!r} contains whitespace")
+    return value
 
 
 def chunk_document(
@@ -183,102 +195,131 @@ def chunk_document(
 # JSONL serialization
 # ---------------------------------------------------------------------------
 
-def iter_jsonl(path) -> Iterator[tuple[int, object]]:
-    """Yield (line_number, parsed_object); malformed lines raise ValueError."""
+def iter_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield (line_number, stripped line) for each non-blank line of the
+    UTF-8 text file at ``path``; bytes that are not UTF-8 raise DataError."""
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON ({exc})") from exc
+        lineno = 0
+        try:
+            for lineno, line in enumerate(f, 1):
+                if line := line.strip():
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 after line {lineno} ({exc.reason})") from exc
+
+
+def read_jsonl(path, make: Callable[[dict], T], id_field: str | None = None) -> list[T]:
+    """``make(row)`` for each JSON object row of the file at ``path``.  A row
+    whose ``id_field`` is no id (``_checked_id``) or repeats, or that ``make``
+    rejects with KeyError, TypeError or ValueError, is a DataError at path:line."""
+    items: list[T] = []
+    seen: set[str] = set()
+    for lineno, line in iter_lines(path):
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+            if id_field is not None:
+                row[id_field] = ident = _checked_id(row.get(id_field), id_field)
+                if ident in seen:
+                    raise ValueError(f"duplicate {id_field} {ident!r}")
+                seen.add(ident)
+            items.append(make(row))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: malformed JSON ({exc})") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            raise DataError(f"{path}:{lineno}: {reason}") from exc
+    return items
+
+
+def write_jsonl(rows: Iterable[dict], path) -> int:
+    """Write one JSON object per line, non-ASCII kept; returns the row count."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as f:
+        for row in rows:
+            f.write(json.dumps(row, ensure_ascii=False) + "\n")
+            n += 1
+    return n
+
+
+def str_field(row: dict, field: str, default: str | None = None) -> str:
+    """``row[field]`` (``default`` when absent, if given), which must be a string."""
+    value = row[field] if default is None else row.get(field, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, not {type(value).__name__}")
+    return value
 
 
 def load_corpus_jsonl(path) -> tuple[list[CaseDocument], list[str]]:
     """Load raw records from a JSONL file; bad lines become diagnostics."""
     records: list[dict] = []
     diagnostics: list[str] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                diagnostics.append(f"line {lineno}: malformed JSON, skipped")
+    for lineno, line in iter_lines(path):
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            diagnostics.append(f"line {lineno}: malformed JSON, skipped")
     docs, more = load_corpus(records)
     return docs, diagnostics + more
 
 
 def write_corpus_jsonl(docs: Iterable[CaseDocument], path) -> int:
     """Write normalized documents; this representation round-trips losslessly."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in docs:
-            f.write(
-                json.dumps(
-                    {
-                        "doc_id": doc.doc_id,
-                        "title": doc.title,
-                        "reporter_cite": doc.reporter_cite,
-                        "text": doc.text,
-                        "paragraphs": [list(p) for p in doc.paragraphs],
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            n += 1
-    return n
+    return write_jsonl(
+        (
+            {
+                "doc_id": doc.doc_id,
+                "title": doc.title,
+                "reporter_cite": doc.reporter_cite,
+                "text": doc.text,
+                "paragraphs": [list(p) for p in doc.paragraphs],
+            }
+            for doc in docs
+        ),
+        path,
+    )
 
 
 def read_corpus_jsonl(path) -> list[CaseDocument]:
-    docs = []
-    for lineno, obj in iter_jsonl(path):
-        docs.append(
-            CaseDocument(
-                doc_id=obj["doc_id"],
-                title=obj.get("title", ""),
-                reporter_cite=obj.get("reporter_cite", ""),
-                text=obj["text"],
-                paragraphs=tuple((int(a), int(b)) for a, b in obj["paragraphs"]),
-            )
-        )
-    return docs
+    return read_jsonl(
+        path,
+        lambda row: CaseDocument(
+            doc_id=row["doc_id"],
+            title=row.get("title", ""),
+            reporter_cite=row.get("reporter_cite", ""),
+            text=str_field(row, "text"),
+            paragraphs=tuple((int(a), int(b)) for a, b in row["paragraphs"]),
+        ),
+        "doc_id",
+    )
 
 
 def write_passages_jsonl(passages: Iterable[Passage], path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for p in passages:
-            f.write(
-                json.dumps(
-                    {
-                        "passage_id": p.passage_id,
-                        "doc_id": p.doc_id,
-                        "word_start": p.word_start,
-                        "word_end": p.word_end,
-                        "text": p.text,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            n += 1
-    return n
+    return write_jsonl(
+        (
+            {
+                "passage_id": p.passage_id,
+                "doc_id": p.doc_id,
+                "word_start": p.word_start,
+                "word_end": p.word_end,
+                "text": p.text,
+            }
+            for p in passages
+        ),
+        path,
+    )
 
 
 def read_passages_jsonl(path) -> list[Passage]:
-    return [
-        Passage(
-            passage_id=obj["passage_id"],
-            doc_id=obj["doc_id"],
-            word_start=int(obj["word_start"]),
-            word_end=int(obj["word_end"]),
-            text=obj["text"],
-        )
-        for _, obj in iter_jsonl(path)
-    ]
+    return read_jsonl(
+        path,
+        lambda row: Passage(
+            passage_id=row["passage_id"],
+            doc_id=row["doc_id"],
+            word_start=int(row["word_start"]),
+            word_end=int(row["word_end"]),
+            text=str_field(row, "text"),
+        ),
+        "passage_id",
+    )

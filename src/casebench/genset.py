@@ -8,7 +8,6 @@ paragraph; the top passages are concatenated under a total word budget.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
@@ -19,7 +18,7 @@ from .citations import (
     default_reporter_table,
     find_case_citations,
 )
-from .corpus import CaseDocument, chunk_document, tokenize_words
+from .corpus import CaseDocument, chunk_document, read_jsonl, str_field, tokenize_words, write_jsonl
 from .queries import build_corpus_key_index
 from .retrieval import bm25_search, build_index
 
@@ -253,50 +252,43 @@ def citation_density_profile(docs: Sequence[CaseDocument], reporters: ReporterTa
 # ---------------------------------------------------------------------------
 
 def write_genset_jsonl(instances: Iterable[GenerationInstance], path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for inst in instances:
-            f.write(
-                json.dumps(
-                    {
-                        "instance_id": inst.instance_id,
-                        "doc_id": inst.doc_id,
-                        "t": inst.t,
-                        "prefix": inst.prefix,
-                        "gold": inst.gold,
-                        "cited_keys": [str(k) for k in inst.cited_keys],
-                        "references": [{"key": str(r.key), "text": r.text} for r in inst.references],
-                        "prompt_with_refs": inst.prompt_with_refs,
-                        "prompt_without_refs": inst.prompt_without_refs,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            n += 1
-    return n
+    return write_jsonl(
+        (
+            {
+                "instance_id": inst.instance_id,
+                "doc_id": inst.doc_id,
+                "t": inst.t,
+                "prefix": inst.prefix,
+                "gold": inst.gold,
+                "cited_keys": [str(k) for k in inst.cited_keys],
+                "references": [{"key": str(r.key), "text": r.text} for r in inst.references],
+                "prompt_with_refs": inst.prompt_with_refs,
+                "prompt_without_refs": inst.prompt_without_refs,
+            }
+            for inst in instances
+        ),
+        path,
+    )
 
 
 def read_genset_jsonl(path) -> list[GenerationInstance]:
     """Read instances back; keys parse from their own written form, so a
     genset built under any reporter table reads back without it."""
-    from .corpus import iter_jsonl
+    return read_jsonl(path, _instance_from_row)
 
-    out = []
-    for _, obj in iter_jsonl(path):
-        out.append(
-            GenerationInstance(
-                instance_id=obj["instance_id"],
-                doc_id=obj["doc_id"],
-                t=int(obj["t"]),
-                prefix=obj["prefix"],
-                gold=obj["gold"],
-                cited_keys=tuple(CitationKey.from_str(k) for k in obj["cited_keys"]),
-                references=tuple(
-                    ReferenceText(CitationKey.from_str(r["key"]), r["text"]) for r in obj["references"]
-                ),
-                prompt_with_refs=obj["prompt_with_refs"],
-                prompt_without_refs=obj["prompt_without_refs"],
-            )
-        )
-    return out
+
+def _instance_from_row(row: dict) -> GenerationInstance:
+    cited_keys = tuple(CitationKey.from_str(k) for k in row["cited_keys"])
+    if not cited_keys:
+        raise ValueError("cited_keys is empty, so citation recall is undefined")
+    return GenerationInstance(
+        instance_id=row["instance_id"],
+        doc_id=row["doc_id"],
+        t=int(row["t"]),
+        prefix=str_field(row, "prefix"),
+        gold=str_field(row, "gold"),
+        cited_keys=cited_keys,
+        references=tuple(ReferenceText(CitationKey.from_str(r["key"]), r["text"]) for r in row["references"]),
+        prompt_with_refs=row["prompt_with_refs"],
+        prompt_without_refs=row["prompt_without_refs"],
+    )

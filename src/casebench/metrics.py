@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +23,7 @@ from .citations import (
     default_reporter_table,
     find_case_citations,
 )
-from .corpus import fold_words
+from .corpus import DataError, fold_words, read_jsonl, str_field
 
 VERDICT_MATCHED = "matched"
 VERDICT_GROUNDED = "prefix-grounded"
@@ -269,13 +269,7 @@ class MetricReport:
     extra_ids: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "macro": self.macro,
-            "per_query": self.per_query,
-            "skipped": self.skipped,
-            "missing_ids": self.missing_ids,
-            "extra_ids": self.extra_ids,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
@@ -302,6 +296,11 @@ def extract_answer(output_text: str) -> str:
     return output_text[start:end] if end != -1 else output_text[start:]
 
 
+def read_generations_jsonl(path) -> list[dict]:
+    """Rows {instance_id, output_text}; an absent ``output_text`` is ""."""
+    return read_jsonl(path, lambda r: {"instance_id": r["instance_id"], "output_text": str_field(r, "output_text", "")})
+
+
 def score_generation_run(
     instances: Sequence,
     generations: Iterable[dict],
@@ -323,7 +322,7 @@ def score_generation_run(
     for row in generations:
         instance_id = row["instance_id"]
         if instance_id in outputs:
-            raise ValueError(
+            raise DataError(
                 f"instance_id {instance_id!r} repeats; give each system its own generations "
                 "file (eval-generation --compare scores a second one)"
             )

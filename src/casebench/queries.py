@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -34,7 +34,7 @@ from .citations import (
     find_citations,
     parse_citation_key,
 )
-from .corpus import CaseDocument, WordSpan, tokenize_words
+from .corpus import CaseDocument, DataError, WordSpan, iter_lines, read_jsonl, str_field, tokenize_words, write_jsonl
 
 VIEW_SINGLE_REMOVED = "single-removed"
 VIEW_ALL_REMOVED = "all-removed"
@@ -88,8 +88,8 @@ class QueryConstructionReport:
     built: int = 0
     skipped_no_bounds: int = 0
     skipped_unresolvable: int = 0
-    # Built centrals whose window keeps a short form (Id., supra, at-page
-    # cite) outside the masked sentence; it may refer to the masked case.
+    # Built centrals, per window length, whose window keeps a short form (Id.,
+    # supra, at-page cite) outside the masked sentence; it may refer to the masked case.
     residual_short_form_queries: int = 0
 
     @property
@@ -99,14 +99,7 @@ class QueryConstructionReport:
         return self.skipped_no_bounds / self.centrals_considered
 
     def to_dict(self) -> dict:
-        return {
-            "centrals_considered": self.centrals_considered,
-            "built": self.built,
-            "skipped_no_bounds": self.skipped_no_bounds,
-            "skipped_unresolvable": self.skipped_unresolvable,
-            "residual_short_form_queries": self.residual_short_form_queries,
-            "sentence_failure_rate": self.sentence_failure_rate,
-        }
+        return {**asdict(self), "sentence_failure_rate": self.sentence_failure_rate}
 
 
 def _seam_join(*parts: str) -> str:
@@ -383,7 +376,7 @@ def build_queries(
     docs: Sequence[CaseDocument],
     views: Sequence[str] = (VIEW_SINGLE_REMOVED,),
     kinds: Sequence[str] | None = None,
-    window_words: int = DEFAULT_QUERY_WINDOW,
+    window_words: Sequence[int] = (DEFAULT_QUERY_WINDOW,),
     reporters: ReporterTable | None = None,
 ) -> tuple[list[RetrievalQuery], list[QrelsEntry], QueryConstructionReport]:
     """Construct all queries over a corpus, with doc-level qrels, under
@@ -391,7 +384,9 @@ def build_queries(
 
     Central candidates are full case citations plus short forms that
     resolve to a key; a query is emitted only when some parallel key
-    resolves to a corpus document other than its own.
+    resolves to a corpus document other than its own.  Each central gets
+    one query per view and window length, in the order given; with more
+    than one length, query ids end in ``:w<length>``.
     """
     table = reporters or default_reporter_table()
     key_index, _ = build_corpus_key_index(docs, table)
@@ -402,41 +397,28 @@ def build_queries(
         parsed = parse_document(doc, table)
         for central in parsed.centrals():
             report.centrals_considered += 1
-            built = build_query(parsed, central, window_words, views)
-            if built is None:
-                report.skipped_no_bounds += 1
-                continue
-            first = built[views[0]]
-            target_doc = resolve_target(first.target_keys, key_index)
-            if target_doc is None or target_doc == doc.doc_id:
-                report.skipped_unresolvable += 1
-                continue
-            if first.residual_short_form:
-                report.residual_short_form_queries += 1
-            for view in views:
-                q = built[view]
-                if kinds is not None and q.kind not in kinds:
-                    continue
-                queries.append(q)
-                qrels.append(QrelsEntry(q.query_id, target_doc, 1))
-                report.built += 1
+            for length in window_words:
+                built = build_query(parsed, central, length, views)
+                if built is None:
+                    report.skipped_no_bounds += 1
+                    break
+                first = built[views[0]]
+                target_doc = resolve_target(first.target_keys, key_index)
+                if target_doc is None or target_doc == doc.doc_id:
+                    report.skipped_unresolvable += 1
+                    break
+                if first.residual_short_form:
+                    report.residual_short_form_queries += 1
+                for view in views:
+                    q = built[view]
+                    if kinds is not None and q.kind not in kinds:
+                        continue
+                    if len(window_words) > 1:
+                        q = replace(q, query_id=f"{q.query_id}:w{length}")
+                    queries.append(q)
+                    qrels.append(QrelsEntry(q.query_id, target_doc, 1))
+                    report.built += 1
     return queries, qrels, report
-
-
-def sweep_query_length(
-    parsed: ParsedDocument,
-    central: CitationSpan,
-    lengths: Sequence[int] = SWEEP_LENGTHS,
-) -> list[RetrievalQuery]:
-    """One single-removed query per window length over the same central
-    citation."""
-    out = []
-    for length in lengths:
-        built = build_query(parsed, central, length)
-        if built is not None:
-            q = built[VIEW_SINGLE_REMOVED]
-            out.append(replace(q, query_id=f"{q.query_id}:w{length}"))
-    return out
 
 
 def passage_qrels(
@@ -455,35 +437,28 @@ def passage_qrels(
 # ---------------------------------------------------------------------------
 
 def write_queries_jsonl(queries: Iterable[RetrievalQuery], path) -> int:
-    import json
-
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for q in queries:
-            f.write(
-                json.dumps(
-                    {
-                        "query_id": q.query_id,
-                        "doc_id": q.doc_id,
-                        "view": q.view,
-                        "kind": q.kind,
-                        "window_words": q.window_words,
-                        "masked_text": q.masked_text,
-                        "display_text": q.display_text,
-                        "target_keys": [str(k) for k in q.target_keys],
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            n += 1
-    return n
+    return write_jsonl(
+        (
+            {
+                "query_id": q.query_id,
+                "doc_id": q.doc_id,
+                "view": q.view,
+                "kind": q.kind,
+                "window_words": q.window_words,
+                "masked_text": q.masked_text,
+                "display_text": q.display_text,
+                "target_keys": [str(k) for k in q.target_keys],
+            }
+            for q in queries
+        ),
+        path,
+    )
 
 
-def read_queries_jsonl(path) -> list[dict]:
-    from .corpus import iter_jsonl
-
-    return [obj for _, obj in iter_jsonl(path)]
+def read_queries_jsonl(path, text_field: str = "masked_text") -> list[dict]:
+    """Query rows; each needs a string ``text_field``, which is ``quote`` in
+    the rows of ``parse-citations --quotes-out``."""
+    return read_jsonl(path, lambda row: {**row, text_field: str_field(row, text_field)}, "query_id")
 
 
 def write_qrels(entries: Iterable[QrelsEntry], path) -> int:
@@ -497,14 +472,12 @@ def write_qrels(entries: Iterable[QrelsEntry], path) -> int:
 
 def read_qrels(path) -> dict[str, set[str]]:
     qrels: dict[str, set[str]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: malformed qrels line")
-            qid, _, unit_id, rel = parts
-            if int(rel) > 0:
-                qrels.setdefault(qid, set()).add(unit_id)
+    for lineno, line in iter_lines(path):
+        try:
+            qid, _, unit_id, rel = line.split()
+            relevant = int(rel) > 0
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed qrels line (query 0 unit relevance)") from None
+        if relevant:
+            qrels.setdefault(qid, set()).add(unit_id)
     return qrels

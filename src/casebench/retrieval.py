@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .corpus import fold_words
+from .corpus import DataError, fold_words, iter_lines
 
 # numpy is imported by the functions that touch index arrays, so the CLI
 # stages that never build, load or search an index start without it.
@@ -33,7 +33,7 @@ _MAGIC = b"CBIX"
 _VERSION = 2
 
 
-class IndexFormatError(ValueError):
+class IndexFormatError(DataError):
     """Serialized index file has the wrong magic or version, or its
     sections do not match its header and size."""
 
@@ -420,15 +420,19 @@ def save_index(index: InvertedIndex, path) -> None:
 class _Reader:
     """Bounds-checked cursor over an index file's bytes."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, path):
         self.data = data
+        self.path = path
         self.pos = 0
+
+    def error(self, message: str) -> IndexFormatError:
+        return IndexFormatError(f"{self.path}: {message}")
 
     def take(self, n: int, what: str) -> int:
         """Claim the next ``n`` bytes; return where they start."""
         start = self.pos
         if n < 0 or start + n > len(self.data):
-            raise IndexFormatError(
+            raise self.error(
                 f"truncated index: {what} needs {n} bytes at offset {start}, file has {len(self.data)}"
             )
         self.pos = start + n
@@ -444,10 +448,10 @@ class _Reader:
         try:
             text = self.data[start : start + size].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"{what}: {exc}")
+            raise self.error(f"{what}: {exc}")
         items = text.split("\n") if text or count else []
         if len(items) != count:
-            raise IndexFormatError(f"{what}: expected {count} entries, found {len(items)}")
+            raise self.error(f"{what}: expected {count} entries, found {len(items)}")
         return items
 
     def u4(self, count: int, what: str) -> np.ndarray:
@@ -459,19 +463,19 @@ class _Reader:
 def load_index(path) -> InvertedIndex:
     """Read an index written by ``save_index``.  Every section is checked
     against the header counts and the file size, so a truncated or
-    inconsistent file raises ``IndexFormatError``."""
+    inconsistent file raises ``IndexFormatError`` naming the file."""
     import numpy as np
 
     with open(path, "rb") as f:
         data = f.read()
-    r = _Reader(data)
+    r = _Reader(data, path)
     magic = data[:4]
     if magic != _MAGIC:
-        raise IndexFormatError(f"not an index file (magic {magic!r})")
+        raise r.error(f"not an index file (magic {magic!r})")
     r.take(4, "magic")
     (version,) = r.unpack("<I", "version")
     if version != _VERSION:
-        raise IndexFormatError(f"unsupported index version {version}; rebuild it with this version's `index`")
+        raise r.error(f"unsupported index version {version}; rebuild it with this version's `index`")
     (header_len,) = r.unpack("<I", "header length")
     start = r.take(header_len, "header")
     try:
@@ -480,14 +484,14 @@ def load_index(path) -> InvertedIndex:
         unit_kind = str(header["unit_kind"])
         analyzer = AnalyzerConfig.from_dict(header["analyzer"])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise IndexFormatError(f"bad index header: {exc}")
+        raise r.error(f"bad index header: {exc}")
     if min(n_units, n_terms, n_postings) < 0:
-        raise IndexFormatError("bad index header: negative count")
+        raise r.error("bad index header: negative count")
     unit_ids = r.lines("unit ids", n_units)
     terms = r.lines("terms", n_terms)
     arrays_size, left = 4 * (n_units + n_terms + 2 * n_postings), len(data) - r.pos
     if left != arrays_size:
-        raise IndexFormatError(
+        raise r.error(
             f"{'truncated' if left < arrays_size else 'oversized'} index: "
             f"arrays need {arrays_size} bytes at offset {r.pos}, file has {left}"
         )
@@ -495,11 +499,11 @@ def load_index(path) -> InvertedIndex:
     offsets = np.zeros(n_terms + 1, dtype=np.int64)
     np.cumsum(r.u4(n_terms, "dfs"), out=offsets[1:])
     if offsets[-1] != n_postings:
-        raise IndexFormatError(f"dfs sum to {offsets[-1]}, header says {n_postings} postings")
+        raise r.error(f"dfs sum to {offsets[-1]}, header says {n_postings} postings")
     units = r.u4(n_postings, "units")
     tfs = r.u4(n_postings, "tfs")
     if n_postings and int(units.max()) >= n_units:
-        raise IndexFormatError(f"posting names unit {int(units.max())} of {n_units}")
+        raise r.error(f"posting names unit {int(units.max())} of {n_units}")
     return InvertedIndex(unit_ids, lengths, terms, offsets, units, tfs, unit_kind, analyzer)
 
 
@@ -520,15 +524,13 @@ def write_trec_run(runs: Iterable[RankedList], path, tag: str = "casebench") -> 
 def read_trec_run(path) -> dict[str, list[tuple[str, float, int]]]:
     """query_id -> [(unit_id, score, rank)] sorted by rank."""
     runs: dict[str, list[tuple[str, float, int]]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: malformed run line")
-            qid, _, unit_id, rank, score, _ = parts
-            runs.setdefault(qid, []).append((unit_id, float(score), int(rank)))
+    for lineno, line in iter_lines(path):
+        try:
+            qid, _, unit_id, rank, score, _ = line.split()
+            row = (unit_id, float(score), int(rank))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed run line (query Q0 unit rank score tag)") from None
+        runs.setdefault(qid, []).append(row)
     for qid in runs:
         runs[qid].sort(key=lambda t: t[2])
     return runs

@@ -348,9 +348,40 @@ class TestSweepLengths:
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         lengths = {r["window_words"] for r in rows}
         assert lengths == {100, 300}
+        # The sweep reports what build-queries reports, skips included.
+        counts = json.loads((tmp_path / "sweep.jsonl.manifest.json").read_text())["counts"]
+        assert counts["skipped_unresolvable"] == 6
+        assert counts["queries"] == counts["built"] == len(rows) == 2 * (counts["centrals_considered"] - 6)
+        assert all(r["query_id"].endswith(f":w{r['window_words']}") for r in rows)
+
+    def test_one_length_keeps_build_queries_ids(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["sweep-lengths", str(corpus), str(tmp_path / "sweep.jsonl"), str(tmp_path / "sq.txt"),
+                     "--lengths", "300"]) == 0
+        assert main(["build-queries", str(corpus), str(tmp_path / "queries.jsonl"), str(tmp_path / "qrels.txt")]) == 0
+        assert (tmp_path / "sweep.jsonl").read_bytes() == (tmp_path / "queries.jsonl").read_bytes()
+        assert (tmp_path / "sq.txt").read_bytes() == (tmp_path / "qrels.txt").read_bytes()
 
 
 class TestFlagPrecedence:
+    def test_config_file_turns_on_references_in_substring_check(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        genset = tmp_path / "genset.jsonl"
+        gens = tmp_path / "gens.jsonl"
+        cfg = tmp_path / "refs.cfg"
+        cfg.write_text("include_references_in_substring_check = true\n")
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["build-genset", str(corpus), str(genset)]) == 0
+        write_gold_generations(genset, gens)
+        by_config, by_flag = tmp_path / "config.json", tmp_path / "flag.json"
+        assert main(["--config", str(cfg), "eval-generation", str(genset), str(gens), "--output", str(by_config)]) == 0
+        assert main(["eval-generation", str(genset), str(gens), "--output", str(by_flag),
+                     "--include-references-in-substring-check"]) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+        config, _ = manifest_config(by_config)
+        assert config["include_references_in_substring_check"] is True
+
     def test_global_seed_reaches_build_genset(self, tmp_path, raw_corpus):
         corpus = tmp_path / "corpus.jsonl"
         genset = tmp_path / "genset.jsonl"
@@ -529,15 +560,21 @@ class TestUsageErrors:
         ["search-quotes", "{w}/corpus.jsonl", "{w}/quotes.jsonl", "{o}", "--unit", "document", "--k", "0"],
         ["search-quotes", "{w}/corpus.jsonl", "{w}/quotes.jsonl", "{o}", "--unit", "document", "--k", "-1"],
         ["no-such-command", "{w}/corpus.jsonl"],
+        ["chunk", "{w}/corpus.jsonl", "{o}", "--window", "100", "--stride", "200"],
+        ["--config", "{d}/window.cfg", "build-queries", "{w}/corpus.jsonl", "{o}", "{d}/qrels.txt",
+         "--passage-qrels", "{d}/pq.txt"],
+        ["--config", "{d}/absent.cfg", "chunk", "{w}/corpus.jsonl", "{o}"],
     ], ids=[
         "lengths-empty-item", "lengths-not-integer", "lengths-zero",
         "eval-k-empty-item", "eval-k-zero", "eval-k-negative",
         "search-k-negative", "search-k-zero", "search-k-not-integer",
         "search-quotes-k-zero", "search-quotes-k-negative", "unknown-subcommand",
+        "chunk-window-below-stride", "config-window-below-stride", "config-file-missing",
     ])
     def test_exits_1(self, searchable, tmp_path, capsys, argv):
+        (tmp_path / "window.cfg").write_text("window = 10\nstride = 20\n")
         out = tmp_path / "out"
-        rc = main([a.format(w=searchable, o=out) for a in argv])
+        rc = main([a.format(w=searchable, d=tmp_path, o=out) for a in argv])
         assert rc == 1
         assert capsys.readouterr().err
         assert not out.exists()
@@ -562,9 +599,9 @@ DOC_ROW = {"doc_id": "d", "title": "", "reporter_cite": "", "text": "word", "par
 
 
 class TestDataErrors:
-    """A malformed input file is a data error: exit 2, and every output of
-    the command is removed.  ``files`` are written to the work directory;
-    the first one is the malformed file."""
+    """A malformed input file is a data error: exit 2, the message names the
+    file, and every output of the command is removed.  ``files`` are written
+    to the work directory; the first one is the malformed file."""
 
     @pytest.mark.parametrize("argv, files", [
         (["index", "{d}/passages.jsonl", "{o}"], {"passages.jsonl": jsonl(PASSAGE_ROW, PASSAGE_ROW)}),
@@ -586,19 +623,51 @@ class TestDataErrors:
          {"quotes.jsonl": jsonl({"query_id": "q1"})}),
         (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--output", "{o}"],
          {"gens.jsonl": jsonl({"output_text": "x"}), "genset.jsonl": jsonl(GENSET_ROW)}),
+        # A TypeError traceback, exit 1, before DataError.
+        (["index", "{d}/corpus.jsonl", "{o}", "--unit", "document"], {"corpus.jsonl": "[1, 2]\n"}),
+        (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--output", "{o}"],
+         {"gens.jsonl": jsonl({"instance_id": "d:p3", "output_text": 5}), "genset.jsonl": jsonl(GENSET_ROW)}),
+        # An id holding whitespace: search used to exit 0 and write the run
+        # row "q 1 Q0 ...", which eval-retrieval then could not read.
+        (["search", "{w}/docs.idx", "{d}/queries.jsonl", "{o}"],
+         {"queries.jsonl": jsonl({"query_id": "q 1", "masked_text": "words"})}),
+        (["search-quotes", "{w}/corpus.jsonl", "{d}/quotes.jsonl", "{o}", "--unit", "document"],
+         {"quotes.jsonl": jsonl({"query_id": "q\t1", "quote": "summary judgment"})}),
+        (["index", "{d}/corpus.jsonl", "{o}", "--unit", "document"], {"corpus.jsonl": jsonl({**DOC_ROW, "doc_id": "a b"})}),
+        (["index", "{d}/passages.jsonl", "{o}"], {"passages.jsonl": jsonl({**PASSAGE_ROW, "passage_id": "d #0"})}),
+        (["chunk", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": b"\xff\xfe not utf-8\n"}),
     ], ids=[
         "index-duplicate-passage-ids", "index-duplicate-doc-ids", "density-empty-corpus",
         "genset-without-cited-keys", "labeled-span-outside-text", "reporters-malformed-json",
         "qrels-non-numeric-relevance", "run-non-numeric-score", "queries-without-query-id",
         "queries-without-masked-text", "quotes-without-quote", "generations-without-instance-id",
+        "corpus-row-not-an-object", "generation-output-not-a-string",
+        "query-id-with-space", "quote-id-with-tab", "doc-id-with-space", "passage-id-with-space",
+        "corpus-not-utf8",
     ])
     def test_exits_2(self, searchable, tmp_path, capsys, argv, files):
-        for name, text in files.items():
-            (tmp_path / name).write_text(text)
+        for name, content in files.items():
+            path = tmp_path / name
+            path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
         rc = main([a.format(w=searchable, d=tmp_path, o=tmp_path / "out") for a in argv])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("data error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert str(tmp_path / next(iter(files))) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+    @pytest.mark.parametrize("target", ["build_queries", "write_qrels"])
+    def test_injected_key_error_propagates(self, searchable, tmp_path, monkeypatch, target):
+        """A bug is not bad data: it surfaces as itself, and the outputs the
+        command declared are removed."""
+        def bug(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(f"casebench.queries.{target}", bug)
+        out = tmp_path / "queries.jsonl"
+        with pytest.raises(KeyError, match="bug"):
+            main(["build-queries", str(searchable / "corpus.jsonl"), str(out), str(tmp_path / "qrels.txt")])
+        assert list(tmp_path.iterdir()) == []
 
 
 # Runs each stage's argv in turn in one interpreter and records, after the

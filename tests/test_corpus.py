@@ -6,6 +6,7 @@ import random
 import pytest
 
 from casebench.corpus import (
+    DataError,
     chunk_document,
     load_corpus,
     read_corpus_jsonl,
@@ -75,6 +76,24 @@ class TestLoadCorpus:
         write_corpus_jsonl(mini_corpus, first)
         write_corpus_jsonl(read_corpus_jsonl(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("bad_row, reason", [
+        ('{"doc_id": "b", "text": "t"', "malformed JSON"),
+        ('["b", "t"]', "expected a JSON object, got list"),
+        ('{"doc_id": "b", "text": "t"}', "missing field 'paragraphs'"),
+        ('{"doc_id": "b", "text": 7, "paragraphs": []}', "text must be a string, not int"),
+        ('{"doc_id": "b", "text": "t", "paragraphs": [[0]]}', "not enough values to unpack"),
+        ('{"doc_id": "a", "text": "t", "paragraphs": [[0, 1]]}', "duplicate doc_id 'a'"),
+        ('{"doc_id": "b\\u00a0c", "text": "t", "paragraphs": [[0, 1]]}', "doc_id 'b\\xa0c' contains whitespace"),
+        ('{"doc_id": "", "text": "t", "paragraphs": [[0, 1]]}', "missing doc_id"),
+    ])
+    def test_bad_row_names_path_and_line(self, tmp_path, bad_row, reason):
+        # The blank line is skipped, and still counted.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"doc_id": "a", "text": "t", "paragraphs": [[0, 1]]}\n\n' + bad_row + "\n")
+        with pytest.raises(DataError) as exc:
+            read_corpus_jsonl(path)
+        assert str(exc.value).startswith(f"{path}:3: {reason}")
 
 
 class TestTokenizeWords:

@@ -22,7 +22,6 @@ from casebench.queries import (
     parse_document,
     passage_qrels,
     read_qrels,
-    sweep_query_length,
     write_qrels,
 )
 from conftest import make_doc
@@ -206,11 +205,19 @@ class TestClassify:
 
 
 class TestSweep:
+    @staticmethod
+    def sweep(doc, central, lengths):
+        """build_queries over ``doc`` and the document ``central`` cites;
+        the queries of ``central`` alone, one per length."""
+        target = make_doc("us-601-101", ["Opinion text."], cite="601 U.S. 101")
+        built, _, _ = build_queries([doc, target], window_words=lengths, reporters=TABLE)
+        return [q for q in built if q.query_id.split(":")[1] == str(central.start)]
+
     def test_nested_windows_same_sentence(self):
         filler = " ".join(f"x{i}" for i in range(600)) + "."
         doc = make_doc("sweepdoc", [filler + " " + QUERY_PARAGRAPH + " " + filler])
         central = central_of(doc, "601 U.S. 101")
-        swept = sweep_query_length(parse_document(doc, TABLE), central, lengths=(100, 300))
+        swept = self.sweep(doc, central, lengths=(100, 300))
         assert len(swept) == 2
         q100, q300 = swept
         assert q100.central_sentence == q300.central_sentence
@@ -221,7 +228,7 @@ class TestSweep:
         filler = " ".join(f"x{i}" for i in range(200)) + "."
         doc = make_doc("tiny", [filler + " " + QUERY_PARAGRAPH + " " + filler])
         central = central_of(doc, "601 U.S. 101")
-        (q,) = sweep_query_length(parse_document(doc, TABLE), central, lengths=(2,))
+        (q,) = self.sweep(doc, central, lengths=(2,))
         sentence_words = len(tokenize_words(q.central_sentence))
         assert len(tokenize_words(q.central_sentence)) == sentence_words
         assert "601 U.S. 101" in q.central_sentence

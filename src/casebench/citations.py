@@ -444,8 +444,7 @@ def citation_sentence_bounds(
 
 
 def read_labeled_samples(path) -> list[dict]:
-    """Rows for ``sentence_extraction_accuracy``; a citation span must lie
-    inside its text."""
+    """Rows for ``sentence_extraction_accuracy``; a citation span must lie inside its text."""
     return read_jsonl(path, _labeled_sample)
 
 

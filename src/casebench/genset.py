@@ -288,7 +288,9 @@ def _instance_from_row(row: dict) -> GenerationInstance:
         prefix=str_field(row, "prefix"),
         gold=str_field(row, "gold"),
         cited_keys=cited_keys,
-        references=tuple(ReferenceText(CitationKey.from_str(r["key"]), r["text"]) for r in row["references"]),
-        prompt_with_refs=row["prompt_with_refs"],
-        prompt_without_refs=row["prompt_without_refs"],
+        references=tuple(
+            ReferenceText(CitationKey.from_str(r["key"]), str_field(r, "text")) for r in row["references"]
+        ),
+        prompt_with_refs=str_field(row, "prompt_with_refs"),
+        prompt_without_refs=str_field(row, "prompt_without_refs"),
     )

@@ -456,8 +456,7 @@ def write_queries_jsonl(queries: Iterable[RetrievalQuery], path) -> int:
 
 
 def read_queries_jsonl(path, text_field: str = "masked_text") -> list[dict]:
-    """Query rows; each needs a string ``text_field``, which is ``quote`` in
-    the rows of ``parse-citations --quotes-out``."""
+    """Query rows, each with a string ``text_field`` (``quote`` in a ``--quotes-out`` file)."""
     return read_jsonl(path, lambda row: {**row, text_field: str_field(row, text_field)}, "query_id")
 
 

@@ -636,6 +636,12 @@ class TestDataErrors:
         (["index", "{d}/corpus.jsonl", "{o}", "--unit", "document"], {"corpus.jsonl": jsonl({**DOC_ROW, "doc_id": "a b"})}),
         (["index", "{d}/passages.jsonl", "{o}"], {"passages.jsonl": jsonl({**PASSAGE_ROW, "passage_id": "d #0"})}),
         (["chunk", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": b"\xff\xfe not utf-8\n"}),
+        (["stats", "{w}/corpus.jsonl", "--genset", "{d}/genset.jsonl"],
+         {"genset.jsonl": jsonl({**GENSET_ROW, "prompt_with_refs": 5})}),
+        (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--output", "{o}"],
+         {"genset.jsonl": jsonl({**GENSET_ROW, "cited_keys": []}), "gens.jsonl": ""}),
+        (["build-queries", "{w}/corpus.jsonl", "{o}", "{d}/qrels.txt", "--reporters", "{d}/rep.json"],
+         {"rep.json": '["U.S."]'}),
     ], ids=[
         "index-duplicate-passage-ids", "index-duplicate-doc-ids", "density-empty-corpus",
         "genset-without-cited-keys", "labeled-span-outside-text", "reporters-malformed-json",
@@ -643,7 +649,7 @@ class TestDataErrors:
         "queries-without-masked-text", "quotes-without-quote", "generations-without-instance-id",
         "corpus-row-not-an-object", "generation-output-not-a-string",
         "query-id-with-space", "quote-id-with-tab", "doc-id-with-space", "passage-id-with-space",
-        "corpus-not-utf8",
+        "corpus-not-utf8", "genset-prompt-not-a-string", "genset-empty-cited-keys", "reporters-not-an-object",
     ])
     def test_exits_2(self, searchable, tmp_path, capsys, argv, files):
         for name, content in files.items():

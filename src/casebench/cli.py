@@ -290,11 +290,15 @@ def cmd_build_genset(args, cfg, out: OutputSet) -> dict:
     return {"instances": len(instances), "skipped": len(diagnostics)}
 
 
+def _units(path, unit: str) -> list[tuple[str, str]]:
+    """(id, text) of each passage, or each document, in the file at ``path``."""
+    if unit == "passage":
+        return [(p.passage_id, p.text) for p in corpus.read_passages_jsonl(path)]
+    return [(d.doc_id, d.text) for d in corpus.read_corpus_jsonl(path)]
+
+
 def cmd_index(args, cfg, out: OutputSet) -> dict:
-    if args.unit == "passage":
-        units = retrieval.passages_to_units(corpus.read_passages_jsonl(args.input))
-    else:
-        units = retrieval.documents_to_units(corpus.read_corpus_jsonl(args.input))
+    units = _units(args.input, args.unit)
     if not units:
         raise corpus.DataError(f"no units in {args.input}")
     index = retrieval.build_index(units, unit_kind=args.unit)
@@ -323,10 +327,7 @@ def cmd_search(args, cfg, out: OutputSet) -> dict:
 
 def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
     k = _positive("--k", args.k)
-    if args.unit == "passage":
-        units = retrieval.passages_to_units(corpus.read_passages_jsonl(args.corpus))
-    else:
-        units = retrieval.documents_to_units(corpus.read_corpus_jsonl(args.corpus))
+    units = _units(args.corpus, args.unit)
     rows = queries.read_queries_jsonl(args.quotes, "quote")
     n = cfg.get("ngram_n", 5)
     index = retrieval.NgramIndex(units, n)
@@ -363,10 +364,10 @@ def cmd_eval_retrieval(args, cfg, out: OutputSet) -> dict:
 def cmd_eval_generation(args, cfg, out: OutputSet) -> dict:
     table = _reporters(args)
     instances = genset.read_genset_jsonl(args.genset)
-    gens = metrics.read_generations_jsonl(args.generations)
+    outputs = metrics.read_generations_jsonl(args.generations)
     include_refs = cfg.setdefault("include_references_in_substring_check", False)
     report = metrics.score_generation_run(
-        instances, gens, include_references_in_substring_check=include_refs, reporters=table
+        instances, outputs, include_references_in_substring_check=include_refs, reporters=table
     )
     result = report.to_dict()
     if args.compare:

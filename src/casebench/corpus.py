@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -145,9 +145,12 @@ def load_corpus(records: Iterable[dict]) -> tuple[list[CaseDocument], list[str]]
 
 
 def _checked_id(value, field: str) -> str:
-    """``value`` as an id: non-empty, and no whitespace, which splits ids in index and run files."""
-    if value is None or str(value) == "":
+    """``value`` as an id: a non-empty string or an integer, with no
+    whitespace, which splits ids in index and run files."""
+    if value is None or value == "":
         raise ValueError(f"missing {field}")
+    if type(value) not in (str, int):
+        raise ValueError(f"{field} must be a string or an integer, not {type(value).__name__}")
     value = str(value)
     if any(map(str.isspace, value)):
         raise ValueError(f"{field} {value!r} contains whitespace")
@@ -266,19 +269,7 @@ def load_corpus_jsonl(path) -> tuple[list[CaseDocument], list[str]]:
 
 def write_corpus_jsonl(docs: Iterable[CaseDocument], path) -> int:
     """Write normalized documents; this representation round-trips losslessly."""
-    return write_jsonl(
-        (
-            {
-                "doc_id": doc.doc_id,
-                "title": doc.title,
-                "reporter_cite": doc.reporter_cite,
-                "text": doc.text,
-                "paragraphs": [list(p) for p in doc.paragraphs],
-            }
-            for doc in docs
-        ),
-        path,
-    )
+    return write_jsonl(map(asdict, docs), path)
 
 
 def read_corpus_jsonl(path) -> list[CaseDocument]:
@@ -296,19 +287,7 @@ def read_corpus_jsonl(path) -> list[CaseDocument]:
 
 
 def write_passages_jsonl(passages: Iterable[Passage], path) -> int:
-    return write_jsonl(
-        (
-            {
-                "passage_id": p.passage_id,
-                "doc_id": p.doc_id,
-                "word_start": p.word_start,
-                "word_end": p.word_end,
-                "text": p.text,
-            }
-            for p in passages
-        ),
-        path,
-    )
+    return write_jsonl(map(asdict, passages), path)
 
 
 def read_passages_jsonl(path) -> list[Passage]:

@@ -273,8 +273,9 @@ def write_genset_jsonl(instances: Iterable[GenerationInstance], path) -> int:
 
 def read_genset_jsonl(path) -> list[GenerationInstance]:
     """Read instances back; keys parse from their own written form, so a
-    genset built under any reporter table reads back without it."""
-    return read_jsonl(path, _instance_from_row)
+    genset built under any reporter table reads back without it.  Each
+    ``instance_id`` is an id (``read_jsonl``)."""
+    return read_jsonl(path, _instance_from_row, "instance_id")
 
 
 def _instance_from_row(row: dict) -> GenerationInstance:

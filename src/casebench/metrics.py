@@ -23,7 +23,7 @@ from .citations import (
     default_reporter_table,
     find_case_citations,
 )
-from .corpus import DataError, fold_words, read_jsonl, str_field
+from .corpus import fold_words, read_jsonl, str_field
 
 VERDICT_MATCHED = "matched"
 VERDICT_GROUNDED = "prefix-grounded"
@@ -152,7 +152,6 @@ class CitationReport:
 
     generated: tuple[CitationKey, ...]
     relevant: frozenset[CitationKey]
-    prefix_paragraphs: tuple[str, ...]
     cr: Fraction
     cp: Fraction
     cfp: Fraction
@@ -189,7 +188,6 @@ def citation_report_from_keys(
         return CitationReport(
             generated=(),
             relevant=relevant,
-            prefix_paragraphs=tuple(prefix_paragraphs),
             cr=Fraction(0),
             cp=Fraction(0),
             cfp=Fraction(0),
@@ -219,7 +217,6 @@ def citation_report_from_keys(
     return CitationReport(
         generated=tuple(deduped),
         relevant=relevant,
-        prefix_paragraphs=tuple(prefix_paragraphs),
         cr=Fraction(matched, len(relevant)),
         cp=Fraction(matched, m),
         cfp=1 - Fraction(matched + grounded, m),
@@ -296,14 +293,15 @@ def extract_answer(output_text: str) -> str:
     return output_text[start:end] if end != -1 else output_text[start:]
 
 
-def read_generations_jsonl(path) -> list[dict]:
-    """Rows {instance_id, output_text}; an absent ``output_text`` is ""."""
-    return read_jsonl(path, lambda r: {"instance_id": r["instance_id"], "output_text": str_field(r, "output_text", "")})
+def read_generations_jsonl(path) -> dict[str, str]:
+    """instance_id -> output_text; each ``instance_id`` is an id
+    (``read_jsonl``) and an absent ``output_text`` is ""."""
+    return dict(read_jsonl(path, lambda r: (r["instance_id"], str_field(r, "output_text", "")), "instance_id"))
 
 
 def score_generation_run(
     instances: Sequence,
-    generations: Iterable[dict],
+    outputs: Mapping[str, str],
     include_references_in_substring_check: bool = False,
     reporters: ReporterTable | None = None,
 ) -> MetricReport:
@@ -311,22 +309,12 @@ def score_generation_run(
     instances, reading citations under ``reporters`` (the default table
     when None).
 
-    ``generations`` rows are {instance_id, system, output_text}, at most one
-    per instance.  Each scored instance gets ROUGE-1/2/L F1 plus CR/CP/CFP
-    computed against the gold paragraph's citation set, with the instance
-    prefix as grounding text.
+    ``outputs`` maps instance_id to the system's output text.  Each scored
+    instance gets ROUGE-1/2/L F1 plus CR/CP/CFP computed against the gold
+    paragraph's citation set, with the instance prefix as grounding text.
     """
     table = reporters or default_reporter_table()
     by_id = {inst.instance_id: inst for inst in instances}
-    outputs: dict[str, str] = {}
-    for row in generations:
-        instance_id = row["instance_id"]
-        if instance_id in outputs:
-            raise DataError(
-                f"instance_id {instance_id!r} repeats; give each system its own generations "
-                "file (eval-generation --compare scores a second one)"
-            )
-        outputs[instance_id] = row.get("output_text", "")
     missing = sorted(i for i in by_id if i not in outputs)
     extra = sorted(i for i in outputs if i not in by_id)
 

@@ -155,7 +155,6 @@ class ParsedDocument:
     doc_id: str
     text: str
     citations: list[CitationSpan]
-    table: ReporterTable
 
     # Tokenized on first use, so a document without central citations is
     # never tokenized.
@@ -185,7 +184,7 @@ class ParsedDocument:
 def parse_document(doc: CaseDocument, reporters: ReporterTable) -> ParsedDocument:
     """Find the citations of ``doc`` under ``reporters``; its words are
     tokenized when a query first needs them."""
-    return ParsedDocument(doc.doc_id, doc.text, find_citations(doc.text, reporters), reporters)
+    return ParsedDocument(doc.doc_id, doc.text, find_citations(doc.text, reporters))
 
 
 def build_query(

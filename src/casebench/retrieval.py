@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .corpus import DataError, fold_words, iter_lines
+from .corpus import DataError, _checked_id, fold_words, iter_lines
 
 # numpy is imported by the functions that touch index arrays, so the CLI
 # stages that never build, load or search an index start without it.
@@ -178,7 +178,8 @@ def build_index(
     unit_kind: str = "passage",
     analyzer: AnalyzerConfig | None = None,
 ) -> InvertedIndex:
-    """Build an inverted index over (unit_id, text) pairs.
+    """Build an inverted index over (unit_id, text) pairs.  Unit ids must
+    be unique ids (``corpus._checked_id``), or ``ValueError`` is raised.
 
     Every token becomes a term id in one flat array; sorting the
     (term, unit) keys then yields the postings and their tfs at once.
@@ -188,7 +189,7 @@ def build_index(
     if not units:
         raise ValueError("cannot index an empty unit collection")
     analyzer = analyzer or AnalyzerConfig()
-    unit_ids = [u[0] for u in units]
+    unit_ids = [_checked_id(u[0], "unit id") for u in units]
     if len(set(unit_ids)) != len(unit_ids):
         raise ValueError("unit ids must be unique")
     n = len(units)
@@ -228,14 +229,6 @@ def build_index(
     offsets = np.searchsorted(keys, np.arange(len(terms) + 1, dtype=np.int64) * n)
     keys %= n
     return InvertedIndex(unit_ids, lengths, terms, offsets, keys.astype(np.uint32), tfs, unit_kind, analyzer)
-
-
-def passages_to_units(passages) -> list[tuple[str, str]]:
-    return [(p.passage_id, p.text) for p in passages]
-
-
-def documents_to_units(docs) -> list[tuple[str, str]]:
-    return [(d.doc_id, d.text) for d in docs]
 
 
 def bm25_idf(n_units: int, df: int) -> float:
@@ -336,7 +329,7 @@ class NgramIndex:
 
     def __init__(self, units: Sequence[tuple[str, str]], n: int):
         self.n = n
-        self.unit_ids = [u[0] for u in units]
+        self.unit_ids = [_checked_id(u[0], "unit id") for u in units]
         self.texts = [u[1] for u in units]
 
     @cached_property

@@ -233,11 +233,7 @@ def test_generation_set_constraints(mini_corpus):
 @criterion("self-scoring sanity")
 def test_self_scoring_sanity(mini_corpus):
     instances, _ = build_genset(mini_corpus, seed=0)
-    generations = [
-        {"instance_id": inst.instance_id, "system": "gold", "output_text": inst.gold}
-        for inst in instances
-    ]
-    report = score_generation_run(instances, generations)
+    report = score_generation_run(instances, {inst.instance_id: inst.gold for inst in instances})
     assert len(report.per_query) == len(instances)
     for instance_id, row in report.per_query.items():
         assert row["rouge1"] == 1.0, instance_id

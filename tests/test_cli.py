@@ -287,7 +287,7 @@ class TestCompareRuns:
         rc = main(["eval-generation", str(genset), str(both), "--output", str(report)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert first in err and "--compare" in err
+        assert first in err and f"{both}:2" in err
         assert not report.exists()
 
 
@@ -312,6 +312,26 @@ class TestSearchQuotes:
             assert run.read_text() == f"d1:q1 Q0 d1 1 1.000000 {mode}-5\n"
             manifest = json.loads((tmp_path / f"{mode}.trec.manifest.json").read_text())
             assert manifest["counts"]["rejected_empty"] == 1
+
+    @pytest.mark.parametrize("mode", ["ngram", "exact"])
+    def test_passage_unit_ranks_passages(self, searchable, tmp_path, mode):
+        passages = tmp_path / "passages.jsonl"
+        run = tmp_path / "run.trec"
+        assert main(["chunk", str(searchable / "corpus.jsonl"), str(passages)]) == 0
+        assert main(["search-quotes", str(passages), str(searchable / "quotes.jsonl"), str(run),
+                     "--unit", "passage", "--mode", mode]) == 0
+        passage_doc = {}
+        for line in passages.read_text().splitlines():
+            row = json.loads(line)
+            passage_doc[row["passage_id"]] = row["doc_id"]
+        hits = {}
+        for line in run.read_text().splitlines():
+            qid, _, unit, *_ = line.split()
+            hits.setdefault(qid, set()).add(passage_doc[unit])
+        # Every row names a passage, and each quote finds a passage of the
+        # document it was taken from.
+        assert len(hits) == len((searchable / "quotes.jsonl").read_text().splitlines()) > 0
+        assert all(qid.rsplit(":q", 1)[0] in docs for qid, docs in hits.items())
 
 
 class TestLabeledAccuracy:
@@ -642,6 +662,20 @@ class TestDataErrors:
          {"genset.jsonl": jsonl({**GENSET_ROW, "cited_keys": []}), "gens.jsonl": ""}),
         (["build-queries", "{w}/corpus.jsonl", "{o}", "{d}/qrels.txt", "--reporters", "{d}/rep.json"],
          {"rep.json": '["U.S."]'}),
+        # Genset and generations rows follow the id rule of every id-keyed
+        # reader: a repeat used to score only the later row, a list id died
+        # with a TypeError (exit 1), and an id with a space went unmatched.
+        (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--output", "{o}"],
+         {"genset.jsonl": jsonl(GENSET_ROW, GENSET_ROW), "gens.jsonl": ""}),
+        (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--output", "{o}"],
+         {"genset.jsonl": jsonl({**GENSET_ROW, "instance_id": ["d:p3"]}), "gens.jsonl": ""}),
+        (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--output", "{o}"],
+         {"gens.jsonl": jsonl({"instance_id": ["d:p3"], "output_text": "x"}), "genset.jsonl": jsonl(GENSET_ROW)}),
+        (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--output", "{o}"],
+         {"gens.jsonl": jsonl({"instance_id": "d: p3", "output_text": "x"}), "genset.jsonl": jsonl(GENSET_ROW)}),
+        (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--compare", "{d}/cmp.jsonl", "--output", "{o}"],
+         {"cmp.jsonl": jsonl({"instance_id": "d:p3"}, {"instance_id": "d:p3"}), "genset.jsonl": jsonl(GENSET_ROW),
+          "gens.jsonl": ""}),
     ], ids=[
         "index-duplicate-passage-ids", "index-duplicate-doc-ids", "density-empty-corpus",
         "genset-without-cited-keys", "labeled-span-outside-text", "reporters-malformed-json",
@@ -650,6 +684,8 @@ class TestDataErrors:
         "corpus-row-not-an-object", "generation-output-not-a-string",
         "query-id-with-space", "quote-id-with-tab", "doc-id-with-space", "passage-id-with-space",
         "corpus-not-utf8", "genset-prompt-not-a-string", "genset-empty-cited-keys", "reporters-not-an-object",
+        "genset-repeated-instance-id", "genset-instance-id-a-list", "generations-instance-id-a-list",
+        "generation-id-with-space", "compare-repeated-instance-id",
     ])
     def test_exits_2(self, searchable, tmp_path, capsys, argv, files):
         for name, content in files.items():

@@ -148,6 +148,16 @@ class TestBuildGenset:
             assert len(find_case_citations(inst.gold, TABLE)) >= 2
             assert len(inst.references) >= 2
 
+    def test_word_budget_cuts_a_reference_mid_text(self, mini_corpus):
+        # The first reference is cut to its first 30 words; the rest get none.
+        full, _ = build_genset(mini_corpus, seed=0)
+        cut, _ = build_genset(mini_corpus, seed=0, word_budget=30)
+        assert cut and [i.instance_id for i in cut] == [i.instance_id for i in full]
+        for a, b in zip(full, cut):
+            words = [len(tokenize_words(r.text)) for r in b.references]
+            assert words == [30] + [0] * (len(words) - 1), b.instance_id
+            assert b.references[0].text == " ".join(a.references[0].text.split()[:30])
+
     def test_round_trip(self, mini_corpus, tmp_path):
         instances, _ = build_genset(mini_corpus, seed=0)
         path = tmp_path / "genset.jsonl"

@@ -252,6 +252,16 @@ class TestCitationReport:
         assert report.cr == Fraction(1)
         assert report.cfp == Fraction(0)
 
+    def test_prefix_grounds_the_raw_surface_form(self):
+        # The prefix spells the citation "477 U. S. 317"; the canonical
+        # "477 U.S. 317" occurs in no prefix, so only the raw form grounds it.
+        prefix = ["As held in 477 U. S. 317, the movant bears the burden."]
+        report = citation_report("See 477 U. S. 317.", keys("1 U.S. 1"), prefix, reporters=TABLE)
+        assert [v.status for v in report.verdicts] == ["prefix-grounded"]
+        assert report.cfp == Fraction(0)
+        without_raw = citation_report_from_keys(keys("477 U.S. 317"), keys("1 U.S. 1"), prefix)
+        assert without_raw.cfp == Fraction(1)
+
     def test_empty_generation_degenerate(self):
         report = citation_report("no citations at all", keys("1 F.3d 1"), [], reporters=TABLE)
         assert report.degenerate
@@ -314,9 +324,7 @@ class TestScoreGenerationRun:
 
     def test_gold_as_output_scores_perfectly(self):
         inst = self.make_instance()
-        report = score_generation_run(
-            [inst], [{"instance_id": "i1", "system": "self", "output_text": inst.gold}]
-        )
+        report = score_generation_run([inst], {"i1": inst.gold})
         row = report.per_query["i1"]
         assert row == {
             "rouge1": 1.0, "rouge2": 1.0, "rougeL": 1.0, "cr": 1.0, "cp": 1.0, "cfp": 0.0,
@@ -324,31 +332,15 @@ class TestScoreGenerationRun:
 
     def test_unmatched_ids_listed_and_excluded(self):
         inst = self.make_instance()
-        report = score_generation_run(
-            [inst], [{"instance_id": "zz", "system": "s", "output_text": "x"}]
-        )
+        report = score_generation_run([inst], {"zz": "x"})
         assert report.missing_ids == ["i1"]
         assert report.extra_ids == ["zz"]
         assert report.per_query == {}
 
-    def test_repeated_instance_id_rejected(self):
-        inst = self.make_instance()
-        rows = [
-            {"instance_id": "i1", "system": "a", "output_text": inst.gold},
-            {"instance_id": "i1", "system": "b", "output_text": "Nothing cited."},
-        ]
-        with pytest.raises(ValueError, match="'i1'"):
-            score_generation_run([inst], rows)
-
     def test_compare_runs_gains(self):
         inst = self.make_instance()
-        with_refs = score_generation_run(
-            [inst], [{"instance_id": "i1", "system": "a", "output_text": inst.gold}]
-        )
-        without = score_generation_run(
-            [inst],
-            [{"instance_id": "i1", "system": "b", "output_text": "Control confers fiduciary status."}],
-        )
+        with_refs = score_generation_run([inst], {"i1": inst.gold})
+        without = score_generation_run([inst], {"i1": "Control confers fiduciary status."})
         gains = compare_runs(with_refs, without)
         assert gains["cr"]["with_refs"] == 1.0
         assert gains["cr"]["without_refs"] == 0.0

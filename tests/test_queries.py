@@ -253,6 +253,16 @@ class TestQrels:
         _, qrels, _ = build_queries([doc, sct])
         assert [e for e in qrels if e.query_id == q.query_id] == [QrelsEntry(q.query_id, "sct-144-901", 1)]
 
+    def test_central_without_sentence_bounds_is_skipped_and_counted(self):
+        # The central would resolve to "target"; no sentence terminal
+        # follows it in its paragraph, so it is skipped before resolution.
+        doc = make_doc("nobounds", ["words 477 U.S. 317 with no ending at all"])
+        target = make_doc("target", ["Plain text."], cite="477 U.S. 317")
+        queries, qrels, report = build_queries([doc, target])
+        assert queries == [] and qrels == []
+        assert report.centrals_considered == report.skipped_no_bounds == 1
+        assert report.sentence_failure_rate == 1.0
+
     def test_unresolvable_emits_nothing(self):
         queries, qrels, report = build_queries([query_doc()])
         assert queries == [] and qrels == []

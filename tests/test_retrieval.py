@@ -117,6 +117,16 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index([("a", "x"), ("a", "y")])
 
+    # A newline split the saved ids blob, so load_index found one id too
+    # many; a space split the run line "q Q0 a b 1 ...".
+    @pytest.mark.parametrize("bad", ["a\nb", "a b", "", ["a"]], ids=["newline", "space", "empty", "list"])
+    def test_id_that_is_no_id_rejected(self, bad):
+        units = [(bad, "x y"), ("c", "y z"), ("d", "q")]
+        with pytest.raises(ValueError, match="unit id"):
+            build_index(units)
+        with pytest.raises(ValueError, match="unit id"):
+            NgramIndex(units, 2)
+
     def test_rebuild_is_byte_deterministic(self, tmp_path):
         rng = random.Random(6)
         units = rand_units(rng, 40, ["x", "y", "z", "w"])

@@ -99,9 +99,9 @@ def _normalize_opinion(text: str) -> list[str]:
 def load_corpus(records: Iterable[dict]) -> tuple[list[CaseDocument], list[str]]:
     """Normalize raw case records into documents.
 
-    Returns (documents, diagnostics).  A record missing its id, with
-    whitespace in its id, or carrying no opinion text is rejected with a
-    diagnostic; the stream continues.
+    Returns (documents, diagnostics).  A record whose id is no id
+    (``_checked_id``) or repeats, or that carries no opinion text, is
+    rejected with a diagnostic; the stream continues.
     """
     docs: list[CaseDocument] = []
     diagnostics: list[str] = []

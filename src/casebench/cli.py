@@ -330,7 +330,7 @@ def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
     units = _units(args.corpus, args.unit)
     rows = queries.read_queries_jsonl(args.quotes, "quote")
     n = cfg.get("ngram_n", 5)
-    index = retrieval.NgramIndex(units, n)
+    index = retrieval.NgramIndex(units, n, [row["quote"] for row in rows])
     search = retrieval.ngram_search if args.mode == "ngram" else retrieval.exact_match_search
     runs = []
     empty = 0

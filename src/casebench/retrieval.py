@@ -17,7 +17,8 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import count, repeat
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, _checked_id, fold_words, iter_lines
 
@@ -38,8 +39,7 @@ class IndexFormatError(DataError):
     sections do not match its header and size."""
 
 
-@dataclass(frozen=True)
-class RankedEntry:
+class RankedEntry(NamedTuple):
     unit_id: str
     score: float
     rank: int
@@ -57,8 +57,9 @@ class RankedList:
         return [e.unit_id for e in self.entries]
 
 
-def _ranked(query_id: str, scored: Sequence[tuple[str, float]], k: int) -> RankedList:
-    entries = tuple(RankedEntry(unit_id=u, score=s, rank=r) for r, (u, s) in enumerate(scored, 1))
+def _ranked(query_id: str, unit_ids: Iterable[str], scores: Iterable[float], k: int) -> RankedList:
+    """Ranks 1, 2, ... for the units in the order given, with their scores."""
+    entries = tuple(map(RankedEntry._make, zip(unit_ids, scores, count(1))))
     return RankedList(query_id=query_id, entries=entries, k=k)
 
 
@@ -291,7 +292,7 @@ def bm25_search(
         candidates, cand_scores = candidates[keep], cand_scores[keep]
     order = np.lexsort((index.id_rank[candidates], -cand_scores))[:k]
     top = candidates[order].tolist()
-    return _ranked(query_id, list(zip(map(index.unit_ids.__getitem__, top), cand_scores[order].tolist())), k)
+    return _ranked(query_id, map(index.unit_ids.__getitem__, top), cand_scores[order].tolist(), k)
 
 
 def aggregate_maxp(ranking: RankedList, k: int | None = None) -> RankedList:
@@ -304,7 +305,8 @@ def aggregate_maxp(ranking: RankedList, k: int | None = None) -> RankedList:
         doc_id = entry.unit_id.rsplit("#", 1)[0]
         if doc_id not in best or entry.score > best[doc_id]:
             best[doc_id] = entry.score
-    return _ranked(ranking.query_id, sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k], k)
+    top = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    return _ranked(ranking.query_id, [doc_id for doc_id, _ in top], [score for _, score in top], k)
 
 
 # ---------------------------------------------------------------------------
@@ -319,29 +321,44 @@ def _strip_curly_quotes(text: str) -> str:
     return text.replace("“", "").replace("”", "")
 
 
-class NgramIndex:
-    """Quote lookup over a unit collection, for both quote searches.
+def _shingles(words: Sequence[str], n: int) -> Iterable[tuple[str, ...]]:
+    """Every run of n consecutive words, as a tuple, in text order."""
+    return zip(*(words[i:] for i in range(n)))
 
-    Word n-gram shingles (for ``ngram_search``) and curly-stripped texts
-    (for ``exact_match_search``) are each built on first use, at most once,
-    so a collection searched in one mode never builds the other's table.
+
+class NgramIndex:
+    """Quote lookup over a unit collection for a given batch of quotes, for
+    both quote searches.
+
+    The shingle table (for ``ngram_search``) holds the distinct word
+    n-grams of ``quotes`` alone, so it costs one pass over the collection's
+    words whatever the collection's vocabulary.  It and the curly-stripped
+    texts (for ``exact_match_search``) are each built on first use, at most
+    once, so a collection searched in one mode never builds the other's
+    table.
     """
 
-    def __init__(self, units: Sequence[tuple[str, str]], n: int):
+    def __init__(self, units: Sequence[tuple[str, str]], n: int, quotes: Iterable[str]):
+        if n < 1:
+            raise ValueError(f"shingle length must be at least 1, got {n}")
         self.n = n
         self.unit_ids = [_checked_id(u[0], "unit id") for u in units]
         self.texts = [u[1] for u in units]
+        self.quotes = list(quotes)
 
     @cached_property
     def grams(self) -> dict[tuple[str, ...], list[int]]:
-        """Distinct shingle -> ascending unit indexes.  Shingles come from
-        the raw text: stripping the marks first would join "word“next"."""
+        """Distinct quote shingle -> ascending indexes of the units holding
+        it, empty for a shingle found nowhere.  Shingles come from the raw
+        text: stripping the marks first would join "word“next"."""
         n = self.n
-        grams: dict[tuple[str, ...], list[int]] = {}
+        grams = {gram: [] for quote in self.quotes for gram in _shingles(fold_words(quote), n)}
+        # The keys view tests each unit shingle in C: no Python loop runs
+        # over the collection's shingles, only over the quote shingles found.
+        wanted = grams.keys()
         for idx, text in enumerate(self.texts):
-            words = fold_words(text)
-            for gram in {tuple(words[i : i + n]) for i in range(len(words) - n + 1)}:
-                grams.setdefault(gram, []).append(idx)
+            for gram in wanted & _shingles(fold_words(text), n):
+                grams[gram].append(idx)
         return grams
 
     @cached_property
@@ -355,18 +372,23 @@ def ngram_search(index: NgramIndex, quote: str, k: int = 10, query_id: str = "q"
     Words are case-folded and punctuation-stripped, so bracketed insertions
     and punctuation edits in a quote still leave the unaltered flanks
     matchable.  Quotes shorter than the index's n words fall back to
-    ``exact_match_search``.
+    ``exact_match_search``.  A longer quote must be one of the index's
+    quotes: ``ValueError`` is raised for a shingle the index was not built
+    for, which it could only score 0.
     """
     n = index.n
     quote_words = fold_words(quote)
     if len(quote_words) < n:
         return exact_match_search(index, quote, k, query_id)
+    grams = index.grams
     counts: Counter[int] = Counter()
-    for gram in {tuple(quote_words[i : i + n]) for i in range(len(quote_words) - n + 1)}:
-        for idx in index.grams.get(gram, ()):
-            counts[idx] += 1
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], index.unit_ids[kv[0]]))
-    return _ranked(query_id, [(index.unit_ids[idx], float(c)) for idx, c in ordered[:k]], k)
+    for gram in set(_shingles(quote_words, n)):
+        try:
+            counts.update(grams[gram])
+        except KeyError:
+            raise ValueError(f"quote {quote!r} is not among the quotes this index was built for") from None
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], index.unit_ids[kv[0]]))[:k]
+    return _ranked(query_id, [index.unit_ids[idx] for idx, _ in ordered], [float(c) for _, c in ordered], k)
 
 
 def exact_match_search(index: NgramIndex, quote: str, k: int = 10, query_id: str = "q") -> RankedList:
@@ -377,7 +399,7 @@ def exact_match_search(index: NgramIndex, quote: str, k: int = 10, query_id: str
     if not needle:
         raise EmptyQuoteError("empty quote")
     hits = sorted(u for u, text in zip(index.unit_ids, index.stripped_texts) if needle in text)
-    return _ranked(query_id, [(u, 1.0) for u in hits[:k]], k)
+    return _ranked(query_id, hits[:k], repeat(1.0), k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Shared fixture data: the worked hallucination-metrics example and the
-frozen prompt renderings used by both the unit and acceptance suites."""
+frozen prompt renderings used by both the unit and acceptance suites, and
+the brute-force n-gram overlap scorer the quote searches are checked
+against."""
+
+from casebench.corpus import fold_words
 
 # Five generated keys, four relevant, three matched; the two strays appear
 # only inside the reference texts, not in any prefix paragraph.
@@ -50,3 +54,18 @@ GOLDEN_PROMPT_WITHOUT_REFS = (
     "100 to 400 words. Wrap your answer with <answer></answer>. Make your answer "
     "concise and avoid redundant languages."
 )
+
+
+def ngram_overlap_oracle(units, quote, n):
+    """Score every unit by the distinct quote n-grams it holds, one unit at a
+    time; units sharing none are left out.  The quote has at least n words."""
+
+    def grams(text):
+        words = fold_words(text)
+        return {tuple(words[i : i + n]) for i in range(len(words) - n + 1)}
+
+    wanted = grams(quote)
+    ranked = [(unit_id, float(len(wanted & grams(text)))) for unit_id, text in units]
+    ranked = [r for r in ranked if r[1] > 0.0]
+    ranked.sort(key=lambda t: (-t[1], t[0]))
+    return ranked

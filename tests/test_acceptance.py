@@ -198,7 +198,7 @@ def test_direct_quote_retrieval():
             altered_words = quote_words[:cut] + ["[Wage]"] + quote_words[cut:]
             altered.append((unit_id, " ".join(altered_words)))
 
-    index = NgramIndex(corpus, 5)
+    index = NgramIndex(corpus, 5, [quote for _, quote in verbatim + altered])
     for source, quote in verbatim:
         hits = exact_match_search(index, quote, k=len(corpus)).unit_ids()
         assert source in hits, source

@@ -12,9 +12,10 @@ import pytest
 import casebench
 from casebench.citations import default_reporter_table, load_reporter_table
 from casebench.cli import main
-from casebench.corpus import read_corpus_jsonl
+from casebench.corpus import fold_words, read_corpus_jsonl, read_passages_jsonl
 from casebench.minicorpus import mini_corpus_path
 from casebench.queries import KIND_DIRECT, KIND_INDIRECT, VIEW_ALL_REMOVED, VIEW_SINGLE_REMOVED, build_queries
+from fixtures import ngram_overlap_oracle
 
 TABLE = load_reporter_table()
 
@@ -332,6 +333,27 @@ class TestSearchQuotes:
         # document it was taken from.
         assert len(hits) == len((searchable / "quotes.jsonl").read_text().splitlines()) > 0
         assert all(qid.rsplit(":q", 1)[0] in docs for qid, docs in hits.items())
+
+    def test_twelve_gram_passage_rows_match_overlap_oracle(self, searchable, tmp_path):
+        passages = tmp_path / "passages.jsonl"
+        run = tmp_path / "run.trec"
+        assert main(["chunk", str(searchable / "corpus.jsonl"), str(passages)]) == 0
+        assert main(["search-quotes", str(passages), str(searchable / "quotes.jsonl"), str(run),
+                     "--unit", "passage", "--mode", "ngram", "--n", "12", "--k", "5"]) == 0
+        units = [(p.passage_id, p.text) for p in read_passages_jsonl(passages)]
+        rows = {}
+        for line in run.read_text().splitlines():
+            qid, _, unit, rank, score, tag = line.split()
+            assert tag == "ngram-12"
+            rows.setdefault(qid, []).append((unit, float(score), int(rank)))
+        long_quotes = [
+            json.loads(line) for line in (searchable / "quotes.jsonl").read_text().splitlines()
+            if len(fold_words(json.loads(line)["quote"])) >= 12
+        ]
+        assert long_quotes
+        for q in long_quotes:
+            expected = ngram_overlap_oracle(units, q["quote"], 12)[:5]
+            assert rows[q["query_id"]] == [(u, s, r) for r, (u, s) in enumerate(expected, 1)], q["query_id"]
 
 
 class TestLabeledAccuracy:

@@ -28,6 +28,7 @@ from casebench.retrieval import (
     save_index,
     write_trec_run,
 )
+from fixtures import ngram_overlap_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -62,21 +63,6 @@ def bm25_oracle(units, query_terms, k1=1.2, b=0.75):
         for (unit_id, _), score in zip(units, scores)
         if score > 0.0
     ]
-    ranked.sort(key=lambda t: (-t[1], t[0]))
-    return ranked
-
-
-def ngram_overlap_oracle(units, quote, n):
-    """Score every unit by the distinct quote n-grams it holds, one unit at a
-    time; units sharing none are left out.  The quote has at least n words."""
-
-    def grams(text):
-        words = fold_words(text)
-        return {tuple(words[i : i + n]) for i in range(len(words) - n + 1)}
-
-    wanted = grams(quote)
-    ranked = [(unit_id, float(len(wanted & grams(text)))) for unit_id, text in units]
-    ranked = [r for r in ranked if r[1] > 0.0]
     ranked.sort(key=lambda t: (-t[1], t[0]))
     return ranked
 
@@ -125,7 +111,7 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="unit id"):
             build_index(units)
         with pytest.raises(ValueError, match="unit id"):
-            NgramIndex(units, 2)
+            NgramIndex(units, 2, [])
 
     def test_rebuild_is_byte_deterministic(self, tmp_path):
         rng = random.Random(6)
@@ -236,14 +222,14 @@ class TestNgramSearch:
 
     def test_contained_quote_top_ranked_with_max_score(self):
         quote = "the entire Act clearly shows that the purpose"
-        ranked = ngram_search(NgramIndex(self.CORPUS, 5), quote, k=3)
+        ranked = ngram_search(NgramIndex(self.CORPUS, 5, [quote]), quote, k=3)
         assert ranked.entries[0].unit_id == "doc0"
         q_words = len(quote.split())
         assert ranked.entries[0].score == q_words - 5 + 1
 
     def test_bracketed_insertion_still_matches_flanks(self):
-        index = NgramIndex(self.CORPUS, 5)
         quote = "A reading of the entire [Wage] Act clearly shows that the purpose of the Act is to assist"
+        index = NgramIndex(self.CORPUS, 5, [quote])
         assert exact_match_search(index, quote).unit_ids() == []
         ranked = ngram_search(index, quote, k=3)
         assert ranked.entries[0].unit_id == "doc0"
@@ -251,16 +237,17 @@ class TestNgramSearch:
     def test_score_bounded_by_gram_count(self):
         rng = random.Random(11)
         vocab = [f"v{i}" for i in range(30)]
-        index = NgramIndex(rand_units(rng, 25, vocab), 5)
-        for _ in range(50):
-            quote = " ".join(rng.choices(vocab, k=rng.randint(5, 15)))
+        units = rand_units(rng, 25, vocab)
+        quotes = [" ".join(rng.choices(vocab, k=rng.randint(5, 15))) for _ in range(50)]
+        index = NgramIndex(units, 5, quotes)
+        for quote in quotes:
             ranked = ngram_search(index, quote, k=25)
             bound = len(quote.split()) - 5 + 1
             for e in ranked.entries:
                 assert e.score <= bound
 
     def test_short_quote_falls_back_to_exact_match(self):
-        ranked = ngram_search(NgramIndex(self.CORPUS, 5), "purpose of the Act", k=3)
+        ranked = ngram_search(NgramIndex(self.CORPUS, 5, ["purpose of the Act"]), "purpose of the Act", k=3)
         assert {e.unit_id for e in ranked.entries} == {"doc0", "doc2"}
         assert all(e.score == 1.0 for e in ranked.entries)
 
@@ -270,14 +257,17 @@ class TestNgramSearch:
         for _ in range(40):
             units = rand_units(rng, rng.randint(1, 60), vocab)
             n = rng.randint(2, 6)
-            index = NgramIndex(units, n)
+            # One index serves a batch of five quotes, as in search-quotes.
+            batch = []
             for _ in range(5):
                 words = rng.choice(units)[1].split() + rng.choices(vocab, k=n)
                 start = rng.randrange(len(words))
                 quote = " ".join(words[start : start + rng.randint(n, 12)])
                 if len(fold_words(quote)) < n:
                     continue
-                k = rng.randint(1, len(units))
+                batch.append((quote, rng.randint(1, len(units))))
+            index = NgramIndex(units, n, [quote for quote, _ in batch])
+            for quote, k in batch:
                 ranked = ngram_search(index, quote, k=k)
                 expected = ngram_overlap_oracle(units, quote, n)[:k]
                 assert [(e.unit_id, e.score) for e in ranked.entries] == expected
@@ -286,16 +276,17 @@ class TestNgramSearch:
     def test_shingles_fold_the_raw_text(self):
         # Stripped of its marks, "word“next" would read as the one word
         # "wordnext"; shingles see two words, the exact search sees one.
-        index = NgramIndex([("a", "one two word“next three four")], 3)
+        index = NgramIndex([("a", "one two word“next three four")], 3, ["two word next", "two wordnext three"])
         assert ngram_search(index, "two word next", k=5).unit_ids() == ["a"]
         assert ngram_search(index, "two wordnext three", k=5).unit_ids() == []
         assert exact_match_search(index, "two wordnext three").unit_ids() == ["a"]
 
     def test_each_table_is_built_once_and_only_when_used(self):
-        exact_only = NgramIndex(self.CORPUS, 5)
+        quotes = ["that the purpose of the Act is to assist", "purpose of the Act", "the purpose of the Act", "of the Act"]
+        exact_only = NgramIndex(self.CORPUS, 5, quotes)
         exact_match_search(exact_only, "purpose of the Act")
         assert "grams" not in vars(exact_only)
-        index = NgramIndex(self.CORPUS, 5)
+        index = NgramIndex(self.CORPUS, 5, quotes)
         ngram_search(index, "that the purpose of the Act is to assist", k=3)
         assert "stripped_texts" not in vars(index)
         grams = index.grams
@@ -305,31 +296,56 @@ class TestNgramSearch:
         ngram_search(index, "of the Act", k=3)
         assert index.grams is grams and index.stripped_texts is stripped
 
+    def test_table_holds_only_the_quote_shingles(self):
+        quotes = ["the purpose of the Act is to assist", "The purpose of the Act is", "no such words in any unit"]
+        index = NgramIndex(self.CORPUS, 5, quotes)
+        distinct = set()
+        for quote in quotes:
+            words = fold_words(quote)
+            distinct |= {tuple(words[i : i + 5]) for i in range(len(words) - 4)}
+        assert len(index.grams) == len(distinct) == 6
+        assert index.grams[("the", "purpose", "of", "the", "act")] == [0, 2]
+        assert index.grams[("no", "such", "words", "in", "any")] == []
+
+    def test_quote_outside_the_batch_rejected(self):
+        index = NgramIndex(self.CORPUS, 5, ["the purpose of the Act is to assist"])
+        with pytest.raises(ValueError, match="not among the quotes"):
+            ngram_search(index, "a reading of the entire Act")
+        # Under n words the quote is an exact search, which needs no table.
+        assert ngram_search(index, "entire Act").unit_ids() == ["doc0"]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_shingle_length_below_one_rejected(self, n):
+        # An empty shingle matched every unit: "zzz qqq" scored 1.0 everywhere.
+        with pytest.raises(ValueError, match="shingle length"):
+            NgramIndex(self.CORPUS, n, ["zzz qqq"])
+
 
 class TestExactMatch:
     def test_verbatim_quote_found(self):
-        index = NgramIndex([("a", "he said “the sky is blue” today"), ("b", "other text")], 5)
+        index = NgramIndex([("a", "he said “the sky is blue” today"), ("b", "other text")], 5, ["the sky is blue"])
         ranked = exact_match_search(index, "the sky is blue", k=5, query_id="q1")
         assert ranked.query_id == "q1" and ranked.k == 5
         assert [(e.unit_id, e.score, e.rank) for e in ranked.entries] == [("a", 1.0, 1)]
 
     def test_punctuation_change_misses(self):
-        index = NgramIndex([("a", "an account of the time, place, and content")], 5)
-        assert exact_match_search(index, "an account of the time place and content").unit_ids() == []
+        quote = "an account of the time place and content"
+        index = NgramIndex([("a", "an account of the time, place, and content")], 5, [quote])
+        assert exact_match_search(index, quote).unit_ids() == []
 
     def test_curly_marks_normalized_on_both_sides(self):
-        index = NgramIndex([("a", "quote: “inner words” end")], 5)
+        index = NgramIndex([("a", "quote: “inner words” end")], 5, ["“inner words”"])
         assert exact_match_search(index, "“inner words”").unit_ids() == ["a"]
 
     def test_empty_quote_rejected(self):
-        index = NgramIndex([("a", "text")], 5)
+        index = NgramIndex([("a", "text")], 5, ["“”"])
         with pytest.raises(EmptyQuoteError):
             exact_match_search(index, "“”")
         with pytest.raises(EmptyQuoteError):
             ngram_search(index, "“”")
 
     def test_ascending_id_order(self):
-        index = NgramIndex([("z", "needle here"), ("a", "needle here too")], 5)
+        index = NgramIndex([("z", "needle here"), ("a", "needle here too")], 5, ["needle"])
         assert exact_match_search(index, "needle").unit_ids() == ["a", "z"]
         assert exact_match_search(index, "needle", k=1).unit_ids() == ["a"]
 

@@ -1,7 +1,7 @@
 """The benchmark's layer tracer (``perfbench/tracer.py``) runs the real CLI
 with every public layer function wrapped, and reads what it needs of the
-program by name: ``analyze(text, index.analyzer)``, ``index.postings`` and
-``RankedList.entries``.  This runs it on a traced mini-corpus chain, so a
+program by name: ``analyze(text, index.analyzer)``, ``index.postings``,
+``RankedList.entries``, ``NgramIndex`` and ``ngram_search``.  This runs it on a traced mini-corpus chain, so a
 change that breaks that contract fails here and not only under
 ``perfbench/run.py --trace 1``."""
 
@@ -55,4 +55,5 @@ def test_traced_chain_runs_and_reports_layer_metrics(tmp_path):
     context = {"corpus_words": len(text.split()), "corpus_chars": len(text), "bucket_of": {}, "built_frac": 0.0}
     metrics = load_tracer().layer_metrics(result, context)
     assert metrics["retrieval.postings_per_query"] > 0
+    assert metrics["retrieval.ngram_search_ms_p50"] > 0
     assert metrics["metrics.rouge_l_s"] > 0

@@ -32,6 +32,7 @@ QUOTE_PAIR_WINDOW = 300
 
 OPEN_QUOTE = "“"   # U+201C
 CLOSE_QUOTE = "”"  # U+201D
+_QUOTE_MARK_RE = re.compile(f"[{OPEN_QUOTE}{CLOSE_QUOTE}]")
 
 
 class CitationError(ValueError):
@@ -484,12 +485,12 @@ def _balanced_quote_spans(text: str) -> list[tuple[int, int]]:
     """Innermost balanced U+201C...U+201D pairs; unmatched marks are skipped."""
     stack: list[int] = []
     spans: list[tuple[int, int]] = []
-    for i, ch in enumerate(text):
-        if ch == OPEN_QUOTE:
+    for m in _QUOTE_MARK_RE.finditer(text):
+        i = m.start()
+        if m.group() == OPEN_QUOTE:
             stack.append(i)
-        elif ch == CLOSE_QUOTE and stack:
-            opener = stack.pop()
-            spans.append((opener + 1, i))
+        elif stack:
+            spans.append((stack.pop() + 1, i))
     spans.sort()
     return spans
 

@@ -411,14 +411,10 @@ def cmd_stats(args, cfg, out: OutputSet) -> dict:
         rows.append(("passages", len(passages), _avg(p.word_end - p.word_start for p in passages)))
     if args.queries:
         qrows = queries.read_queries_jsonl(args.queries)
-        rows.append(
-            ("queries", len(qrows), _avg(len(corpus.tokenize_words(r["masked_text"])) for r in qrows))
-        )
+        rows.append(("queries", len(qrows), _avg(len(r["masked_text"].split()) for r in qrows)))
     if args.genset:
         insts = genset.read_genset_jsonl(args.genset)
-        rows.append(
-            ("generation", len(insts), _avg(len(corpus.tokenize_words(i.prompt_with_refs)) for i in insts))
-        )
+        rows.append(("generation", len(insts), _avg(len(i.prompt_with_refs.split()) for i in insts)))
     print(f"{'collection':<12} {'count':>10} {'avg words':>10}")
     for name, count, avg in rows:
         print(f"{name:<12} {count:>10} {avg:>10.1f}")

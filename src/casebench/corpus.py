@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 T = TypeVar("T")
 
@@ -20,7 +21,8 @@ DEFAULT_WINDOW = 350
 DEFAULT_STRIDE = 175
 
 _WORD_RE = re.compile(r"\S+")
-_FOLD_RE = re.compile(r"[0-9a-z]+")
+# Every byte but an ASCII digit or lowercase letter becomes a space.
+_FOLD_TABLE = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for c in range(256))
 _PARA_BREAK_RE = re.compile(r"\n[ \t]*\n+")
 _HSPACE_RE = re.compile(r"[ \t\f\v]+")
 
@@ -29,12 +31,15 @@ class DataError(ValueError):
     """An input file is malformed; the message names the file and line."""
 
 
-@dataclass(frozen=True)
-class WordSpan:
+class WordSpan(NamedTuple):
     """Character span of one word (maximal non-whitespace run)."""
 
     start: int
     end: int
+
+
+# Builds a WordSpan from a (start, end) tuple without a Python-level call.
+_word_span = partial(tuple.__new__, WordSpan)
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,7 @@ class CaseDocument:
         return self.text[start:end]
 
     def word_count(self) -> int:
-        return len(tokenize_words(self.text))
+        return len(self.text.split())
 
 
 @dataclass(frozen=True)
@@ -72,17 +77,26 @@ class Passage:
 
 
 def tokenize_words(text: str) -> list[WordSpan]:
-    """Split text into words, i.e. maximal runs of non-whitespace characters."""
-    return [WordSpan(m.start(), m.end()) for m in _WORD_RE.finditer(text)]
+    """The character spans of the words of ``text``, i.e. of its maximal
+    runs of non-whitespace characters.
+
+    These are exactly the words of ``text.split()``: ``\\s`` matches a code
+    point just when ``str.isspace`` holds for it.  Code that only counts or
+    rejoins words calls ``text.split()`` instead.
+    """
+    return list(map(_word_span, map(re.Match.span, _WORD_RE.finditer(text))))
 
 
 def fold_words(text: str) -> list[str]:
     """Case-folded, punctuation-stripped word tokens.
 
     Shared normalization for the n-gram quote scorer and text-overlap
-    metrics: lowercase alphanumeric runs, everything else discarded.
+    metrics: the runs of ASCII digits and lowercase letters of
+    ``text.lower()``, everything else discarded.  Lowercasing comes first,
+    so a code point that lowercases to ASCII (the Kelvin sign) folds to
+    its ASCII letter; every other non-ASCII code point separates words.
     """
-    return _FOLD_RE.findall(text.lower())
+    return text.lower().encode("ascii", "replace").translate(_FOLD_TABLE).decode("ascii").split()
 
 
 def _normalize_opinion(text: str) -> list[str]:
@@ -170,7 +184,7 @@ def chunk_document(
     """
     if stride < 1 or window < stride:
         raise ValueError(f"require window >= stride >= 1, got {window}/{stride}")
-    words = tokenize_words(doc.text)
+    words = doc.text.split()
     total = len(words)
     passages: list[Passage] = []
     prev_end = -1
@@ -186,7 +200,7 @@ def chunk_document(
                 doc_id=doc.doc_id,
                 word_start=word_start,
                 word_end=word_end,
-                text=" ".join(doc.text[w.start : w.end] for w in words[word_start:word_end]),
+                text=" ".join(words[word_start:word_end]),
             )
         )
         prev_end = word_end
@@ -269,7 +283,7 @@ def load_corpus_jsonl(path) -> tuple[list[CaseDocument], list[str]]:
 
 def write_corpus_jsonl(docs: Iterable[CaseDocument], path) -> int:
     """Write normalized documents; this representation round-trips losslessly."""
-    return write_jsonl(map(asdict, docs), path)
+    return write_jsonl(map(vars, docs), path)
 
 
 def read_corpus_jsonl(path) -> list[CaseDocument]:
@@ -287,7 +301,7 @@ def read_corpus_jsonl(path) -> list[CaseDocument]:
 
 
 def write_passages_jsonl(passages: Iterable[Passage], path) -> int:
-    return write_jsonl(map(asdict, passages), path)
+    return write_jsonl(map(vars, passages), path)
 
 
 def read_passages_jsonl(path) -> list[Passage]:

@@ -18,7 +18,7 @@ from .citations import (
     default_reporter_table,
     find_case_citations,
 )
-from .corpus import CaseDocument, chunk_document, read_jsonl, str_field, tokenize_words, write_jsonl
+from .corpus import CaseDocument, chunk_document, read_jsonl, str_field, write_jsonl
 from .queries import build_corpus_key_index
 from .retrieval import bm25_search, build_index
 
@@ -89,12 +89,12 @@ def _salient_text(cited_doc: CaseDocument, gold_text: str, salient_k: int) -> st
 
 
 def _truncate_words(text: str, budget: int) -> str:
-    words = tokenize_words(text)
+    words = text.split()
     if len(words) <= budget:
         return text
     if budget <= 0:
         return ""
-    return " ".join(text[w.start : w.end] for w in words[:budget])
+    return " ".join(words[:budget])
 
 
 def build_generation_instance(
@@ -137,7 +137,7 @@ def build_generation_instance(
         resolved_docs.add(target_id)
         text = _salient_text(corpus[target_id], gold, salient_k)
         text = _truncate_words(text, word_budget - used_words)
-        used_words += len(tokenize_words(text))
+        used_words += len(text.split())
         references.append(ReferenceText(key=key, text=text))
     if not references:
         raise GensetError(f"{doc.doc_id} paragraph {t}: no cited case resolves in the corpus")
@@ -239,7 +239,7 @@ def citation_density_profile(docs: Sequence[CaseDocument], reporters: ReporterTa
         for i in range(n):
             decile = (10 * i) // n
             text = doc.paragraph_text(i)
-            words[decile] += len(tokenize_words(text))
+            words[decile] += len(text.split())
             cites[decile] += len(find_case_citations(text, reporters))
     densities = tuple(
         (100.0 * cites[d] / words[d]) if words[d] else 0.0 for d in range(10)

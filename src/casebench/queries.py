@@ -164,7 +164,7 @@ class ParsedDocument:
 
     @cached_property
     def word_starts(self) -> list[int]:
-        return [w.start for w in self.words]
+        return [start for start, _ in self.words]
 
     @cached_property
     def quotes(self) -> list[QuoteSpan]:

@@ -344,3 +344,35 @@ class TestDirectQuotes:
         text = "See Kayes v. Pacific Co., 51 F.3d 1449 (9th Cir.1995) (“officers are liable”)."
         quotes = extract_direct_quotes(text, find_citations(text, TABLE))
         assert str(quotes[0].paired_citation.key) == "51 F.3d 1449"
+
+
+def walked_quote_spans(text):
+    """The character walk that found the quote marks before the regex: the
+    oracle for ``_balanced_quote_spans``."""
+    stack, spans = [], []
+    for i, ch in enumerate(text):
+        if ch == "“":
+            stack.append(i)
+        elif ch == "”" and stack:
+            spans.append((stack.pop() + 1, i))
+    return sorted(spans)
+
+
+class TestBalancedQuoteSpans:
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("“a “b” c”", [(1, 8), (4, 5)]),  # nested
+            ("“”“”", [(1, 1), (3, 3)]),  # adjacent and empty
+            ("” a “ b", []),  # unmatched closer, then unmatched opener
+            ('"a" “b"', []),  # ASCII marks are not quote marks
+        ],
+    )
+    def test_examples(self, text, want):
+        assert citations._balanced_quote_spans(text) == want == walked_quote_spans(text)
+
+    def test_matches_the_character_walk(self):
+        rng = random.Random(201)
+        for _ in range(3000):
+            text = "".join(rng.choice("““””\"ab ") for _ in range(rng.randint(0, 30)))
+            assert citations._balanced_quote_spans(text) == walked_quote_spans(text), text

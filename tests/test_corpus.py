@@ -2,17 +2,24 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import sys
 
 import pytest
 
+from casebench.citations import load_reporter_table
 from casebench.corpus import (
+    CaseDocument,
     DataError,
+    WordSpan,
     chunk_document,
+    fold_words,
     load_corpus,
     read_corpus_jsonl,
     tokenize_words,
     write_corpus_jsonl,
 )
+from casebench.genset import _truncate_words, citation_density_profile
 from conftest import make_doc
 
 
@@ -112,6 +119,111 @@ class TestTokenizeWords:
             token = text[span.start : span.end]
             assert token
             assert not any(c.isspace() for c in token)
+
+    def test_spans_are_word_span_tuples(self):
+        spans = tokenize_words(" ab\u3000c ")
+        assert spans == [(1, 3), (4, 5)]
+        assert all(type(s) is WordSpan for s in spans)
+        assert spans[0].start == 1 and spans[0].end == 3
+
+
+# Whitespace that a split on " " alone would miss: NBSP, the line and
+# paragraph separators, the information separators U+001C-U+001F, the
+# ideographic space, NEL, tabs and newlines.
+_ODD_SPACES = ["\xa0", "\u2028", "\u2029", "\x1c", "\x1d", "\x1e", "\x1f", "\u3000", "\x85", "\t", "\n", "\x0b"]
+_WORD_CHARS = ["a", "B", "7", ".", "“", "é", "\u200b", "\ufeff"]
+
+
+def _random_text(rng, n):
+    pool = _ODD_SPACES + _WORD_CHARS * 2 + [" ", "   "]
+    return "".join(rng.choice(pool) for _ in range(n))
+
+
+def _span_words(text):
+    """The oracle for every word count and rejoin: the ``\\S+`` runs of
+    ``text``, cut out by their spans."""
+    return [text[m.start() : m.end()] for m in re.finditer(r"\S+", text)]
+
+
+class TestWordContract:
+    """A word is a maximal ``\\S+`` run, and ``str.split()`` yields exactly
+    those runs; every word count and rejoin agrees with the span oracle."""
+
+    def test_regex_whitespace_is_str_isspace_on_every_code_point(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+    def test_tokenize_words_and_word_count_match_the_oracle(self):
+        rng = random.Random(2028)
+        for _ in range(300):
+            text = _random_text(rng, rng.randint(0, 60))
+            want = _span_words(text)
+            assert [text[a:b] for a, b in tokenize_words(text)] == want
+            assert CaseDocument("d", "", "", text, ((0, len(text)),)).word_count() == len(want)
+
+    def test_chunk_document_rejoins_the_oracle_words(self):
+        rng = random.Random(3000)
+        for _ in range(300):
+            text = _random_text(rng, rng.randint(1, 120))
+            words = _span_words(text)
+            doc = CaseDocument("d", "", "", text, ((0, len(text)),))
+            passages = chunk_document(doc, window=7, stride=3)
+            assert [(p.word_start, p.word_end) for p in passages] == oracle_chunks(len(words), 7, 3)
+            for p in passages:
+                assert p.text == " ".join(words[p.word_start : p.word_end])
+
+    def test_truncate_words_rejoins_the_oracle_words(self):
+        rng = random.Random(3001)
+        for _ in range(300):
+            text = _random_text(rng, rng.randint(0, 60))
+            words = _span_words(text)
+            budget = rng.randint(-1, len(words) + 1)
+            if len(words) <= budget:
+                want = text
+            else:
+                want = " ".join(words[: max(0, budget)])
+            assert _truncate_words(text, budget) == want
+
+    def test_density_word_counts_match_the_oracle(self):
+        rng = random.Random(3002)
+        docs = []
+        want = [0] * 10
+        for d in range(20):
+            paragraphs = [_random_text(rng, rng.randint(1, 40)).replace("\n", " ") for _ in range(rng.randint(1, 15))]
+            spans, pos = [], 0
+            for i, para in enumerate(paragraphs):
+                spans.append((pos, pos + len(para)))
+                pos += len(para) + 1
+                want[(10 * i) // len(paragraphs)] += len(_span_words(para))
+            docs.append(CaseDocument(f"d{d}", "", "", "\n".join(paragraphs), tuple(spans)))
+        profile = citation_density_profile(docs, load_reporter_table())
+        assert list(profile.decile_words) == want
+
+
+class TestFoldWords:
+    """``fold_words`` folds through ASCII; the regex it replaced stays the
+    oracle."""
+
+    @staticmethod
+    def oracle(text):
+        return re.findall(r"[0-9a-z]+", text.lower())
+
+    def test_examples(self):
+        assert fold_words("“Don’t” — A1b\u212aC, İs") == ["don", "t", "a1bkc", "i", "s"]
+        assert fold_words("") == []
+
+    def test_matches_the_regex_on_random_unicode(self):
+        rng = random.Random(4242)
+        pool = list("aZq09 _-.?\x00\x7f") + [
+            "“", "”", "‘", "’", "–", "—", "\u212a", "\u212b", "İ", "ß", "ẞ", "Σ", "ǅ", "ﬁ", "é", "²",
+            "\ud800", "\udfff", "\xa0", "\u3000", "\u2028",
+        ]
+        for _ in range(2000):
+            text = "".join(
+                rng.choice(pool) if rng.random() < 0.8 else chr(rng.randrange(sys.maxunicode + 1))
+                for _ in range(rng.randint(0, 40))
+            )
+            assert fold_words(text) == self.oracle(text), ascii(text)
 
 
 def doc_of_n_words(n, doc_id="w"):

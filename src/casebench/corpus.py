@@ -287,17 +287,39 @@ def write_corpus_jsonl(docs: Iterable[CaseDocument], path) -> int:
 
 
 def read_corpus_jsonl(path) -> list[CaseDocument]:
-    return read_jsonl(
-        path,
-        lambda row: CaseDocument(
-            doc_id=row["doc_id"],
-            title=row.get("title", ""),
-            reporter_cite=row.get("reporter_cite", ""),
-            text=str_field(row, "text"),
-            paragraphs=tuple((int(a), int(b)) for a, b in row["paragraphs"]),
-        ),
-        "doc_id",
+    return read_jsonl(path, _document_from_row, "doc_id")
+
+
+def _document_from_row(row: dict) -> CaseDocument:
+    text = str_field(row, "text")
+    paragraphs = tuple((int(a), int(b)) for a, b in row["paragraphs"])
+    _check_partition(paragraphs, text)
+    return CaseDocument(
+        doc_id=row["doc_id"],
+        title=str_field(row, "title", ""),
+        reporter_cite=str_field(row, "reporter_cite", ""),
+        text=text,
+        paragraphs=paragraphs,
     )
+
+
+def _check_partition(spans: tuple[tuple[int, int], ...], text: str) -> None:
+    """Raise ValueError unless ``spans`` are paragraphs as ``load_corpus``
+    writes them: from 0 to ``len(text)``, in order, each next span starting
+    just past a newline that ends the one before."""
+    if not spans:
+        raise ValueError("paragraphs is empty")
+    pos = 0
+    for i, (start, end) in enumerate(spans):
+        if i and text[pos - 1 : pos] != "\n":
+            raise ValueError(f"paragraph {i} does not follow a newline that ends paragraph {i - 1}")
+        if start != pos:
+            raise ValueError(f"paragraph {i} starts at {start}, not at {pos}")
+        if end < start:
+            raise ValueError(f"paragraph {i} ends at {end}, before its start {start}")
+        pos = end + 1
+    if end != len(text):
+        raise ValueError(f"paragraphs end at {end}, not at the text's end {len(text)}")
 
 
 def write_passages_jsonl(passages: Iterable[Passage], path) -> int:

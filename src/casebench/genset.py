@@ -4,11 +4,14 @@ cites, rendered into continuation prompts.
 
 Salience is BM25 rank of each cited case's passages against the gold
 paragraph; the top passages are concatenated under a total word budget.
+A case has a few passages, so they are scored in pure Python, with
+``bm25_search``'s exact scores and ranking, and no index is built.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -20,7 +23,7 @@ from .citations import (
 )
 from .corpus import CaseDocument, chunk_document, read_jsonl, str_field, write_jsonl
 from .queries import build_corpus_key_index
-from .retrieval import bm25_search, build_index
+from .retrieval import BM25_B, BM25_K1, analyze, bm25_idf
 
 DEFAULT_SALIENT_K = 2
 DEFAULT_WORD_BUDGET = 6000
@@ -76,16 +79,36 @@ def select_reference_paragraphs(doc: CaseDocument, reporters: ReporterTable) -> 
 
 
 def _salient_text(cited_doc: CaseDocument, gold_text: str, salient_k: int) -> str:
+    """The top ``salient_k`` passages of ``cited_doc`` by BM25 against
+    ``gold_text``, joined by newlines, or its first passages when none
+    scores.  A document of one passage is its own salient text.
+
+    Every step is ``bm25_search``'s, so its scores and ranking are
+    bit-identical: query terms in sorted order, idf-0 terms skipped, each
+    passage's sum of ``(qtf * idf) * (tf * (k1 + 1)) / (tf + norm)`` in that
+    order, only scores above 0 ranked, and ties broken by ascending passage
+    id (a string, so "#10" before "#2").
+    """
     passages = chunk_document(cited_doc)
     if len(passages) <= 1:
         return cited_doc.text
-    index = build_index([(p.passage_id, p.text) for p in passages], unit_kind="passage")
-    ranked = bm25_search(index, gold_text, k=salient_k)
-    chosen = ranked.unit_ids()
-    if not chosen:
-        chosen = [p.passage_id for p in passages[:salient_k]]
-    by_id = {p.passage_id: p.text for p in passages}
-    return "\n".join(by_id[pid] for pid in chosen)
+    counts = [Counter(analyze(p.text)) for p in passages]
+    n = len(counts)
+    lengths = [c.total() for c in counts]
+    avg_length = sum(lengths) / n
+    scores = [0.0] * n
+    for term, qtf in sorted(Counter(analyze(gold_text)).items()):
+        tfs = [(i, c[term]) for i, c in enumerate(counts) if term in c]
+        idf = bm25_idf(n, len(tfs)) if tfs else 0.0
+        if idf == 0.0:
+            continue
+        weight = qtf * idf
+        for i, tf in tfs:
+            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (lengths[i] / avg_length))
+            scores[i] += weight * (tf * (BM25_K1 + 1.0)) / (tf + norm)
+    ranked = sorted((i for i in range(n) if scores[i] > 0.0), key=lambda i: (-scores[i], passages[i].passage_id))
+    chosen = ranked[:salient_k] or range(n)[:salient_k]
+    return "\n".join(passages[i].text for i in chosen)
 
 
 def _truncate_words(text: str, budget: int) -> str:

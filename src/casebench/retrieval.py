@@ -537,14 +537,19 @@ def write_trec_run(runs: Iterable[RankedList], path, tag: str = "casebench") -> 
 
 
 def read_trec_run(path) -> dict[str, list[tuple[str, float, int]]]:
-    """query_id -> [(unit_id, score, rank)] sorted by rank."""
+    """query_id -> [(unit_id, score, rank)] sorted by rank.  A unit ranked
+    twice for one query is a DataError: it would be counted twice as a hit."""
     runs: dict[str, list[tuple[str, float, int]]] = {}
+    seen: set[tuple[str, str]] = set()
     for lineno, line in iter_lines(path):
         try:
             qid, _, unit_id, rank, score, _ = line.split()
             row = (unit_id, float(score), int(rank))
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed run line (query Q0 unit rank score tag)") from None
+        if (qid, unit_id) in seen:
+            raise DataError(f"{path}:{lineno}: unit {unit_id!r} ranked again for query {qid!r}")
+        seen.add((qid, unit_id))
         runs.setdefault(qid, []).append(row)
     for qid in runs:
         runs[qid].sort(key=lambda t: t[2])

@@ -698,6 +698,20 @@ class TestDataErrors:
         (["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--compare", "{d}/cmp.jsonl", "--output", "{o}"],
          {"cmp.jsonl": jsonl({"instance_id": "d:p3"}, {"instance_id": "d:p3"}), "genset.jsonl": jsonl(GENSET_ROW),
           "gens.jsonl": ""}),
+        # A unit ranked twice for a query counted twice: nDCG@10 read 1.6309.
+        (["eval-retrieval", "{d}/run.trec", "{w}/qrels.txt", "--output", "{o}"],
+         {"run.trec": "q1 Q0 d1 1 1.0 t\nq1 Q0 d1 2 0.5 t\n"}),
+        # A non-string reporter_cite died with a TypeError (exit 1), and a
+        # list title was taken as given.
+        (["build-queries", "{d}/corpus.jsonl", "{o}", "{d}/qrels.txt"],
+         {"corpus.jsonl": jsonl({**DOC_ROW, "reporter_cite": 5})}),
+        (["build-genset", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": jsonl({**DOC_ROW, "reporter_cite": 5})}),
+        (["build-genset", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": jsonl({**DOC_ROW, "title": ["A v. B"]})}),
+        # Paragraph spans that do not partition the text exited 0.
+        (["build-queries", "{d}/corpus.jsonl", "{o}", "{d}/qrels.txt"],
+         {"corpus.jsonl": jsonl({**DOC_ROW, "paragraphs": [[-5, 3]]})}),
+        (["build-genset", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": jsonl({**DOC_ROW, "paragraphs": [[0, 500]]})}),
+        (["density", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": jsonl({**DOC_ROW, "paragraphs": [[12, 0]]})}),
     ], ids=[
         "index-duplicate-passage-ids", "index-duplicate-doc-ids", "density-empty-corpus",
         "genset-without-cited-keys", "labeled-span-outside-text", "reporters-malformed-json",
@@ -708,6 +722,8 @@ class TestDataErrors:
         "corpus-not-utf8", "genset-prompt-not-a-string", "genset-empty-cited-keys", "reporters-not-an-object",
         "genset-repeated-instance-id", "genset-instance-id-a-list", "generations-instance-id-a-list",
         "generation-id-with-space", "compare-repeated-instance-id",
+        "run-repeats-a-unit", "queries-reporter-cite-not-a-string", "genset-reporter-cite-not-a-string",
+        "genset-title-a-list", "queries-span-before-text", "genset-span-past-text", "density-span-reversed",
     ])
     def test_exits_2(self, searchable, tmp_path, capsys, argv, files):
         for name, content in files.items():
@@ -764,6 +780,7 @@ class TestNumpyOnlyWhereBM25Runs:
             ("parse-citations", ["parse-citations", corpus, str(w / "c.jsonl"), "--quotes-out", str(w / "quotes.jsonl")]),
             ("build-queries", ["build-queries", corpus, str(w / "queries.jsonl"), str(w / "qrels.txt")]),
             ("density", ["density", corpus, str(w / "density.json")]),
+            ("build-genset", ["build-genset", corpus, str(w / "genset.jsonl")]),
             ("search-quotes", ["search-quotes", corpus, str(w / "quotes.jsonl"), str(w / "quotes.trec"), "--unit", "document"]),
             ("eval-retrieval", ["eval-retrieval", str(searchable / "run.trec"), str(w / "qrels.txt"),
                                 "--output", str(w / "retrieval.json")]),

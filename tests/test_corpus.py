@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -93,6 +94,8 @@ class TestLoadCorpus:
         ('{"doc_id": "a", "text": "t", "paragraphs": [[0, 1]]}', "duplicate doc_id 'a'"),
         ('{"doc_id": "b\\u00a0c", "text": "t", "paragraphs": [[0, 1]]}', "doc_id 'b\\xa0c' contains whitespace"),
         ('{"doc_id": "", "text": "t", "paragraphs": [[0, 1]]}', "missing doc_id"),
+        ('{"doc_id": "b", "text": "t", "paragraphs": [[0, 1]], "reporter_cite": 5}', "reporter_cite must be a string, not int"),
+        ('{"doc_id": "b", "text": "t", "paragraphs": [[0, 1]], "title": ["A v. B"]}', "title must be a string, not list"),
     ])
     def test_bad_row_names_path_and_line(self, tmp_path, bad_row, reason):
         # The blank line is skipped, and still counted.
@@ -101,6 +104,46 @@ class TestLoadCorpus:
         with pytest.raises(DataError) as exc:
             read_corpus_jsonl(path)
         assert str(exc.value).startswith(f"{path}:3: {reason}")
+
+
+class TestParagraphPartition:
+    """A corpus row's paragraphs partition its text as ``load_corpus``
+    writes them: spans from 0 to the end, each next one starting just past
+    the newline that ends the one before."""
+
+    TEXT = "First paragraph.\nSecond paragraph"  # 33 characters, newline at 16
+
+    def read(self, tmp_path, paragraphs, text=TEXT):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"doc_id": "d", "text": text, "paragraphs": paragraphs}) + "\n")
+        return read_corpus_jsonl(path)
+
+    @pytest.mark.parametrize("paragraphs, text", [
+        ([[0, 16], [17, 33]], TEXT),
+        ([[0, 33]], TEXT),
+        ([[0, 0]], ""),
+        ([[0, 1], [2, 2], [3, 4]], "a\n\nb"),
+    ])
+    def test_partition_read(self, tmp_path, paragraphs, text):
+        (doc,) = self.read(tmp_path, paragraphs, text)
+        assert doc.paragraphs == tuple(map(tuple, paragraphs))
+
+    @pytest.mark.parametrize("paragraphs, reason", [
+        ([], "paragraphs is empty"),
+        ([[-5, 3]], "paragraph 0 starts at -5, not at 0"),
+        ([[0, 500]], "paragraphs end at 500, not at the text's end 33"),
+        ([[12, 0]], "paragraph 0 starts at 12, not at 0"),
+        ([[0, 16]], "paragraphs end at 16, not at the text's end 33"),
+        ([[0, 16], [18, 33]], "paragraph 1 starts at 18, not at 17"),
+        ([[0, -1], [0, 33]], "paragraph 0 ends at -1, before its start 0"),
+        ([[0, 16], [17, 10]], "paragraph 1 ends at 10, before its start 17"),
+        ([[0, 15], [16, 33]], "paragraph 1 does not follow a newline that ends paragraph 0"),
+        ([[0, 40], [41, 42]], "paragraph 1 does not follow a newline that ends paragraph 0"),
+        ([[0, 16], [17, 33], [34, 34]], "paragraph 2 does not follow a newline that ends paragraph 1"),
+    ])
+    def test_spans_that_are_no_partition_rejected(self, tmp_path, paragraphs, reason):
+        with pytest.raises(DataError, match=re.escape(f"corpus.jsonl:1: {reason}")):
+            self.read(tmp_path, paragraphs)
 
 
 class TestTokenizeWords:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import fixtures
 from casebench.citations import find_case_citations, load_reporter_table
-from casebench.corpus import tokenize_words
+from casebench.corpus import chunk_document, tokenize_words
 from casebench.genset import (
     GensetError,
+    _salient_text,
     build_generation_instance,
     build_genset,
     citation_density_profile,
@@ -16,6 +19,7 @@ from casebench.genset import (
     write_genset_jsonl,
 )
 from casebench.queries import build_corpus_key_index
+from casebench.retrieval import analyze, bm25_search, build_index
 from conftest import make_doc
 
 TABLE = load_reporter_table()
@@ -117,6 +121,124 @@ class TestBuildInstance:
         for prompt in (inst.prompt_with_refs, inst.prompt_without_refs):
             assert "# Paragrah\n" in prompt
             assert "<answer></answer>" in prompt
+
+
+def salient_oracle(doc, gold_text, k):
+    """The salient text through a BM25 index over the document's passages,
+    with the passage ids ranked."""
+    passages = chunk_document(doc)
+    if len(passages) <= 1:
+        return doc.text, []
+    index = build_index([(p.passage_id, p.text) for p in passages], unit_kind="passage")
+    ranked = bm25_search(index, gold_text, k=k).unit_ids()
+    chosen = ranked or [p.passage_id for p in passages[:k]]
+    by_id = {p.passage_id: p.text for p in passages}
+    return "\n".join(by_id[pid] for pid in chosen), ranked
+
+
+BLOCK = 175  # chunk_document's stride: passage i is blocks i and i + 1.
+TERMS = ["alpha", "beta", "gamma", "delta", "epsilon", "kappa", "lambda", "sigma", "u.s.", "f.3d"]
+MARKS = ["—", "§", "¶", "..."]
+
+
+def block_doc(doc_id, blocks):
+    """A document of the given word blocks, one paragraph each."""
+    return make_doc(doc_id, [" ".join(words) for words in blocks])
+
+
+def random_block_doc(rng, doc_id):
+    """Blocks drawn from five templates, so that passages made of the same
+    two templates tie.  A template is mostly marks with a few terms, or
+    marks alone; each block with a term carries one filler word of its
+    own, so tied passages differ in text."""
+    templates = []
+    for _ in range(5):
+        words = ["—"] * BLOCK
+        for i in rng.sample(range(BLOCK), rng.choice([0, 1, 1, 2, 4])):
+            words[i] = rng.choice(TERMS)
+        templates.append(words)
+    blocks = []
+    for j in range(rng.randint(1, 20)):
+        words = list(rng.choice(templates))
+        if any(map(analyze, words)):
+            words[rng.randrange(BLOCK)] = f"filler{j}"
+        blocks.append(words)
+    if rng.random() < 0.3:
+        blocks[-1] = blocks[-1][: rng.randint(1, BLOCK)]
+    return block_doc(doc_id, blocks)
+
+
+def random_gold(rng):
+    roll = rng.random()
+    if roll < 0.15:
+        return "zeta — eta"  # shares no term with any passage
+    if roll < 0.2:
+        return "§ ¶"  # no term at all
+    return " ".join(rng.choices(TERMS + ["zeta"], k=rng.randint(1, 8)))
+
+
+class TestSalientText:
+    """``_salient_text`` scores passages without an index; the index path of
+    ``bm25_search`` is its oracle, text and ranking alike."""
+
+    def test_random_documents_match_bm25_search(self):
+        rng = random.Random(12)
+        seen = {"12+ passages": 0, "tie in the top three": 0, "passage without a term": 0,
+                "nothing scores": 0, "k above passage count": 0}
+        for n in range(300):
+            doc = random_block_doc(rng, f"r{n}")
+            passages = chunk_document(doc)
+            gold = random_gold(rng)
+            for k in (1, 2, 5, 40):
+                assert _salient_text(doc, gold, k) == salient_oracle(doc, gold, k)[0], (n, k)
+            if len(passages) < 2:
+                continue
+            index = build_index([(p.passage_id, p.text) for p in passages])
+            scores = [e.score for e in bm25_search(index, gold, k=len(passages)).entries]
+            seen["12+ passages"] += len(passages) >= 12
+            seen["tie in the top three"] += len(set(scores[:3])) < len(scores[:3])
+            seen["passage without a term"] += any(not analyze(p.text) for p in passages)
+            seen["nothing scores"] += not scores
+            seen["k above passage count"] += len(passages) < 40
+        assert all(seen.values()), seen
+
+    def test_ties_break_by_passage_id_string(self):
+        # "alpha" once in blocks 2 and 10: passages 1, 2, 9 and 10 tie, and
+        # "#10" sorts before "#2".
+        blocks = [["—"] * (BLOCK - 1) + [f"filler{j}"] for j in range(14)]
+        blocks[2][0] = blocks[10][0] = "alpha"
+        doc = block_doc("ties", blocks)
+        passages = {p.passage_id: p.text for p in chunk_document(doc)}
+        assert len(passages) == 13
+        text, ranked = salient_oracle(doc, "alpha", 2)
+        assert ranked == ["ties#1", "ties#10"]
+        assert _salient_text(doc, "alpha", 2) == text == passages["ties#1"] + "\n" + passages["ties#10"]
+
+    def test_only_positive_scores_rank(self):
+        # alpha is in passage #0 alone: the other four score 0 and are not
+        # ranked, though k leaves room for them.
+        blocks = [[f"filler{j}"] * BLOCK for j in range(6)]
+        blocks[0][0] = "alpha"
+        doc = block_doc("one", blocks)
+        text, ranked = salient_oracle(doc, "alpha", 3)
+        assert ranked == ["one#0"]
+        assert _salient_text(doc, "alpha", 3) == text == chunk_document(doc)[0].text
+
+    @pytest.mark.parametrize("gold", ["zeta", "§", "filler1 filler2 filler3"])
+    def test_nothing_scores_gives_the_first_passages(self, gold):
+        # filler1..3 each sit in two of the four passages, so their idf is 0.
+        blocks = [[f"filler{j}"] * BLOCK for j in range(5)]
+        doc = block_doc("none", blocks)
+        passages = chunk_document(doc)
+        assert salient_oracle(doc, gold, 2) == (passages[0].text + "\n" + passages[1].text, [])
+        assert _salient_text(doc, gold, 2) == passages[0].text + "\n" + passages[1].text
+
+    def test_k_above_passage_count_takes_every_scoring_passage(self):
+        # Five passages: alpha is in #0 alone, gamma in #1 and #2.
+        doc = block_doc("all", [[word] * BLOCK for word in ("alpha", "beta", "gamma", "delta", "eta", "theta")])
+        text, ranked = salient_oracle(doc, "alpha alpha gamma", 40)
+        assert ranked == ["all#0", "all#1", "all#2"]
+        assert _salient_text(doc, "alpha alpha gamma", 40) == text
 
 
 class TestGoldenPrompts:

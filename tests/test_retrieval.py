@@ -10,7 +10,7 @@ from collections.abc import Mapping
 
 import pytest
 
-from casebench.corpus import fold_words
+from casebench.corpus import DataError, fold_words
 from casebench.retrieval import (
     AnalyzerConfig,
     EmptyQuoteError,
@@ -469,6 +469,12 @@ class TestTrecIO:
         path = tmp_path / "bad.trec"
         path.write_text("q1 Q0 doc1\n")
         with pytest.raises(ValueError):
+            read_trec_run(path)
+
+    def test_unit_ranked_twice_for_a_query_rejected(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("q1 Q0 d1 1 1.0 t\nq2 Q0 d1 1 1.0 t\nq1 Q0 d1 2 0.5 t\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: unit 'd1' ranked again for query 'q1'")):
             read_trec_run(path)
 
     @pytest.mark.parametrize("line", ["q1 Q0 d1 1 1.000000", "q1 Q0 a b 2 1.000000 tag", "q1 Q0 d1 1 1.0 tag extra"])

@@ -30,7 +30,7 @@ class ConfigError(Exception):
 CONFIG_KEYS = {
     "window": int,
     "stride": int,
-    "query_window": int,
+    "query_window": str,  # a comma list of lengths, parsed by _window_lengths
     "bm25_k1": float,
     "bm25_b": float,
     "ngram_n": int,
@@ -71,19 +71,21 @@ def load_config_file(path) -> dict:
                 out[key] = caster(value)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}")
-    _validate_config(out)
     return out
 
 
 def _validate_config(cfg: dict) -> None:
+    """Hold each key to its range, whether a flag or the file set it."""
     for key, value in cfg.items():
-        if isinstance(value, bool):
-            continue
-        if key == "seed":
-            if value < 0:
-                raise ConfigError(f"config key 'seed' must be non-negative, got {value}")
-            continue
-        if isinstance(value, (int, float)) and value <= 0:
+        if key == "query_window":
+            _window_lengths(cfg)
+        elif key == "bm25_b":
+            if not 0 <= value <= 1:
+                raise ConfigError(f"config key 'bm25_b' must be in [0, 1], got {value}")
+        elif key in ("seed", "bm25_k1"):
+            if not 0 <= value < float("inf"):
+                raise ConfigError(f"config key {key!r} must be non-negative, got {value}")
+        elif not isinstance(value, bool) and value <= 0:
             raise ConfigError(f"config key {key!r} must be positive, got {value}")
 
 
@@ -168,6 +170,14 @@ def _positive_ints(flag: str, value: str) -> list[int]:
         raise ConfigError(f"{flag} takes comma-separated integers, got {value!r}")
 
 
+def _window_lengths(cfg) -> list[int]:
+    """The distinct query window lengths of ``--window-words`` or ``query_window``."""
+    lengths = _positive_ints("query_window", cfg.get("query_window", str(queries.DEFAULT_QUERY_WINDOW)))
+    if len(set(lengths)) < len(lengths):
+        raise ConfigError(f"query_window repeats a length: {cfg['query_window']!r}")
+    return lengths
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -242,12 +252,10 @@ def cmd_build_queries(args, cfg, out: OutputSet) -> dict:
     chunking = _chunking(cfg) if args.passage_qrels else None
     docs = corpus.read_corpus_jsonl(args.input)
     table = _reporters(args)
-    kinds = None
-    if args.kind != "both":
-        kinds = [args.kind]
-    window = cfg.get("query_window", queries.DEFAULT_QUERY_WINDOW)
+    kinds = None if args.kind == "both" else [args.kind]
+    lengths = _window_lengths(cfg)
     built, qrels, report = queries.build_queries(
-        docs, views=views, kinds=kinds, window_words=(window,), reporters=table
+        docs, views=views, kinds=kinds, window_words=lengths, reporters=table
     )
     queries.write_queries_jsonl(built, out.declare(args.output))
     queries.write_qrels(qrels, out.declare(args.qrels_out))
@@ -260,17 +268,8 @@ def cmd_build_queries(args, cfg, out: OutputSet) -> dict:
         queries.write_qrels(pq, out.declare(args.passage_qrels))
         counts["passage_qrels"] = len(pq)
     counts["queries"] = len(built)
-    counts["window_words"] = window
+    counts["window_words"] = lengths if len(lengths) > 1 else lengths[0]
     return counts
-
-
-def cmd_sweep_lengths(args, cfg, out: OutputSet) -> dict:
-    lengths = _positive_ints("--lengths", args.lengths)
-    docs = corpus.read_corpus_jsonl(args.input)
-    built, qrels, report = queries.build_queries(docs, window_words=lengths, reporters=_reporters(args))
-    queries.write_queries_jsonl(built, out.declare(args.output))
-    queries.write_qrels(qrels, out.declare(args.qrels_out))
-    return {**report.to_dict(), "queries": len(built), "lengths": len(lengths)}
 
 
 def cmd_build_genset(args, cfg, out: OutputSet) -> dict:
@@ -309,6 +308,8 @@ def cmd_index(args, cfg, out: OutputSet) -> dict:
 def cmd_search(args, cfg, out: OutputSet) -> dict:
     k = _positive("--k", args.k)
     index = retrieval.load_index(args.index)
+    if args.maxp and index.unit_kind != "passage":
+        raise ConfigError(f"--maxp aggregates passages, but {args.index} indexes {index.unit_kind}s")
     rows = queries.read_queries_jsonl(args.queries)
     k1 = cfg.get("bm25_k1", retrieval.BM25_K1)
     b = cfg.get("bm25_b", retrieval.BM25_B)
@@ -472,18 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("qrels_out", metavar="qrels")
     p.add_argument("--view", default="single-removed", help="comma list: single-removed,all-removed")
     p.add_argument("--kind", default="both", choices=["direct", "indirect", "both"])
-    p.add_argument("--window-words", type=int, dest="query_window")
+    p.add_argument("--window-words", dest="query_window", help="comma list; several lengths suffix ids :w<length>")
     p.add_argument("--passage-qrels", help="also derive passage-level qrels")
     p.add_argument("--reporters")
     p.set_defaults(func=cmd_build_queries)
-
-    p = sub.add_parser("sweep-lengths", help="build queries across window lengths")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("qrels_out", metavar="qrels")
-    p.add_argument("--lengths", default=",".join(str(n) for n in queries.SWEEP_LENGTHS))
-    p.add_argument("--reporters")
-    p.set_defaults(func=cmd_sweep_lengths)
 
     p = sub.add_parser("build-genset", help="build generation instances with prompts")
     p.add_argument("input")

@@ -42,7 +42,6 @@ KIND_DIRECT = "direct"
 KIND_INDIRECT = "indirect"
 
 DEFAULT_QUERY_WINDOW = 300
-SWEEP_LENGTHS = tuple(range(100, 1001, 100))
 
 _VIEW_CODES = {VIEW_SINGLE_REMOVED: "sr", VIEW_ALL_REMOVED: "ar"}
 _GAP_RE = re.compile(r"^[\s,]*$")
@@ -469,13 +468,19 @@ def write_qrels(entries: Iterable[QrelsEntry], path) -> int:
 
 
 def read_qrels(path) -> dict[str, set[str]]:
+    """query_id -> its relevant units.  A unit judged twice for one query
+    is a DataError, even when both judgments agree."""
     qrels: dict[str, set[str]] = {}
+    seen: set[tuple[str, str]] = set()
     for lineno, line in iter_lines(path):
         try:
             qid, _, unit_id, rel = line.split()
             relevant = int(rel) > 0
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed qrels line (query 0 unit relevance)") from None
+        if (qid, unit_id) in seen:
+            raise DataError(f"{path}:{lineno}: unit {unit_id!r} judged again for query {qid!r}")
+        seen.add((qid, unit_id))
         if relevant:
             qrels.setdefault(qid, set()).add(unit_id)
     return qrels

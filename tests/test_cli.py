@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +14,19 @@ import pytest
 
 import casebench
 from casebench.citations import default_reporter_table, load_reporter_table
-from casebench.cli import main
+from casebench.cli import build_parser, main
 from casebench.corpus import fold_words, read_corpus_jsonl, read_passages_jsonl
 from casebench.minicorpus import mini_corpus_path
-from casebench.queries import KIND_DIRECT, KIND_INDIRECT, VIEW_ALL_REMOVED, VIEW_SINGLE_REMOVED, build_queries
-from fixtures import ngram_overlap_oracle
+from casebench.queries import (
+    KIND_DIRECT,
+    KIND_INDIRECT,
+    VIEW_ALL_REMOVED,
+    VIEW_SINGLE_REMOVED,
+    build_queries,
+    read_queries_jsonl,
+)
+from casebench.retrieval import analyze, read_trec_run
+from fixtures import bm25_oracle, ngram_overlap_oracle
 
 TABLE = load_reporter_table()
 
@@ -380,30 +391,61 @@ class TestLabeledAccuracy:
 
 
 class TestSweepLengths:
+    """``build-queries --window-words`` (or ``query_window``) takes a comma
+    list of lengths and builds every query at each of them."""
+
     def test_sweep_emits_queries_per_length(self, tmp_path, raw_corpus):
         corpus = tmp_path / "corpus.jsonl"
         assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
-        out = tmp_path / "sweep.jsonl"
-        qrels = tmp_path / "sweep_qrels.txt"
-        rc = main(["sweep-lengths", str(corpus), str(out), str(qrels), "--lengths", "100,300"])
+        out = tmp_path / "windows.jsonl"
+        rc = main(["build-queries", str(corpus), str(out), str(tmp_path / "qrels.txt"), "--window-words", "100,300"])
         assert rc == 0
         rows = [json.loads(l) for l in out.read_text().splitlines()]
-        lengths = {r["window_words"] for r in rows}
-        assert lengths == {100, 300}
-        # The sweep reports what build-queries reports, skips included.
-        counts = json.loads((tmp_path / "sweep.jsonl.manifest.json").read_text())["counts"]
+        assert {r["window_words"] for r in rows} == {100, 300}
+        # Skips are counted once per central, not once per length.
+        counts = json.loads((tmp_path / "windows.jsonl.manifest.json").read_text())["counts"]
         assert counts["skipped_unresolvable"] == 6
         assert counts["queries"] == counts["built"] == len(rows) == 2 * (counts["centrals_considered"] - 6)
+        assert counts["window_words"] == [100, 300]
         assert all(r["query_id"].endswith(f":w{r['window_words']}") for r in rows)
 
     def test_one_length_keeps_build_queries_ids(self, tmp_path, raw_corpus):
         corpus = tmp_path / "corpus.jsonl"
         assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
-        assert main(["sweep-lengths", str(corpus), str(tmp_path / "sweep.jsonl"), str(tmp_path / "sq.txt"),
-                     "--lengths", "300"]) == 0
+        assert main(["build-queries", str(corpus), str(tmp_path / "w300.jsonl"), str(tmp_path / "w300.txt"),
+                     "--window-words", "300"]) == 0
         assert main(["build-queries", str(corpus), str(tmp_path / "queries.jsonl"), str(tmp_path / "qrels.txt")]) == 0
-        assert (tmp_path / "sweep.jsonl").read_bytes() == (tmp_path / "queries.jsonl").read_bytes()
-        assert (tmp_path / "sq.txt").read_bytes() == (tmp_path / "qrels.txt").read_bytes()
+        assert (tmp_path / "w300.jsonl").read_bytes() == (tmp_path / "queries.jsonl").read_bytes()
+        assert (tmp_path / "w300.txt").read_bytes() == (tmp_path / "qrels.txt").read_bytes()
+        counts = json.loads((tmp_path / "w300.jsonl.manifest.json").read_text())["counts"]
+        assert counts["window_words"] == 300
+
+    def test_config_list_matches_flag_list(self, tmp_path, raw_corpus):
+        corpus = tmp_path / "corpus.jsonl"
+        cfg = tmp_path / "windows.cfg"
+        cfg.write_text("query_window = 100,300\n")
+        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
+        assert main(["--config", str(cfg), "build-queries", str(corpus), str(tmp_path / "by_config.jsonl"),
+                     str(tmp_path / "by_config.txt")]) == 0
+        assert main(["build-queries", str(corpus), str(tmp_path / "by_flag.jsonl"), str(tmp_path / "by_flag.txt"),
+                     "--window-words", "100,300"]) == 0
+        assert (tmp_path / "by_config.jsonl").read_bytes() == (tmp_path / "by_flag.jsonl").read_bytes()
+        assert (tmp_path / "by_config.txt").read_bytes() == (tmp_path / "by_flag.txt").read_bytes()
+
+    @pytest.mark.parametrize("source, value", [
+        ("flag", "100,,300"), ("flag", "100,abc"), ("flag", "0"), ("flag", "300,300"),
+        ("config", "100,abc"), ("config", "0"),
+    ])
+    def test_bad_list_is_a_one_line_config_error(self, searchable, tmp_path, capsys, source, value):
+        cfg = tmp_path / "windows.cfg"
+        cfg.write_text(f"query_window = {value}\n")
+        out = tmp_path / "queries.jsonl"
+        argv = ["build-queries", str(searchable / "corpus.jsonl"), str(out), str(tmp_path / "qrels.txt")]
+        argv = argv + ["--window-words", value] if source == "flag" else ["--config", str(cfg), *argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: query_window ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["windows.cfg"]
 
 
 class TestFlagPrecedence:
@@ -554,15 +596,15 @@ class TestManifestConfig:
         runs = {
             "queries.jsonl": ["build-queries", str(corpus), str(tmp_path / "queries.jsonl"),
                               str(tmp_path / "qrels.txt"), "--view", "all-removed", "--kind", "direct"],
-            "sweep.jsonl": ["sweep-lengths", str(corpus), str(tmp_path / "sweep.jsonl"),
-                            str(tmp_path / "sweep_qrels.txt"), "--lengths", "100,300"],
+            "windows.jsonl": ["build-queries", str(corpus), str(tmp_path / "windows.jsonl"),
+                              str(tmp_path / "windows_qrels.txt"), "--window-words", "100,300"],
             "docs.idx": ["index", str(corpus), str(tmp_path / "docs.idx"), "--unit", "document"],
             "exact.trec": ["search-quotes", str(corpus), str(tmp_path / "quotes.jsonl"), str(tmp_path / "exact.trec"),
                            "--unit", "document", "--mode", "exact", "--k", "7"],
         }
         expected = {
             "queries.jsonl": {"view": "all-removed", "kind": "direct"},
-            "sweep.jsonl": {"lengths": "100,300"},
+            "windows.jsonl": {"view": "single-removed", "kind": "both", "query_window": "100,300"},
             "docs.idx": {"unit": "document"},
             "exact.trec": {"unit": "document", "mode": "exact", "k": 7},
         }
@@ -590,15 +632,24 @@ class TestUsageErrors:
     """Bad flags are usage errors: exit 1, and no output is written."""
 
     @pytest.mark.parametrize("argv", [
-        ["sweep-lengths", "{w}/corpus.jsonl", "{o}", "{w}/sweep_qrels.txt", "--lengths", "100,,300"],
-        ["sweep-lengths", "{w}/corpus.jsonl", "{o}", "{w}/sweep_qrels.txt", "--lengths", "100,abc"],
-        ["sweep-lengths", "{w}/corpus.jsonl", "{o}", "{w}/sweep_qrels.txt", "--lengths", "0"],
+        ["build-queries", "{w}/corpus.jsonl", "{o}", "{d}/qrels.txt", "--window-words", "100,,300"],
+        ["build-queries", "{w}/corpus.jsonl", "{o}", "{d}/qrels.txt", "--window-words", "100,abc"],
+        ["build-queries", "{w}/corpus.jsonl", "{o}", "{d}/qrels.txt", "--window-words", "0"],
+        ["--config", "{d}/query_window.cfg", "build-queries", "{w}/corpus.jsonl", "{o}", "{d}/qrels.txt"],
         ["eval-retrieval", "{w}/run.trec", "{w}/qrels.txt", "--k", "5,,10", "--output", "{o}"],
         ["eval-retrieval", "{w}/run.trec", "{w}/qrels.txt", "--k", "0", "--output", "{o}"],
         ["eval-retrieval", "{w}/run.trec", "{w}/qrels.txt", "--k", "5,-1", "--output", "{o}"],
         ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--k", "-3"],
         ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--k", "0"],
         ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--k", "abc"],
+        # MaxP would cut document ids at their last "#" into documents that do not exist.
+        ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--maxp"],
+        # b > 1 made short documents' length norms negative, lifting them to rank 1.
+        ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--bm25-b", "1.5"],
+        ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--bm25-b", "-0.1"],
+        ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--bm25-k1", "-1"],
+        # A NaN k1 made every score NaN, and search wrote an empty run.
+        ["search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}", "--bm25-k1", "nan"],
         ["search-quotes", "{w}/corpus.jsonl", "{w}/quotes.jsonl", "{o}", "--unit", "document", "--k", "0"],
         ["search-quotes", "{w}/corpus.jsonl", "{w}/quotes.jsonl", "{o}", "--unit", "document", "--k", "-1"],
         ["no-such-command", "{w}/corpus.jsonl"],
@@ -607,14 +658,16 @@ class TestUsageErrors:
          "--passage-qrels", "{d}/pq.txt"],
         ["--config", "{d}/absent.cfg", "chunk", "{w}/corpus.jsonl", "{o}"],
     ], ids=[
-        "lengths-empty-item", "lengths-not-integer", "lengths-zero",
+        "lengths-empty-item", "lengths-not-integer", "lengths-zero", "config-query-window-zero",
         "eval-k-empty-item", "eval-k-zero", "eval-k-negative",
-        "search-k-negative", "search-k-zero", "search-k-not-integer",
+        "search-k-negative", "search-k-zero", "search-k-not-integer", "search-maxp-document-index",
+        "search-bm25-b-above-1", "search-bm25-b-negative", "search-bm25-k1-negative", "search-bm25-k1-nan",
         "search-quotes-k-zero", "search-quotes-k-negative", "unknown-subcommand",
         "chunk-window-below-stride", "config-window-below-stride", "config-file-missing",
     ])
     def test_exits_1(self, searchable, tmp_path, capsys, argv):
         (tmp_path / "window.cfg").write_text("window = 10\nstride = 20\n")
+        (tmp_path / "query_window.cfg").write_text("query_window = 0\n")
         out = tmp_path / "out"
         rc = main([a.format(w=searchable, d=tmp_path, o=out) for a in argv])
         assert rc == 1
@@ -626,6 +679,27 @@ class TestUsageErrors:
             main(["search", "--help"])
         assert exc.value.code == 0
         assert "--maxp" in capsys.readouterr().out
+
+
+class TestBM25Settings:
+    """b = 0 turns length normalisation off and k1 = 0 ignores term
+    frequency; both are valid settings, scored as the full-scan oracle
+    scores them."""
+
+    @pytest.mark.parametrize("flag, setting", [("--bm25-b", {"b": 0.0}), ("--bm25-k1", {"k1": 0.0})])
+    def test_zero_setting_matches_oracle(self, searchable, tmp_path, flag, setting):
+        run = tmp_path / "run.trec"
+        assert main(["search", str(searchable / "docs.idx"), str(searchable / "queries.jsonl"), str(run),
+                     "--k", "10", flag, "0"]) == 0
+        got = read_trec_run(run)
+        units = [(d.doc_id, d.text) for d in read_corpus_jsonl(searchable / "corpus.jsonl")]
+        rows = read_queries_jsonl(searchable / "queries.jsonl")
+        for row in rows:
+            expected = bm25_oracle(units, analyze(row["masked_text"]), **setting)[:10]
+            ranked = got.get(row["query_id"], [])
+            assert [unit for unit, _, _ in ranked] == [unit for unit, _ in expected]
+            assert [score for _, score, _ in ranked] == [pytest.approx(score, abs=1e-6) for _, score in expected]
+        assert len(got) == len(rows)
 
 
 def jsonl(*rows) -> str:
@@ -701,6 +775,8 @@ class TestDataErrors:
         # A unit ranked twice for a query counted twice: nDCG@10 read 1.6309.
         (["eval-retrieval", "{d}/run.trec", "{w}/qrels.txt", "--output", "{o}"],
          {"run.trec": "q1 Q0 d1 1 1.0 t\nq1 Q0 d1 2 0.5 t\n"}),
+        # A unit judged twice for a query: the later judgment won, so d1 counted relevant.
+        (["eval-retrieval", "{w}/run.trec", "{d}/qrels.txt", "--output", "{o}"], {"qrels.txt": "q1 0 d1 0\nq1 0 d1 1\n"}),
         # A non-string reporter_cite died with a TypeError (exit 1), and a
         # list title was taken as given.
         (["build-queries", "{d}/corpus.jsonl", "{o}", "{d}/qrels.txt"],
@@ -722,7 +798,7 @@ class TestDataErrors:
         "corpus-not-utf8", "genset-prompt-not-a-string", "genset-empty-cited-keys", "reporters-not-an-object",
         "genset-repeated-instance-id", "genset-instance-id-a-list", "generations-instance-id-a-list",
         "generation-id-with-space", "compare-repeated-instance-id",
-        "run-repeats-a-unit", "queries-reporter-cite-not-a-string", "genset-reporter-cite-not-a-string",
+        "run-repeats-a-unit", "qrels-repeats-a-unit", "queries-reporter-cite-not-a-string", "genset-reporter-cite-not-a-string",
         "genset-title-a-list", "queries-span-before-text", "genset-span-past-text", "density-span-reversed",
     ])
     def test_exits_2(self, searchable, tmp_path, capsys, argv, files):
@@ -799,3 +875,28 @@ class TestNumpyOnlyWhereBM25Runs:
         assert [tuple(row) for row in json.loads(seen.read_text())] == (
             [("import", 0, False)] + [(name, 0, False) for name, _ in stages[:-1]] + [("index", 0, True)]
         )
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``casebench`` command in README's shell blocks,
+    continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("casebench "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+class TestReadme:
+    def test_shell_examples_name_every_subcommand_and_parse(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == set(subparsers.choices)
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: casebench {shlex.join(argv)}")

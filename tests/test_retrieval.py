@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import math
 import random
 import re
 import struct
@@ -28,43 +27,7 @@ from casebench.retrieval import (
     save_index,
     write_trec_run,
 )
-from fixtures import ngram_overlap_oracle
-
-
-# ---------------------------------------------------------------------------
-# Independent full-scan BM25 scorer used as the oracle.
-# ---------------------------------------------------------------------------
-
-def bm25_oracle(units, query_terms, k1=1.2, b=0.75):
-    """Score every unit by the textbook formula, one document at a time."""
-    docs = [Counter(analyze(text)) for _, text in units]
-    lengths = [sum(c.values()) for c in docs]
-    n = len(units)
-    avgdl = float(sum(lengths)) / n
-    df = Counter()
-    for c in docs:
-        for term in c:
-            df[term] += 1
-    scores = []
-    for i, counts in enumerate(docs):
-        s = 0.0
-        for term, qtf in sorted(Counter(query_terms).items()):
-            tf = counts.get(term, 0)
-            if tf == 0:
-                continue
-            idf = max(0.0, math.log((n - df[term] + 0.5) / (df[term] + 0.5)))
-            if idf == 0.0:
-                continue
-            norm = k1 * (1.0 - b + b * (lengths[i] / avgdl))
-            s += (qtf * idf) * (tf * (k1 + 1.0)) / (tf + norm)
-        scores.append(s)
-    ranked = [
-        (unit_id, score)
-        for (unit_id, _), score in zip(units, scores)
-        if score > 0.0
-    ]
-    ranked.sort(key=lambda t: (-t[1], t[0]))
-    return ranked
+from fixtures import bm25_oracle, ngram_overlap_oracle
 
 
 def rand_units(rng, n_units, vocab, max_len=30):

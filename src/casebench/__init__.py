@@ -59,7 +59,6 @@ from .retrieval import (
     InvertedIndex,
     NgramIndex,
     RankedList,
-    aggregate_maxp,
     bm25_search,
     build_index,
     exact_match_search,

@@ -309,18 +309,14 @@ def cmd_search(args, cfg, out: OutputSet) -> dict:
     k = _positive("--k", args.k)
     index = retrieval.load_index(args.index)
     if args.maxp and index.unit_kind != "passage":
-        raise ConfigError(f"--maxp aggregates passages, but {args.index} indexes {index.unit_kind}s")
+        raise ConfigError(f"--maxp ranks the documents of a passage index, but {args.index} indexes {index.unit_kind}s")
     rows = queries.read_queries_jsonl(args.queries)
     k1 = cfg.get("bm25_k1", retrieval.BM25_K1)
     b = cfg.get("bm25_b", retrieval.BM25_B)
-    runs = []
-    for row in rows:
-        ranked = retrieval.bm25_search(
-            index, row["masked_text"], k, k1=k1, b=b, query_id=row["query_id"]
-        )
-        if args.maxp:
-            ranked = retrieval.aggregate_maxp(ranked, k=k)
-        runs.append(ranked)
+    runs = [
+        retrieval.bm25_search(index, row["masked_text"], k, k1=k1, b=b, query_id=row["query_id"], maxp=args.maxp)
+        for row in rows
+    ]
     tag = "bm25-maxp" if args.maxp else "bm25"
     n = retrieval.write_trec_run(runs, out.declare(args.output), tag=tag)
     return {"queries": len(runs), "rows": n, "k": k, "tag": tag}
@@ -500,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("queries")
     p.add_argument("output")
     p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--maxp", action="store_true", help="aggregate passage scores to documents")
+    p.add_argument("--maxp", action="store_true", help="rank documents by their best passage (MaxP)")
     p.add_argument("--bm25-k1", type=float, dest="bm25_k1")
     p.add_argument("--bm25-b", type=float, dest="bm25_b")
     p.set_defaults(func=cmd_search)

@@ -1,9 +1,9 @@
 """Lexical retrieval over passages and documents.
 
-BM25 over an inverted index, MaxP passage-to-document aggregation, n-gram
-quote matching, and exact substring search.  Scoring is deterministic: ties
-break by ascending unit id everywhere, and index builds are reproducible
-byte-for-byte.
+BM25 over an inverted index, ranking its units or, by their best passage
+(MaxP), its documents; n-gram quote matching; and exact substring search.
+Scoring is deterministic: ties break by ascending unit or document id
+everywhere, and index builds are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -51,16 +51,24 @@ class RankedList:
 
     query_id: str
     entries: tuple[RankedEntry, ...]
-    k: int
 
     def unit_ids(self) -> list[str]:
         return [e.unit_id for e in self.entries]
 
 
-def _ranked(query_id: str, unit_ids: Iterable[str], scores: Iterable[float], k: int) -> RankedList:
+def _ranked(query_id: str, unit_ids: Iterable[str], scores: Iterable[float]) -> RankedList:
     """Ranks 1, 2, ... for the units in the order given, with their scores."""
     entries = tuple(map(RankedEntry._make, zip(unit_ids, scores, count(1))))
-    return RankedList(query_id=query_id, entries=entries, k=k)
+    return RankedList(query_id=query_id, entries=entries)
+
+
+def _id_ranks(ids: list[str]) -> np.ndarray:
+    """Rank of each id in ascending id order, for tie-breaking."""
+    import numpy as np
+
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,16 @@ class _Postings(Mapping):
         return len(self._index.terms)
 
 
+class _Documents(NamedTuple):
+    """The documents of a passage index: the passages of ``ids[j]`` are the
+    units from ``starts[j]`` up to the next start, and ``id_rank`` ranks
+    the ids for tie-breaking."""
+
+    ids: list[str]
+    starts: np.ndarray
+    id_rank: np.ndarray
+
+
 class InvertedIndex:
     """Immutable columnar BM25 index over passages or documents.
 
@@ -126,7 +144,8 @@ class InvertedIndex:
     ``units[offsets[i]:offsets[i + 1]]``, ascending unit indexes, with
     their term frequencies in ``tfs`` alongside.  Unit indexes follow input
     order and map to ``unit_ids``.  ``postings`` views the same columns as
-    a term -> (ids, tfs) mapping.
+    a term -> (ids, tfs) mapping.  ``path`` is the file the index was
+    loaded from, if any, for error messages.
     """
 
     def __init__(
@@ -139,9 +158,8 @@ class InvertedIndex:
         tfs: np.ndarray,
         unit_kind: str,
         analyzer: AnalyzerConfig,
+        path=None,
     ):
-        import numpy as np
-
         for column in (lengths, offsets, units, tfs):
             column.flags.writeable = False
         self.unit_ids = unit_ids
@@ -154,17 +172,34 @@ class InvertedIndex:
         self.postings = _Postings(self)
         self.unit_kind = unit_kind
         self.analyzer = analyzer
+        self.path = path
         self.n_units = len(unit_ids)
         # Exact integer sum keeps the average reproducible across builds.
         self.avg_length = float(int(lengths.sum())) / self.n_units if self.n_units else 0.0
-        # Rank of each unit id in ascending id order, for tie-breaking.
-        self.id_rank = np.empty(self.n_units, dtype=np.int64)
-        self.id_rank[sorted(range(self.n_units), key=unit_ids.__getitem__)] = np.arange(self.n_units)
+        self.id_rank = _id_ranks(unit_ids)
         self._norms: dict[tuple[float, float], np.ndarray] = {}
 
     @property
     def vocabulary_size(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def documents(self) -> _Documents:
+        """The documents of a passage index, worked out on first use.  A
+        passage's document is its id with the last "#<chunk>" removed, and
+        each document's passages must be contiguous units, as ``chunk``
+        writes them; a document split up is a ``DataError``."""
+        import numpy as np
+
+        doc_of = [unit_id.rsplit("#", 1)[0] for unit_id in self.unit_ids]
+        starts = [i for i, doc in enumerate(doc_of) if i == 0 or doc != doc_of[i - 1]]
+        ids = [doc_of[i] for i in starts]
+        if len(set(ids)) < len(ids):
+            doc = next(doc for doc, runs in Counter(ids).items() if runs > 1)
+            raise DataError(
+                f"{self.path or 'passage index'}: the passages of document {doc!r} are not contiguous units"
+            )
+        return _Documents(ids, np.array(starts, dtype=np.int64), _id_ranks(ids))
 
     def _length_norm(self, k1: float, b: float) -> np.ndarray:
         """Per-unit BM25 length normalisation, computed once per (k1, b)."""
@@ -237,19 +272,9 @@ def bm25_idf(n_units: int, df: int) -> float:
     return max(0.0, math.log((n_units - df + 0.5) / (df + 0.5)))
 
 
-def bm25_search(
-    index: InvertedIndex,
-    query_text: str,
-    k: int,
-    k1: float = BM25_K1,
-    b: float = BM25_B,
-    query_id: str = "q",
-) -> RankedList:
-    """Top-k BM25 ranking; repeated query terms weigh by their frequency.
-
-    Only units sharing at least one scoring term appear; ties break by
-    ascending unit id.
-    """
+def _bm25_scores(index: InvertedIndex, query_text: str, k1: float, b: float) -> np.ndarray:
+    """Every unit's BM25 score for the query, 0 where it shares no scoring
+    term; repeated query terms weigh by their frequency."""
     import numpy as np
 
     query_terms = analyze(query_text, index.analyzer)
@@ -266,7 +291,7 @@ def bm25_search(
         sizes.append(hi - lo)
         weights.append(qtf * idf)
     if not weights:
-        return RankedList(query_id=query_id, entries=(), k=k)
+        return np.zeros(index.n_units)
 
     # The postings of every scoring term, in sorted term order, so that
     # bincount adds up each unit's contributions in the order of a
@@ -280,7 +305,13 @@ def bm25_search(
     contrib *= k1 + 1.0
     contrib *= np.repeat(weights, sizes)
     contrib /= denom
-    scores = np.bincount(ids, weights=contrib, minlength=index.n_units)
+    return np.bincount(ids, weights=contrib, minlength=index.n_units)
+
+
+def _top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and scores of the k highest positive scores, best first,
+    ties by ascending ``id_rank``."""
+    import numpy as np
 
     candidates = np.flatnonzero(scores > 0.0)
     cand_scores = scores[candidates]
@@ -290,23 +321,40 @@ def bm25_search(
         kth = np.partition(cand_scores, candidates.size - k)[candidates.size - k]
         keep = cand_scores >= kth
         candidates, cand_scores = candidates[keep], cand_scores[keep]
-    order = np.lexsort((index.id_rank[candidates], -cand_scores))[:k]
-    top = candidates[order].tolist()
-    return _ranked(query_id, map(index.unit_ids.__getitem__, top), cand_scores[order].tolist(), k)
+    order = np.lexsort((id_rank[candidates], -cand_scores))[:k]
+    return candidates[order], cand_scores[order]
 
 
-def aggregate_maxp(ranking: RankedList, k: int | None = None) -> RankedList:
-    """Document ranking from a passage ranking: each document takes the max
-    score among its ranked passages.  A passage's document is its id with
-    the "#<chunk>" suffix stripped."""
-    k = k if k is not None else ranking.k
-    best: dict[str, float] = {}
-    for entry in ranking.entries:
-        doc_id = entry.unit_id.rsplit("#", 1)[0]
-        if doc_id not in best or entry.score > best[doc_id]:
-            best[doc_id] = entry.score
-    top = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return _ranked(ranking.query_id, [doc_id for doc_id, _ in top], [score for _, score in top], k)
+def bm25_search(
+    index: InvertedIndex,
+    query_text: str,
+    k: int,
+    k1: float = BM25_K1,
+    b: float = BM25_B,
+    query_id: str = "q",
+    maxp: bool = False,
+) -> RankedList:
+    """Top-k BM25 ranking; repeated query terms weigh by their frequency.
+
+    Only units sharing at least one scoring term appear; ties break by
+    ascending unit id.  With ``maxp`` the index holds passages, and the
+    top k of its documents are ranked by their best passage's score
+    (MaxP), ties by ascending document id.
+    """
+    import numpy as np
+
+    documents = index.documents if maxp else None
+    scores = _bm25_scores(index, query_text, k1, b)
+    ids, id_rank = index.unit_ids, index.id_rank
+    if documents is not None:
+        # Only the top-k passages' scores take part in the reduction.
+        top, _ = _top_k(scores, id_rank, k)
+        kept = np.zeros_like(scores)
+        kept[top] = scores[top]
+        scores = np.maximum.reduceat(kept, documents.starts)
+        ids, id_rank = documents.ids, documents.id_rank
+    top, top_scores = _top_k(scores, id_rank, k)
+    return _ranked(query_id, map(ids.__getitem__, top.tolist()), top_scores.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +436,7 @@ def ngram_search(index: NgramIndex, quote: str, k: int = 10, query_id: str = "q"
         except KeyError:
             raise ValueError(f"quote {quote!r} is not among the quotes this index was built for") from None
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], index.unit_ids[kv[0]]))[:k]
-    return _ranked(query_id, [index.unit_ids[idx] for idx, _ in ordered], [float(c) for _, c in ordered], k)
+    return _ranked(query_id, [index.unit_ids[idx] for idx, _ in ordered], [float(c) for _, c in ordered])
 
 
 def exact_match_search(index: NgramIndex, quote: str, k: int = 10, query_id: str = "q") -> RankedList:
@@ -399,7 +447,7 @@ def exact_match_search(index: NgramIndex, quote: str, k: int = 10, query_id: str
     if not needle:
         raise EmptyQuoteError("empty quote")
     hits = sorted(u for u, text in zip(index.unit_ids, index.stripped_texts) if needle in text)
-    return _ranked(query_id, hits[:k], repeat(1.0), k)
+    return _ranked(query_id, hits[:k], repeat(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +567,7 @@ def load_index(path) -> InvertedIndex:
     tfs = r.u4(n_postings, "tfs")
     if n_postings and int(units.max()) >= n_units:
         raise r.error(f"posting names unit {int(units.max())} of {n_units}")
-    return InvertedIndex(unit_ids, lengths, terms, offsets, units, tfs, unit_kind, analyzer)
+    return InvertedIndex(unit_ids, lengths, terms, offsets, units, tfs, unit_kind, analyzer, path)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from casebench.queries import (
     build_queries,
     read_queries_jsonl,
 )
-from casebench.retrieval import analyze, read_trec_run
+from casebench.retrieval import analyze, build_index, read_trec_run, save_index
 from fixtures import bm25_oracle, ngram_overlap_oracle
 
 TABLE = load_reporter_table()
@@ -706,6 +707,14 @@ def jsonl(*rows) -> str:
     return "".join(json.dumps(row) + "\n" for row in rows)
 
 
+def index_bytes(units) -> bytes:
+    """The bytes of a passage index over (unit_id, text) pairs, in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "units.idx"
+        save_index(build_index(units), path)
+        return path.read_bytes()
+
+
 GENSET_ROW = {
     "instance_id": "d:p3", "doc_id": "d", "t": 3, "prefix": "A.\nB.", "gold": "C.",
     "cited_keys": ["1 U.S. 1"], "references": [], "prompt_with_refs": "p", "prompt_without_refs": "p",
@@ -788,6 +797,9 @@ class TestDataErrors:
          {"corpus.jsonl": jsonl({**DOC_ROW, "paragraphs": [[-5, 3]]})}),
         (["build-genset", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": jsonl({**DOC_ROW, "paragraphs": [[0, 500]]})}),
         (["density", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": jsonl({**DOC_ROW, "paragraphs": [[12, 0]]})}),
+        # Document a's passages are apart, as only a hand-written passages file has them.
+        (["search", "{d}/passages.idx", "{w}/queries.jsonl", "{o}", "--maxp"],
+         {"passages.idx": index_bytes([("a#0", "word"), ("b#0", "word"), ("a#1", "word")])}),
     ], ids=[
         "index-duplicate-passage-ids", "index-duplicate-doc-ids", "density-empty-corpus",
         "genset-without-cited-keys", "labeled-span-outside-text", "reporters-malformed-json",
@@ -800,6 +812,7 @@ class TestDataErrors:
         "generation-id-with-space", "compare-repeated-instance-id",
         "run-repeats-a-unit", "qrels-repeats-a-unit", "queries-reporter-cite-not-a-string", "genset-reporter-cite-not-a-string",
         "genset-title-a-list", "queries-span-before-text", "genset-span-past-text", "density-span-reversed",
+        "search-maxp-document-split-up",
     ])
     def test_exits_2(self, searchable, tmp_path, capsys, argv, files):
         for name, content in files.items():

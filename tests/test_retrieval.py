@@ -15,8 +15,6 @@ from casebench.retrieval import (
     EmptyQuoteError,
     IndexFormatError,
     NgramIndex,
-    RankedList,
-    aggregate_maxp,
     analyze,
     bm25_search,
     build_index,
@@ -151,29 +149,32 @@ class TestBM25:
 
 
 class TestMaxP:
-    def run(self, pairs):
-        from casebench.retrieval import RankedEntry
+    """``bm25_search(..., maxp=True)`` ranks a passage index's documents by
+    their best passage.  The fillers keep every term's df below N/2, so its
+    floored idf stays positive."""
 
-        entries = tuple(
-            RankedEntry(unit_id=u, score=s, rank=i) for i, (u, s) in enumerate(pairs, 1)
-        )
-        return RankedList(query_id="q", entries=entries, k=len(pairs))
+    FILLERS = [(f"z{i}#0", "noise words only") for i in range(6)]
+
+    def search(self, units, query):
+        index = build_index(units + self.FILLERS)
+        passages = {e.unit_id: e.score for e in bm25_search(index, query, k=100).entries}
+        docs = [(e.unit_id, e.score) for e in bm25_search(index, query, k=10, maxp=True).entries]
+        return passages, docs
 
     def test_max_rule(self):
-        ranking = self.run([("A#1", 9.0), ("B#0", 7.0), ("A#0", 3.0)])
-        docs = aggregate_maxp(ranking, k=10)
-        assert [(e.unit_id, e.score) for e in docs.entries] == [("A", 9.0), ("B", 7.0)]
+        passages, docs = self.search([("A#0", "term x y z"), ("A#1", "term term"), ("B#0", "term other")], "term")
+        assert passages["A#1"] > passages["B#0"] > passages["A#0"]
+        assert docs == [("A", passages["A#1"]), ("B", passages["B#0"])]
 
     def test_identity_on_single_passage_docs(self):
-        ranking = self.run([("A#0", 5.0), ("B#0", 4.0), ("C#0", 3.0)])
-        docs = aggregate_maxp(ranking, k=10)
-        assert [e.unit_id for e in docs.entries] == ["A", "B", "C"]
-        assert [e.score for e in docs.entries] == [5.0, 4.0, 3.0]
+        passages, docs = self.search([("C#0", "term a b"), ("A#0", "term term"), ("B#0", "term a")], "term")
+        assert docs == [(unit_id.rsplit("#", 1)[0], score) for unit_id, score in passages.items()]
+        assert [doc for doc, _ in docs] == ["A", "B", "C"]
 
     def test_equal_max_scores_tie_break_by_doc_id(self):
-        ranking = self.run([("B#0", 5.0), ("A#3", 5.0)])
-        docs = aggregate_maxp(ranking, k=10)
-        assert [e.unit_id for e in docs.entries] == ["A", "B"]
+        passages, docs = self.search([("B#0", "term"), ("A#3", "term")], "term")
+        assert passages["A#3"] == passages["B#0"]
+        assert [doc for doc, _ in docs] == ["A", "B"]
 
 
 class TestNgramSearch:
@@ -288,7 +289,7 @@ class TestExactMatch:
     def test_verbatim_quote_found(self):
         index = NgramIndex([("a", "he said “the sky is blue” today"), ("b", "other text")], 5, ["the sky is blue"])
         ranked = exact_match_search(index, "the sky is blue", k=5, query_id="q1")
-        assert ranked.query_id == "q1" and ranked.k == 5
+        assert ranked.query_id == "q1"
         assert [(e.unit_id, e.score, e.rank) for e in ranked.entries] == [("a", 1.0, 1)]
 
     def test_punctuation_change_misses(self):

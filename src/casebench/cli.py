@@ -309,7 +309,7 @@ def cmd_search(args, cfg, out: OutputSet) -> dict:
     k = _positive("--k", args.k)
     index = retrieval.load_index(args.index)
     if args.maxp and index.unit_kind != "passage":
-        raise ConfigError(f"--maxp ranks the documents of a passage index, but {args.index} indexes {index.unit_kind}s")
+        raise ConfigError(f"--maxp ranks a passage index's documents, but {args.index} indexes {index.unit_kind}s")
     rows = queries.read_queries_jsonl(args.queries)
     k1 = cfg.get("bm25_k1", retrieval.BM25_K1)
     b = cfg.get("bm25_b", retrieval.BM25_B)

@@ -384,8 +384,12 @@ def build_queries(
     resolve to a key; a query is emitted only when some parallel key
     resolves to a corpus document other than its own.  Each central gets
     one query per view and window length, in the order given; with more
-    than one length, query ids end in ``:w<length>``.
+    than one length, query ids end in ``:w<length>``.  The lengths must be
+    distinct and positive, and there must be at least one, or
+    ``ValueError`` is raised.
     """
+    if not window_words or len(set(window_words)) < len(window_words) or min(window_words) < 1:
+        raise ValueError(f"window lengths must be distinct positive integers, got {list(window_words)}")
     table = reporters or default_reporter_table()
     key_index, _ = build_corpus_key_index(docs, table)
     report = QueryConstructionReport()

@@ -127,16 +127,6 @@ class _Postings(Mapping):
         return len(self._index.terms)
 
 
-class _Documents(NamedTuple):
-    """The documents of a passage index: the passages of ``ids[j]`` are the
-    units from ``starts[j]`` up to the next start, and ``id_rank`` ranks
-    the ids for tie-breaking."""
-
-    ids: list[str]
-    starts: np.ndarray
-    id_rank: np.ndarray
-
-
 class InvertedIndex:
     """Immutable columnar BM25 index over passages or documents.
 
@@ -184,22 +174,21 @@ class InvertedIndex:
         return len(self.terms)
 
     @cached_property
-    def documents(self) -> _Documents:
-        """The documents of a passage index, worked out on first use.  A
-        passage's document is its id with the last "#<chunk>" removed, and
-        each document's passages must be contiguous units, as ``chunk``
-        writes them; a document split up is a ``DataError``."""
+    def documents(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """(ids, starts, id ranks) of a passage index's documents, worked
+        out on first use: the passages of ``ids[j]`` are the units from
+        ``starts[j]`` up to the next start.  A passage's document is its id
+        with the last "#<chunk>" removed, and each document's passages must
+        be contiguous, as ``chunk`` writes them, or ``DataError`` is raised."""
         import numpy as np
 
         doc_of = [unit_id.rsplit("#", 1)[0] for unit_id in self.unit_ids]
         starts = [i for i, doc in enumerate(doc_of) if i == 0 or doc != doc_of[i - 1]]
         ids = [doc_of[i] for i in starts]
-        if len(set(ids)) < len(ids):
-            doc = next(doc for doc, runs in Counter(ids).items() if runs > 1)
-            raise DataError(
-                f"{self.path or 'passage index'}: the passages of document {doc!r} are not contiguous units"
-            )
-        return _Documents(ids, np.array(starts, dtype=np.int64), _id_ranks(ids))
+        split = [doc for doc, runs in Counter(ids).items() if runs > 1]
+        if split:
+            raise DataError(f"{self.path or 'passage index'}: the passages of document {split[0]!r} are not contiguous")
+        return ids, np.array(starts, dtype=np.int64), _id_ranks(ids)
 
     def _length_norm(self, k1: float, b: float) -> np.ndarray:
         """Per-unit BM25 length normalisation, computed once per (k1, b)."""
@@ -337,22 +326,18 @@ def bm25_search(
     """Top-k BM25 ranking; repeated query terms weigh by their frequency.
 
     Only units sharing at least one scoring term appear; ties break by
-    ascending unit id.  With ``maxp`` the index holds passages, and the
-    top k of its documents are ranked by their best passage's score
-    (MaxP), ties by ascending document id.
+    ascending unit id.  With ``maxp`` the index holds passages, and its
+    top k documents are ranked instead, each scored by its best passage
+    over every scored passage (MaxP), ties by ascending document id.
     """
     import numpy as np
 
-    documents = index.documents if maxp else None
     scores = _bm25_scores(index, query_text, k1, b)
-    ids, id_rank = index.unit_ids, index.id_rank
-    if documents is not None:
-        # Only the top-k passages' scores take part in the reduction.
-        top, _ = _top_k(scores, id_rank, k)
-        kept = np.zeros_like(scores)
-        kept[top] = scores[top]
-        scores = np.maximum.reduceat(kept, documents.starts)
-        ids, id_rank = documents.ids, documents.id_rank
+    if maxp:
+        ids, starts, id_rank = index.documents
+        scores = np.maximum.reduceat(scores, starts)
+    else:
+        ids, id_rank = index.unit_ids, index.id_rank
     top, top_scores = _top_k(scores, id_rank, k)
     return _ranked(query_id, map(ids.__getitem__, top.tolist()), top_scores.tolist())
 

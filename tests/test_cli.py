@@ -703,6 +703,30 @@ class TestBM25Settings:
         assert len(got) == len(rows)
 
 
+class TestMaxPRun:
+    def test_rows_score_each_documents_best_passage(self, searchable, tmp_path):
+        """Each row of a MaxP run scores its document's best passage, and a
+        run at --k K holds min(K, documents that score) rows per query."""
+        passages = tmp_path / "passages.jsonl"
+        index = tmp_path / "passages.idx"
+        assert main(["chunk", str(searchable / "corpus.jsonl"), str(passages)]) == 0
+        assert main(["index", str(passages), str(index)]) == 0
+        units = [(p.passage_id, p.text) for p in read_passages_jsonl(passages)]
+        runs = {}
+        for k in (10, 100):
+            run = tmp_path / f"run{k}.trec"
+            assert main(["search", str(index), str(searchable / "queries.jsonl"), str(run), "--k", str(k), "--maxp"]) == 0
+            runs[k] = read_trec_run(run)
+        for row in read_queries_jsonl(searchable / "queries.jsonl"):
+            best: dict[str, float] = {}
+            for unit_id, score in bm25_oracle(units, analyze(row["masked_text"])):
+                best.setdefault(unit_id.rsplit("#", 1)[0], score)
+            for k, run in runs.items():
+                ranked = run.get(row["query_id"], [])
+                assert len(ranked) == min(k, len(best))
+                assert [score for _, score, _ in ranked] == [pytest.approx(best[doc], abs=1e-6) for doc, _, _ in ranked]
+
+
 def jsonl(*rows) -> str:
     return "".join(json.dumps(row) + "\n" for row in rows)
 

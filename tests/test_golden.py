@@ -40,8 +40,8 @@ MINI_PIPELINE_SHA256 = {
     "retrieval_report.json.manifest.json": "2890939b3b4a560fcd805964358c35aca4d6532d8b7f5971703697774c27d71d",
     "run.trec": "c67d6aa75ab805218a6753073b5470a7807c1f10d769158b77a246ad77420dfe",
     "run.trec.manifest.json": "bed5954165f21cb2129e8ecf0721f32e32f4af62f7f8faf56cc130a293554da5",
-    "run_maxp.trec": "12f6a2dfe400ec166af9bf87183813b1add89efeb9f3c496bad15df49ef73a0b",
-    "run_maxp.trec.manifest.json": "30e0eb42b92ed7596befb044088aa5326dd09a8d2b0ee4562e6c12961983081e",
+    "run_maxp.trec": "cae1bec635345301e8017fc8afd14e503117d9f234fed14a8cd1bd3081285450",
+    "run_maxp.trec.manifest.json": "f07f1028cd8a1435f8006cf7d2ea7ab1faa514b40a1aab65f1db33ee1baa79ec",
 }
 
 

@@ -233,6 +233,14 @@ class TestSweep:
         assert len(tokenize_words(q.central_sentence)) == sentence_words
         assert "601 U.S. 101" in q.central_sentence
 
+    # A repeated length gave every query id twice, which read_queries_jsonl
+    # and read_qrels reject; 0 and -5 gave empty masked texts; () gave nothing.
+    @pytest.mark.parametrize("lengths", [(300, 300), (0,), (-5,), ()])
+    def test_bad_lengths_rejected(self, lengths):
+        doc = query_doc()
+        with pytest.raises(ValueError, match="window lengths"):
+            self.sweep(doc, central_of(doc, "601 U.S. 101"), lengths)
+
 
 class TestQrels:
     def test_key_index_first_wins_and_conflicts_logged(self, mini_corpus):

@@ -176,6 +176,32 @@ class TestMaxP:
         assert passages["A#3"] == passages["B#0"]
         assert [doc for doc, _ in docs] == ["A", "B"]
 
+    def test_random_corpora_match_best_passage_oracle(self):
+        # Documents come in a shuffled id order, some with twelve passages
+        # ("#10" sorts before "#2"); one- to three-word passages over six
+        # words make documents tie often.
+        rng = random.Random(51)
+        vocab = list("abcdef")
+        tied = 0
+        for _ in range(40):
+            names = rng.sample([f"d{i}" for i in range(30)], rng.randint(1, 12))
+            units = [
+                (f"{name}#{chunk}", " ".join(rng.choices(vocab, k=rng.randint(1, 3))))
+                for name in names
+                for chunk in range(rng.choice((1, 2, 3, 12)))
+            ]
+            terms = rng.choices(vocab, k=rng.randint(1, 4))
+            best: dict[str, float] = {}
+            for unit_id, score in bm25_oracle(units, terms):
+                best.setdefault(unit_id.rsplit("#", 1)[0], score)
+            expected = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+            index = build_index(units)
+            for k in (1, 3, len(names)):
+                ranked = bm25_search(index, " ".join(terms), k=k, maxp=True)
+                assert [(e.unit_id, e.score) for e in ranked.entries] == expected[:k]
+            tied += len(set(best.values())) < len(best)
+        assert tied >= 5
+
 
 class TestNgramSearch:
     CORPUS = [

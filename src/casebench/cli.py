@@ -13,6 +13,8 @@ import argparse
 import hashlib
 import json
 import sys
+from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 
 from . import citations, corpus, genset, metrics, queries, retrieval
@@ -194,12 +196,20 @@ def cmd_ingest(args, cfg, out: OutputSet) -> dict:
 
 def cmd_chunk(args, cfg, out: OutputSet) -> dict:
     window, stride = _chunking(cfg)
-    docs = corpus.read_corpus_jsonl(args.input)
-    passages = []
-    for doc in docs:
-        passages.extend(corpus.chunk_document(doc, window, stride))
-    n = corpus.write_passages_jsonl(passages, out.declare(args.output))
-    return {"documents": len(docs), "passages": n, "window": window, "stride": stride}
+    # Passages are written while the documents are read, so the output
+    # must not be the input.
+    if Path(args.output).resolve() == Path(args.input).resolve():
+        raise ConfigError(f"chunk would overwrite its input {args.input}")
+    docs = 0
+
+    def passages():
+        nonlocal docs
+        for doc in corpus.iter_corpus_jsonl(args.input):
+            docs += 1
+            yield from corpus.chunk_document(doc, window, stride)
+
+    n = corpus.write_passages_jsonl(passages(), out.declare(args.output))
+    return {"documents": docs, "passages": n, "window": window, "stride": stride}
 
 
 def cmd_parse_citations(args, cfg, out: OutputSet) -> dict:
@@ -289,18 +299,20 @@ def cmd_build_genset(args, cfg, out: OutputSet) -> dict:
     return {"instances": len(instances), "skipped": len(diagnostics)}
 
 
-def _units(path, unit: str) -> list[tuple[str, str]]:
-    """(id, text) of each passage, or each document, in the file at ``path``."""
+def _units(path, unit: str) -> Iterator[tuple[str, str]]:
+    """(id, text) of each passage, or each document, in the file at
+    ``path``, read as they are consumed."""
     if unit == "passage":
-        return [(p.passage_id, p.text) for p in corpus.read_passages_jsonl(path)]
-    return [(d.doc_id, d.text) for d in corpus.read_corpus_jsonl(path)]
+        return ((p.passage_id, p.text) for p in corpus.iter_passages_jsonl(path))
+    return ((d.doc_id, d.text) for d in corpus.iter_corpus_jsonl(path))
 
 
 def cmd_index(args, cfg, out: OutputSet) -> dict:
     units = _units(args.input, args.unit)
-    if not units:
+    first = next(units, None)
+    if first is None:
         raise corpus.DataError(f"no units in {args.input}")
-    index = retrieval.build_index(units, unit_kind=args.unit)
+    index = retrieval.build_index(chain([first], units), unit_kind=args.unit)
     retrieval.save_index(index, out.declare(args.output))
     return {"units": index.n_units, "vocabulary": index.vocabulary_size, "unit_kind": args.unit}
 
@@ -324,7 +336,7 @@ def cmd_search(args, cfg, out: OutputSet) -> dict:
 
 def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
     k = _positive("--k", args.k)
-    units = _units(args.corpus, args.unit)
+    units = list(_units(args.corpus, args.unit))
     rows = queries.read_queries_jsonl(args.quotes, "quote")
     n = cfg.get("ngram_n", 5)
     index = retrieval.NgramIndex(units, n, [row["quote"] for row in rows])

@@ -225,11 +225,11 @@ def iter_lines(path) -> Iterator[tuple[int, str]]:
             raise DataError(f"{path}: not UTF-8 after line {lineno} ({exc.reason})") from exc
 
 
-def read_jsonl(path, make: Callable[[dict], T], id_field: str | None = None) -> list[T]:
-    """``make(row)`` for each JSON object row of the file at ``path``.  A row
-    whose ``id_field`` is no id (``_checked_id``) or repeats, or that ``make``
-    rejects with KeyError, TypeError or ValueError, is a DataError at path:line."""
-    items: list[T] = []
+def iter_jsonl(path, make: Callable[[dict], T], id_field: str | None = None) -> Iterator[T]:
+    """Yield ``make(row)`` for each JSON object row of the file at ``path``,
+    reading it once.  A row whose ``id_field`` is no id (``_checked_id``) or
+    repeats, or that ``make`` rejects with KeyError, TypeError or
+    ValueError, is a DataError at path:line."""
     seen: set[str] = set()
     for lineno, line in iter_lines(path):
         try:
@@ -241,13 +241,18 @@ def read_jsonl(path, make: Callable[[dict], T], id_field: str | None = None) -> 
                 if ident in seen:
                     raise ValueError(f"duplicate {id_field} {ident!r}")
                 seen.add(ident)
-            items.append(make(row))
+            item = make(row)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: malformed JSON ({exc})") from exc
         except (KeyError, TypeError, ValueError) as exc:
             reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
             raise DataError(f"{path}:{lineno}: {reason}") from exc
-    return items
+        yield item
+
+
+def read_jsonl(path, make: Callable[[dict], T], id_field: str | None = None) -> list[T]:
+    """Every row of ``iter_jsonl``, as a list."""
+    return list(iter_jsonl(path, make, id_field))
 
 
 def write_jsonl(rows: Iterable[dict], path) -> int:
@@ -286,8 +291,12 @@ def write_corpus_jsonl(docs: Iterable[CaseDocument], path) -> int:
     return write_jsonl(map(vars, docs), path)
 
 
+def iter_corpus_jsonl(path) -> Iterator[CaseDocument]:
+    return iter_jsonl(path, _document_from_row, "doc_id")
+
+
 def read_corpus_jsonl(path) -> list[CaseDocument]:
-    return read_jsonl(path, _document_from_row, "doc_id")
+    return list(iter_corpus_jsonl(path))
 
 
 def _document_from_row(row: dict) -> CaseDocument:
@@ -326,15 +335,19 @@ def write_passages_jsonl(passages: Iterable[Passage], path) -> int:
     return write_jsonl(map(vars, passages), path)
 
 
+def iter_passages_jsonl(path) -> Iterator[Passage]:
+    return iter_jsonl(path, _passage_from_row, "passage_id")
+
+
 def read_passages_jsonl(path) -> list[Passage]:
-    return read_jsonl(
-        path,
-        lambda row: Passage(
-            passage_id=row["passage_id"],
-            doc_id=row["doc_id"],
-            word_start=int(row["word_start"]),
-            word_end=int(row["word_end"]),
-            text=str_field(row, "text"),
-        ),
-        "passage_id",
+    return list(iter_passages_jsonl(path))
+
+
+def _passage_from_row(row: dict) -> Passage:
+    return Passage(
+        passage_id=row["passage_id"],
+        doc_id=row["doc_id"],
+        word_start=int(row["word_start"]),
+        word_end=int(row["word_end"]),
+        text=str_field(row, "text"),
     )

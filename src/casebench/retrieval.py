@@ -198,62 +198,94 @@ class InvertedIndex:
         return norm
 
 
+# Sorted keys are run-length encoded this many at a time (each slice
+# extended to the end of its last run), so the encoding's temporaries stay
+# small beside the keys themselves.
+_RLE_SLICE = 1 << 12
+
+
 def build_index(
-    units: Sequence[tuple[str, str]],
+    units: Iterable[tuple[str, str]],
     unit_kind: str = "passage",
     analyzer: AnalyzerConfig | None = None,
 ) -> InvertedIndex:
-    """Build an inverted index over (unit_id, text) pairs.  Unit ids must
-    be unique ids (``corpus._checked_id``), or ``ValueError`` is raised.
+    """Build an inverted index over (unit_id, text) pairs, read once, so
+    ``units`` may be a one-shot iterator; no unit text is kept.  Unit ids
+    must be unique ids (``corpus._checked_id``), or ``ValueError`` is
+    raised.
 
     Every token becomes a term id in one flat array; sorting the
     (term, unit) keys then yields the postings and their tfs at once.
     """
     import numpy as np
 
-    if not units:
-        raise ValueError("cannot index an empty unit collection")
     analyzer = analyzer or AnalyzerConfig()
-    unit_ids = [_checked_id(u[0], "unit id") for u in units]
-    if len(set(unit_ids)) != len(unit_ids):
-        raise ValueError("unit ids must be unique")
-    n = len(units)
-    lengths = np.zeros(n, dtype=np.int64)
-
+    unit_ids: list[str] = []
+    lengths = array("q")
     # A term unseen so far gets the next id: the factory returns the
     # vocabulary's size before the term is inserted.
     vocab: defaultdict[str, int] = defaultdict()
     vocab.default_factory = vocab.__len__
     tokens = array("i")
-    for idx, (_, text) in enumerate(units):
+    for unit_id, text in units:
+        unit_ids.append(_checked_id(unit_id, "unit id"))
         terms = analyze(text, analyzer)
-        lengths[idx] = len(terms)
+        lengths.append(len(terms))
         tokens.fromlist(list(map(vocab.__getitem__, terms)))
+    if not unit_ids:
+        raise ValueError("cannot index an empty unit collection")
+    if len(set(unit_ids)) != len(unit_ids):
+        raise ValueError("unit ids must be unique")
+    n = len(unit_ids)
+    lengths = np.frombuffer(lengths, dtype=np.int64)
 
     terms = sorted(vocab)
     rank = np.empty(len(terms), dtype=np.int64)
     rank[np.fromiter(map(vocab.__getitem__, terms), dtype=np.int64, count=len(terms))] = np.arange(len(terms))
+    del vocab
     # One (sorted term id, unit) key per token; sorted, a key's run length
-    # is its tf.  The steps work in place where they can, so the build
-    # holds about one int64 per token at its peak.
+    # is its tf.  The steps work in place where they can, and the runs are
+    # encoded a slice at a time, so the build holds about one int64 per
+    # token, and the postings made so far, at its peak.
     keys = rank[np.frombuffer(tokens, dtype=np.int32)]
-    del tokens
+    del tokens, rank
     keys *= n
     keys += np.repeat(np.arange(n, dtype=np.int32), lengths)
     keys.sort()
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    tfs = np.empty(starts.size, dtype=np.uint32)
-    np.subtract(starts[1:], starts[:-1], out=tfs[:-1], casting="unsafe")
-    tfs[-1:] = keys.size - starts[-1:]
-    del starts
-    keys = keys[first]
-    del first
-    offsets = np.searchsorted(keys, np.arange(len(terms) + 1, dtype=np.int64) * n)
-    keys %= n
-    return InvertedIndex(unit_ids, lengths, terms, offsets, keys.astype(np.uint32), tfs, unit_kind, analyzer)
+    dfs, unit_parts, tf_parts = _encode_runs(keys, n, len(terms))
+    del keys
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(dfs, out=offsets[1:])
+    postings = np.concatenate(unit_parts)
+    unit_parts.clear()  # freed before the tfs are joined
+    tfs = np.concatenate(tf_parts)
+    return InvertedIndex(unit_ids, lengths, terms, offsets, postings, tfs, unit_kind, analyzer)
+
+
+def _encode_runs(keys: np.ndarray, n_units: int, n_terms: int) -> tuple[np.ndarray, list, list]:
+    """Run-length encode sorted ``term * n_units + unit`` keys: each run is
+    one posting, its length the tf.  Returns each term's posting count and
+    the uint32 unit and tf columns, one piece per slice of ``_RLE_SLICE``
+    keys, each slice extended to the end of its last run."""
+    import numpy as np
+
+    dfs = np.zeros(n_terms, dtype=np.int64)
+    # The empty first pieces let an index of tokenless units concatenate.
+    unit_parts, tf_parts = [np.empty(0, dtype=np.uint32)], [np.empty(0, dtype=np.uint32)]
+    lo = 0
+    while lo < keys.size:
+        hi = int(np.searchsorted(keys, keys[min(lo + _RLE_SLICE, keys.size) - 1], side="right"))
+        part = keys[lo:hi]
+        first = np.empty(part.size, dtype=bool)
+        first[0] = True
+        np.not_equal(part[1:], part[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        tf_parts.append(np.diff(starts, append=part.size).astype(np.uint32))
+        run_terms, run_units = np.divmod(part[starts], n_units)
+        dfs[run_terms[0] : run_terms[-1] + 1] += np.bincount(run_terms - run_terms[0])
+        unit_parts.append(run_units.astype(np.uint32))
+        lo = hi
+    return dfs, unit_parts, tf_parts
 
 
 def bm25_idf(n_units: int, df: int) -> float:
@@ -328,10 +360,13 @@ def bm25_search(
     Only units sharing at least one scoring term appear; ties break by
     ascending unit id.  With ``maxp`` the index holds passages, and its
     top k documents are ranked instead, each scored by its best passage
-    over every scored passage (MaxP), ties by ascending document id.
+    over every scored passage (MaxP), ties by ascending document id; on
+    any other index ``maxp`` raises ``ValueError``.
     """
     import numpy as np
 
+    if maxp and index.unit_kind != "passage":
+        raise ValueError(f"MaxP ranks a passage index's documents, not a {index.unit_kind} index's units")
     scores = _bm25_scores(index, query_text, k1, b)
     if maxp:
         ids, starts, id_rank = index.documents
@@ -462,7 +497,7 @@ def save_index(index: InvertedIndex, path) -> None:
         f.write(struct.pack("<Q", len(ids_blob)) + ids_blob)
         f.write(struct.pack("<Q", len(terms_blob)) + terms_blob)
         for column in (index.lengths, np.diff(index.offsets), index.units, index.tfs):
-            f.write(column.astype("<u4").tobytes())
+            f.write(column.astype("<u4", copy=False).data)
 
 
 class _Reader:

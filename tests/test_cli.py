@@ -675,6 +675,16 @@ class TestUsageErrors:
         assert capsys.readouterr().err
         assert not out.exists()
 
+    def test_chunk_onto_its_input_leaves_it_intact(self, searchable, tmp_path, capsys):
+        # chunk writes passages while it reads documents, so writing onto
+        # the input would truncate it before the first read.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes((searchable / "corpus.jsonl").read_bytes())
+        assert main(["chunk", str(corpus), str(tmp_path / "." / "corpus.jsonl")]) == 1
+        assert "overwrite its input" in capsys.readouterr().err
+        assert corpus.read_bytes() == (searchable / "corpus.jsonl").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--help"])
@@ -848,6 +858,20 @@ class TestDataErrors:
         assert err.startswith("data error: ")
         assert str(tmp_path / next(iter(files))) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+    @pytest.mark.parametrize("command, content, message", [
+        ("index", "", "no units in {p}"),
+        ("index", jsonl(PASSAGE_ROW, {**PASSAGE_ROW, "passage_id": "d#1"}) + "{\n", "{p}:3: malformed JSON"),
+        ("chunk", jsonl(DOC_ROW) + "{\n", "{p}:2: malformed JSON"),
+    ], ids=["index-empty", "index-malformed-after-valid-rows", "chunk-malformed-after-valid-rows"])
+    def test_streamed_input_error_names_file_and_line(self, tmp_path, capsys, command, content, message):
+        """index and chunk stream their input: a bad row after good ones stops
+        them part-way, and neither output nor manifest is left behind."""
+        path = tmp_path / "in.jsonl"
+        path.write_text(content)
+        assert main([command, str(path), str(tmp_path / "out")]) == 2
+        assert message.format(p=path) in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
 
     @pytest.mark.parametrize("target", ["build_queries", "write_qrels"])
     def test_injected_key_error_propagates(self, searchable, tmp_path, monkeypatch, target):

@@ -59,6 +59,7 @@ from .retrieval import (
     InvertedIndex,
     NgramIndex,
     RankedList,
+    bm25_rank,
     bm25_search,
     build_index,
     exact_match_search,

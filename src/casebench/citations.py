@@ -147,18 +147,10 @@ def _key_from_match(m: re.Match, table: ReporterTable) -> CitationKey:
 
 def find_case_citations(text: str, reporters: ReporterTable) -> list[CitationSpan]:
     """Full case citations, non-overlapping, ordered by start offset."""
-    spans = []
-    for m in reporters.case_re.finditer(text):
-        spans.append(
-            CitationSpan(
-                start=m.start(),
-                end=m.end(),
-                kind=KIND_CASE,
-                raw=m.group(0),
-                key=_key_from_match(m, reporters),
-            )
-        )
-    return spans
+    return [
+        CitationSpan(m.start(), m.end(), KIND_CASE, m.group(0), _key_from_match(m, reporters))
+        for m in reporters.case_re.finditer(text)
+    ]
 
 
 _USC_RE = re.compile(
@@ -207,49 +199,36 @@ def find_citations(text: str, reporters: ReporterTable) -> list[CitationSpan]:
     statutes = find_statute_citations(text)
     cases = [s for s in find_case_citations(text, reporters) if not _overlaps(s.start, s.end, statutes)]
     blocked = statutes + cases
+    shorts = [
+        m
+        for pattern in (_ID_RE, _SUPRA_RE, reporters.at_cite_re)
+        for m in pattern.finditer(text)
+        if not _overlaps(m.start(), m.end(), blocked)
+    ]
+    # No two spans share a start, so one sort orders full and short forms.
+    ordered = sorted([(s.start, s) for s in blocked] + [(m.start(), m) for m in shorts], key=lambda pair: pair[0])
 
-    shorts: list[CitationSpan] = []
-    for m in _ID_RE.finditer(text):
-        if not _overlaps(m.start(), m.end(), blocked):
-            shorts.append(CitationSpan(m.start(), m.end(), KIND_SHORT_FORM, m.group(0)))
-    for m in _SUPRA_RE.finditer(text):
-        if not _overlaps(m.start(), m.end(), blocked):
-            shorts.append(CitationSpan(m.start(), m.end(), KIND_SHORT_FORM, m.group(0)))
-    for m in reporters.at_cite_re.finditer(text):
-        if _overlaps(m.start(), m.end(), blocked):
-            continue
-        vol = int(m.group("vol"))
-        rep = reporters.canonical(m.group("rep"))
-        key = None
-        for prior in reversed(cases):
-            if prior.end > m.start():
-                continue
-            if prior.key and prior.key.volume == vol and prior.key.reporter == rep:
-                key = prior.key
-                break
-        shorts.append(CitationSpan(m.start(), m.end(), KIND_SHORT_FORM, m.group(0), key))
-
-    spans = sorted(statutes + cases + shorts, key=lambda s: s.start)
-
-    # Resolve Id. forms against the running context.
-    resolved: list[CitationSpan] = []
+    spans: list[CitationSpan] = []
     last_case: CitationSpan | None = None
-    last_was_statute = False
-    for span in spans:
-        if span.kind == KIND_CASE:
-            last_case = span
-            last_was_statute = False
-        elif span.kind == KIND_STATUTE:
-            last_was_statute = True
-        elif span.key is None and span.raw.lstrip()[:2].lower() == "id":
-            if (
-                last_case is not None
-                and not last_was_statute
-                and "\n" not in text[last_case.end : span.start]
-            ):
-                span = CitationSpan(span.start, span.end, span.kind, span.raw, last_case.key)
-        resolved.append(span)
-    return resolved
+    after_statute = False
+    latest: dict[tuple[int, str], CitationKey] = {}  # (volume, reporter) -> key
+    for _, item in ordered:
+        if isinstance(item, CitationSpan):
+            if item.kind == KIND_CASE:
+                last_case, after_statute = item, False
+                latest[item.key.volume, item.key.reporter] = item.key
+            else:
+                after_statute = True
+            spans.append(item)
+            continue
+        key = None
+        if item.re is _ID_RE:
+            if last_case is not None and not after_statute and "\n" not in text[last_case.end : item.start()]:
+                key = last_case.key
+        elif item.re is reporters.at_cite_re:
+            key = latest.get((int(item["vol"]), reporters.canonical(item["rep"])))
+        spans.append(CitationSpan(item.start(), item.end(), KIND_SHORT_FORM, item[0], key))
+    return spans
 
 
 def parse_citation_key(s: str, reporters: ReporterTable) -> CitationKey:
@@ -375,8 +354,6 @@ def _caption_start(text: str, lo: int, v_pos: int) -> int | None:
             break
         start = lo + offset
         taken += 1
-        if stripped.lower() in _CAPTION_CONNECTORS:
-            continue
     if start is None:
         return None
     # Trim leading lowercase connectors: sentences do not start with "of".

@@ -4,14 +4,13 @@ cites, rendered into continuation prompts.
 
 Salience is BM25 rank of each cited case's passages against the gold
 paragraph; the top passages are concatenated under a total word budget.
-A case has a few passages, so they are scored in pure Python, with
-``bm25_search``'s exact scores and ranking, and no index is built.
+A case has a few passages, so ``bm25_rank`` scores them in pure Python
+and no index is built.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +22,7 @@ from .citations import (
 )
 from .corpus import CaseDocument, chunk_document, read_jsonl, str_field, write_jsonl
 from .queries import build_corpus_key_index
-from .retrieval import BM25_B, BM25_K1, analyze, bm25_idf
+from .retrieval import bm25_rank
 
 DEFAULT_SALIENT_K = 2
 DEFAULT_WORD_BUDGET = 6000
@@ -69,46 +68,24 @@ def select_reference_paragraphs(doc: CaseDocument, reporters: ReporterTable) -> 
     """Eligible gold-paragraph indices t (1-based): floor(2N/3) <= t <= N-2,
     at least two case citations in the paragraph."""
     n = len(doc.paragraphs)
-    lo = max((2 * n) // 3, 1)
-    hi = n - 2
-    eligible = []
-    for t in range(lo, hi + 1):
-        if len(find_case_citations(doc.paragraph_text(t - 1), reporters)) >= 2:
-            eligible.append(t)
-    return eligible
+    return [
+        t
+        for t in range(max((2 * n) // 3, 1), n - 1)
+        if len(find_case_citations(doc.paragraph_text(t - 1), reporters)) >= 2
+    ]
 
 
 def _salient_text(cited_doc: CaseDocument, gold_text: str, salient_k: int) -> str:
     """The top ``salient_k`` passages of ``cited_doc`` by BM25 against
-    ``gold_text``, joined by newlines, or its first passages when none
-    scores.  A document of one passage is its own salient text.
-
-    Every step is ``bm25_search``'s, so its scores and ranking are
-    bit-identical: query terms in sorted order, idf-0 terms skipped, each
-    passage's sum of ``(qtf * idf) * (tf * (k1 + 1)) / (tf + norm)`` in that
-    order, only scores above 0 ranked, and ties broken by ascending passage
-    id (a string, so "#10" before "#2").
-    """
+    ``gold_text`` (``bm25_rank``), joined by newlines, or its first
+    passages when none scores.  A document of one passage is its own
+    salient text."""
     passages = chunk_document(cited_doc)
     if len(passages) <= 1:
         return cited_doc.text
-    counts = [Counter(analyze(p.text)) for p in passages]
-    n = len(counts)
-    lengths = [c.total() for c in counts]
-    avg_length = sum(lengths) / n
-    scores = [0.0] * n
-    for term, qtf in sorted(Counter(analyze(gold_text)).items()):
-        tfs = [(i, c[term]) for i, c in enumerate(counts) if term in c]
-        idf = bm25_idf(n, len(tfs)) if tfs else 0.0
-        if idf == 0.0:
-            continue
-        weight = qtf * idf
-        for i, tf in tfs:
-            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (lengths[i] / avg_length))
-            scores[i] += weight * (tf * (BM25_K1 + 1.0)) / (tf + norm)
-    ranked = sorted((i for i in range(n) if scores[i] > 0.0), key=lambda i: (-scores[i], passages[i].passage_id))
-    chosen = ranked[:salient_k] or range(n)[:salient_k]
-    return "\n".join(passages[i].text for i in chosen)
+    texts = {p.passage_id: p.text for p in passages}
+    chosen = bm25_rank(list(texts.items()), gold_text, salient_k).unit_ids() or list(texts)[:salient_k]
+    return "\n".join(map(texts.__getitem__, chosen))
 
 
 def _truncate_words(text: str, budget: int) -> str:
@@ -145,10 +122,7 @@ def build_generation_instance(
     gold = doc.paragraph_text(t - 1)
     prefix = doc.text[: doc.paragraphs[t - 2][1]]
 
-    cited_keys: list[CitationKey] = []
-    for span in find_case_citations(gold, reporters):
-        if span.key not in cited_keys:
-            cited_keys.append(span.key)
+    cited_keys = list(dict.fromkeys(span.key for span in find_case_citations(gold, reporters)))
 
     references: list[ReferenceText] = []
     used_words = 0

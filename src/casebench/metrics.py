@@ -4,14 +4,16 @@ citation metrics CR / CP / CFP for generated analyses.
 CR is the fraction of relevant citations that were generated, CP the
 fraction of generated citations that are relevant, and CFP the fraction of
 generated citations that are hallucinated, i.e. neither relevant nor
-grounded as a substring of the writing prefix.  Citation fractions are kept
-as exact rationals.
+grounded in the writing prefix, where its surface form occurs with no
+letter or digit touching it.  Citation fractions are kept as exact
+rationals.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -159,6 +161,12 @@ class CitationReport:
     degenerate: bool = False
 
 
+def _bounded_in(surface: str, text: str) -> bool:
+    """Whether ``surface`` occurs in ``text`` with no letter or digit
+    (``[^\\W_]``) touching it on either side."""
+    return re.search(rf"(?<![^\W_]){re.escape(surface)}(?![^\W_])", text) is not None
+
+
 def citation_report_from_keys(
     generated_keys: Sequence[CitationKey],
     relevant_keys: Iterable[CitationKey],
@@ -171,18 +179,14 @@ def citation_report_from_keys(
 
     Generated keys are deduplicated (first mention kept) to c_1..c_M.
     A citation is grounded when its canonical or raw surface form occurs
-    as a substring of some prefix paragraph; with the flag on, the supplied
-    reference texts join the substring check.
+    in some prefix paragraph with no letter or digit on either side, so
+    "45 U.S. 22" does not ground in "545 U.S. 220" but does in "45 U.S.
+    22."; with the flag on, the supplied reference texts join the check.
     """
     relevant = frozenset(relevant_keys)
     if not relevant:
         raise ValueError("relevant citation set must not be empty")
-    deduped: list[CitationKey] = []
-    seen: set[CitationKey] = set()
-    for key in generated_keys:
-        if key not in seen:
-            seen.add(key)
-            deduped.append(key)
+    deduped = list(dict.fromkeys(generated_keys))
     m = len(deduped)
     if m == 0:
         return CitationReport(
@@ -209,7 +213,7 @@ def citation_report_from_keys(
         surfaces = [str(key)]
         if raw_forms and key in raw_forms:
             surfaces.append(raw_forms[key])
-        if any(surface in text for surface in surfaces for text in grounding_texts):
+        if any(surface in text and _bounded_in(surface, text) for surface in surfaces for text in grounding_texts):
             grounded += 1
             verdicts.append(CitationVerdict(key, VERDICT_GROUNDED))
         else:

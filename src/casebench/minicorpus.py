@@ -7,8 +7,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .corpus import CaseDocument, load_corpus
-import json
+from .corpus import CaseDocument, load_corpus_jsonl
 
 
 def mini_corpus_path():
@@ -16,9 +15,7 @@ def mini_corpus_path():
 
 
 def load_mini_corpus() -> list[CaseDocument]:
-    raw = mini_corpus_path().read_text("utf-8")
-    records = [json.loads(line) for line in raw.splitlines() if line.strip()]
-    docs, diagnostics = load_corpus(records)
+    docs, diagnostics = load_corpus_jsonl(mini_corpus_path())
     if diagnostics:
         raise RuntimeError(f"bundled corpus failed to load cleanly: {diagnostics}")
     return docs

@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import count
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .corpus import DataError, _checked_id, fold_words, iter_lines
@@ -60,6 +60,13 @@ def _ranked(query_id: str, unit_ids: Iterable[str], scores: Iterable[float]) -> 
     """Ranks 1, 2, ... for the units in the order given, with their scores."""
     entries = tuple(map(RankedEntry._make, zip(unit_ids, scores, count(1))))
     return RankedList(query_id=query_id, entries=entries)
+
+
+def _ranked_top(query_id: str, scored: Iterable[tuple[str, float]], k: int) -> RankedList:
+    """The k best of (id, score) pairs that score above 0, best first,
+    ties by ascending id, as ``_top_k`` breaks them."""
+    top = sorted((pair for pair in scored if pair[1] > 0.0), key=lambda pair: (-pair[1], pair[0]))[:k]
+    return _ranked(query_id, [unit_id for unit_id, _ in top], [score for _, score in top])
 
 
 def _id_ranks(ids: list[str]) -> np.ndarray:
@@ -377,6 +384,39 @@ def bm25_search(
     return _ranked(query_id, map(ids.__getitem__, top.tolist()), top_scores.tolist())
 
 
+def bm25_rank(
+    units: Sequence[tuple[str, str]],
+    query_text: str,
+    k: int,
+    k1: float = BM25_K1,
+    b: float = BM25_B,
+    query_id: str = "q",
+) -> RankedList:
+    """Top-k BM25 ranking of a few (unit_id, text) pairs, scored term at a
+    time in pure Python with no index: ``bm25_search``'s ids and
+    bit-identical scores over an index of the same units.
+
+    Every step is ``_bm25_scores``': query terms in sorted order, idf-0
+    terms skipped, and each unit's sum of
+    ``(qtf * idf) * (tf * (k1 + 1)) / (tf + norm)`` in that order.
+    """
+    counts = [Counter(analyze(text)) for _, text in units]
+    n = len(counts)
+    lengths = [c.total() for c in counts]
+    avg_length = sum(lengths) / n if n else 0.0
+    scores = [0.0] * n
+    for term, qtf in sorted(Counter(analyze(query_text)).items()):
+        tfs = [(i, c[term]) for i, c in enumerate(counts) if term in c]
+        idf = bm25_idf(n, len(tfs))
+        if idf == 0.0:
+            continue
+        weight = qtf * idf
+        for i, tf in tfs:
+            norm = k1 * (1.0 - b + b * (lengths[i] / avg_length))
+            scores[i] += weight * (tf * (k1 + 1.0)) / (tf + norm)
+    return _ranked_top(query_id, zip([unit_id for unit_id, _ in units], scores), k)
+
+
 # ---------------------------------------------------------------------------
 # Quote retrieval
 # ---------------------------------------------------------------------------
@@ -455,8 +495,7 @@ def ngram_search(index: NgramIndex, quote: str, k: int = 10, query_id: str = "q"
             counts.update(grams[gram])
         except KeyError:
             raise ValueError(f"quote {quote!r} is not among the quotes this index was built for") from None
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], index.unit_ids[kv[0]]))[:k]
-    return _ranked(query_id, [index.unit_ids[idx] for idx, _ in ordered], [float(c) for _, c in ordered])
+    return _ranked_top(query_id, ((index.unit_ids[idx], float(c)) for idx, c in counts.items()), k)
 
 
 def exact_match_search(index: NgramIndex, quote: str, k: int = 10, query_id: str = "q") -> RankedList:
@@ -466,8 +505,8 @@ def exact_match_search(index: NgramIndex, quote: str, k: int = 10, query_id: str
     needle = _strip_curly_quotes(quote).strip()
     if not needle:
         raise EmptyQuoteError("empty quote")
-    hits = sorted(u for u, text in zip(index.unit_ids, index.stripped_texts) if needle in text)
-    return _ranked(query_id, hits[:k], repeat(1.0))
+    hits = ((u, 1.0) for u, text in zip(index.unit_ids, index.stripped_texts) if needle in text)
+    return _ranked_top(query_id, hits, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,9 @@
 """Shared fixture data: the worked hallucination-metrics example and the
 frozen prompt renderings used by both the unit and acceptance suites, and
-the brute-force scorers the searches are checked against: n-gram overlap
-for the quote searches, full-scan BM25 for ``bm25_search``."""
-
-import math
-from collections import Counter
+the brute-force n-gram overlap scorer the quote searches are checked
+against."""
 
 from casebench.corpus import fold_words
-from casebench.retrieval import analyze
 
 # Five generated keys, four relevant, three matched; the two strays appear
 # only inside the reference texts, not in any prefix paragraph.
@@ -71,38 +67,5 @@ def ngram_overlap_oracle(units, quote, n):
     wanted = grams(quote)
     ranked = [(unit_id, float(len(wanted & grams(text)))) for unit_id, text in units]
     ranked = [r for r in ranked if r[1] > 0.0]
-    ranked.sort(key=lambda t: (-t[1], t[0]))
-    return ranked
-
-
-def bm25_oracle(units, query_terms, k1=1.2, b=0.75):
-    """Score every unit by the textbook BM25 formula, one unit at a time;
-    units that score 0 are left out."""
-    docs = [Counter(analyze(text)) for _, text in units]
-    lengths = [sum(c.values()) for c in docs]
-    n = len(units)
-    avgdl = float(sum(lengths)) / n
-    df = Counter()
-    for c in docs:
-        for term in c:
-            df[term] += 1
-    scores = []
-    for i, counts in enumerate(docs):
-        s = 0.0
-        for term, qtf in sorted(Counter(query_terms).items()):
-            tf = counts.get(term, 0)
-            if tf == 0:
-                continue
-            idf = max(0.0, math.log((n - df[term] + 0.5) / (df[term] + 0.5)))
-            if idf == 0.0:
-                continue
-            norm = k1 * (1.0 - b + b * (lengths[i] / avgdl))
-            s += (qtf * idf) * (tf * (k1 + 1.0)) / (tf + norm)
-        scores.append(s)
-    ranked = [
-        (unit_id, score)
-        for (unit_id, _), score in zip(units, scores)
-        if score > 0.0
-    ]
     ranked.sort(key=lambda t: (-t[1], t[0]))
     return ranked

@@ -26,8 +26,8 @@ from casebench.queries import (
     build_queries,
     read_queries_jsonl,
 )
-from casebench.retrieval import analyze, build_index, read_trec_run, save_index
-from fixtures import bm25_oracle, ngram_overlap_oracle
+from casebench.retrieval import bm25_rank, build_index, read_trec_run, save_index
+from fixtures import ngram_overlap_oracle
 
 TABLE = load_reporter_table()
 
@@ -706,10 +706,10 @@ class TestBM25Settings:
         units = [(d.doc_id, d.text) for d in read_corpus_jsonl(searchable / "corpus.jsonl")]
         rows = read_queries_jsonl(searchable / "queries.jsonl")
         for row in rows:
-            expected = bm25_oracle(units, analyze(row["masked_text"]), **setting)[:10]
+            expected = bm25_rank(units, row["masked_text"], 10, **setting).entries
             ranked = got.get(row["query_id"], [])
-            assert [unit for unit, _, _ in ranked] == [unit for unit, _ in expected]
-            assert [score for _, score, _ in ranked] == [pytest.approx(score, abs=1e-6) for _, score in expected]
+            assert [unit for unit, _, _ in ranked] == [e.unit_id for e in expected]
+            assert [score for _, score, _ in ranked] == [pytest.approx(e.score, abs=1e-6) for e in expected]
         assert len(got) == len(rows)
 
 
@@ -729,7 +729,7 @@ class TestMaxPRun:
             runs[k] = read_trec_run(run)
         for row in read_queries_jsonl(searchable / "queries.jsonl"):
             best: dict[str, float] = {}
-            for unit_id, score in bm25_oracle(units, analyze(row["masked_text"])):
+            for unit_id, score, _ in bm25_rank(units, row["masked_text"], len(units)).entries:
                 best.setdefault(unit_id.rsplit("#", 1)[0], score)
             for k, run in runs.items():
                 ranked = run.get(row["query_id"], [])
@@ -938,12 +938,17 @@ class TestNumpyOnlyWhereBM25Runs:
         )
 
 
+def readme_blocks(lang: str) -> list[str]:
+    """The bodies of README's fenced ``lang`` blocks, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{lang}\n(.*?)```", readme, re.S)
+
+
 def readme_commands() -> list[list[str]]:
     """The arguments of each ``casebench`` command in README's shell blocks,
     continuation lines joined."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+    for block in readme_blocks("sh"):
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("casebench "):
                 commands.append(shlex.split(line)[1:])
@@ -961,3 +966,10 @@ class TestReadme:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README example does not parse: casebench {shlex.join(argv)}")
+
+    def test_python_block_runs(self, tmp_path, monkeypatch):
+        """The library example runs as written, in a directory holding no
+        ``corpus.jsonl``: it prints the error it catches."""
+        (block,) = readme_blocks("python")
+        monkeypatch.chdir(tmp_path)
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})

@@ -235,6 +235,16 @@ class TestCitationReport:
         statuses = [v.status for v in report.verdicts]
         assert statuses == ["matched", "prefix-grounded", "hallucinated"]
 
+    def test_grounding_respects_citation_boundaries(self):
+        # "45 U.S. 22" is a substring of "545 U.S. 220" but not that citation.
+        def cfp(prefix):
+            return citation_report_from_keys(keys("45 U.S. 22"), keys("1 U.S. 1"), [prefix]).cfp
+
+        assert cfp("See 545 U.S. 220 (2005).") == Fraction(1)
+        assert cfp("See 45 U.S. 220 and 145 U.S. 22.") == Fraction(1)
+        for prefix in ("45 U.S. 22", "As held in 45 U.S. 22.", "(citing 45 U.S. 22)", "545 U.S. 220; 45 U.S. 22, 24"):
+            assert cfp(prefix) == Fraction(0), prefix
+
     def test_duplicates_deduplicated(self):
         report = citation_report_from_keys(
             keys("1 F.3d 1", "1 F.3d 1", "2 F.3d 2"), keys("1 F.3d 1"), []

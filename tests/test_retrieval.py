@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import struct
@@ -16,6 +17,7 @@ from casebench.retrieval import (
     IndexFormatError,
     NgramIndex,
     analyze,
+    bm25_rank,
     bm25_search,
     build_index,
     exact_match_search,
@@ -25,7 +27,7 @@ from casebench.retrieval import (
     save_index,
     write_trec_run,
 )
-from fixtures import bm25_oracle, ngram_overlap_oracle
+from fixtures import ngram_overlap_oracle
 
 
 def rand_units(rng, n_units, vocab, max_len=30):
@@ -175,14 +177,33 @@ class TestBM25:
             ("d3", "brown bears eat fish"),
             ("d4", "fox and dog play"),
         ]
-        idx = build_index(units)
-        ranked = bm25_search(idx, "quick dog", k=5)
-        expected = bm25_oracle(units, analyze("quick dog"))
-        assert [e.unit_id for e in ranked.entries] == [u for u, _ in expected]
-        for entry, (_, score) in zip(ranked.entries, expected):
-            assert entry.score == pytest.approx(score, rel=1e-12)
+        ranked = bm25_search(build_index(units), "quick dog", k=5)
+        assert ranked.unit_ids() == ["d2", "d0"]  # "dog", in 3 of 5 units, has idf 0
+        assert ranked == bm25_rank(units, "quick dog", k=5)
+
+    def test_hand_worked_scores_follow_the_written_formula(self):
+        # N = 3 units averaging 2 tokens.  "cat" is in 2 units, so its idf
+        # log((3 - 2 + 0.5) / (2 + 0.5)) is negative and floored to 0, and
+        # unit "b" scores nothing.  "dog" and "bird" are in 1 unit each.
+        units = [("a", "cat cat dog"), ("b", "cat fish"), ("c", "bird")]
+        k1, b, avgdl = 1.2, 0.75, 2.0
+        idf = math.log((3 - 1 + 0.5) / (1 + 0.5))
+
+        def term(qtf, tf, length):
+            return qtf * idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * length / avgdl))
+
+        expected = [("c", term(2, 1, 1)), ("a", term(1, 1, 3))]
+        assert expected[0][1] == pytest.approx(1.284361, abs=1e-6)
+        assert expected[1][1] == pytest.approx(0.424082, abs=1e-6)
+        query = "bird cat dog bird"
+        for ranked in (bm25_rank(units, query, k=3), bm25_search(build_index(units), query, k=3)):
+            assert ranked.unit_ids() == ["c", "a"]
+            assert [e.score for e in ranked.entries] == [pytest.approx(s, rel=1e-12) for _, s in expected]
 
     def test_random_corpora_match_oracle_exactly(self):
+        """``bm25_search`` and ``bm25_rank`` return the same ranked list:
+        the same ids, bit-identical scores, under four settings and at
+        three cuts, with ties by ascending id."""
         rng = random.Random(42)
         # The six-word vocabulary with one- to three-word units makes many
         # units tie, also at the k-th score of a cut below the candidates.
@@ -190,18 +211,14 @@ class TestBM25:
         for vocab, max_len in (([f"w{i}" for i in range(60)], 30), (list("abcdef"), 3)):
             for _ in range(30):
                 units = rand_units(rng, rng.randint(2, 120), vocab, max_len)
+                rng.shuffle(units)  # so that ties are not already in id order
                 idx = build_index(units)
-                terms = rng.choices(vocab, k=rng.randint(1, 8))
-                ranked = bm25_search(idx, " ".join(terms), k=len(units))
-                expected = bm25_oracle(units, terms)
-                assert [e.unit_id for e in ranked.entries] == [u for u, _ in expected]
-                assert [e.score for e in ranked.entries] == [s for _, s in expected]
-                if len(expected) < 2:
-                    continue
-                k = rng.randint(1, len(expected) - 1)
-                top = bm25_search(idx, " ".join(terms), k=k)
-                assert [(e.unit_id, e.score) for e in top.entries] == expected[:k]
-                tied_cuts += expected[k - 1][1] == expected[k][1]
+                query = " ".join(rng.choices(vocab, k=rng.randint(1, 8)))
+                for setting in ({}, {"k1": 0.0}, {"b": 0.0}, {"b": 1.0}):
+                    scores = [e.score for e in bm25_rank(units, query, len(units), **setting).entries]
+                    for k in (1, 3, len(units)):
+                        assert bm25_search(idx, query, k, **setting) == bm25_rank(units, query, k, **setting)
+                        tied_cuts += k < len(scores) and scores[k - 1] == scores[k]
         assert tied_cuts >= 5
 
     def test_ties_break_by_ascending_unit_id(self):
@@ -275,7 +292,7 @@ class TestMaxP:
             ]
             terms = rng.choices(vocab, k=rng.randint(1, 4))
             best: dict[str, float] = {}
-            for unit_id, score in bm25_oracle(units, terms):
+            for unit_id, score, _ in bm25_rank(units, " ".join(terms), len(units)).entries:
                 best.setdefault(unit_id.rsplit("#", 1)[0], score)
             expected = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
             index = build_index(units)

@@ -147,10 +147,18 @@ def _key_from_match(m: re.Match, table: ReporterTable) -> CitationKey:
 
 def find_case_citations(text: str, reporters: ReporterTable) -> list[CitationSpan]:
     """Full case citations, non-overlapping, ordered by start offset."""
-    return [
-        CitationSpan(m.start(), m.end(), KIND_CASE, m.group(0), _key_from_match(m, reporters))
-        for m in reporters.case_re.finditer(text)
-    ]
+    spans = []
+    for m in reporters.case_re.finditer(text):
+        spans.append(
+            CitationSpan(
+                start=m.start(),
+                end=m.end(),
+                kind=KIND_CASE,
+                raw=m.group(0),
+                key=_key_from_match(m, reporters),
+            )
+        )
+    return spans
 
 
 _USC_RE = re.compile(

@@ -68,11 +68,13 @@ def select_reference_paragraphs(doc: CaseDocument, reporters: ReporterTable) -> 
     """Eligible gold-paragraph indices t (1-based): floor(2N/3) <= t <= N-2,
     at least two case citations in the paragraph."""
     n = len(doc.paragraphs)
-    return [
-        t
-        for t in range(max((2 * n) // 3, 1), n - 1)
-        if len(find_case_citations(doc.paragraph_text(t - 1), reporters)) >= 2
-    ]
+    lo = max((2 * n) // 3, 1)
+    hi = n - 2
+    eligible = []
+    for t in range(lo, hi + 1):
+        if len(find_case_citations(doc.paragraph_text(t - 1), reporters)) >= 2:
+            eligible.append(t)
+    return eligible
 
 
 def _salient_text(cited_doc: CaseDocument, gold_text: str, salient_k: int) -> str:
@@ -122,7 +124,10 @@ def build_generation_instance(
     gold = doc.paragraph_text(t - 1)
     prefix = doc.text[: doc.paragraphs[t - 2][1]]
 
-    cited_keys = list(dict.fromkeys(span.key for span in find_case_citations(gold, reporters)))
+    cited_keys: list[CitationKey] = []
+    for span in find_case_citations(gold, reporters):
+        if span.key not in cited_keys:
+            cited_keys.append(span.key)
 
     references: list[ReferenceText] = []
     used_words = 0

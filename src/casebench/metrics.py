@@ -186,7 +186,12 @@ def citation_report_from_keys(
     relevant = frozenset(relevant_keys)
     if not relevant:
         raise ValueError("relevant citation set must not be empty")
-    deduped = list(dict.fromkeys(generated_keys))
+    deduped: list[CitationKey] = []
+    seen: set[CitationKey] = set()
+    for key in generated_keys:
+        if key not in seen:
+            seen.add(key)
+            deduped.append(key)
     m = len(deduped)
     if m == 0:
         return CitationReport(

@@ -15,7 +15,10 @@ def mini_corpus_path():
 
 
 def load_mini_corpus() -> list[CaseDocument]:
-    docs, diagnostics = load_corpus_jsonl(mini_corpus_path())
+    # as_file gives a real path where the package is not unpacked on disk
+    # (a zip install); open() takes no other resource.
+    with resources.as_file(mini_corpus_path()) as path:
+        docs, diagnostics = load_corpus_jsonl(path)
     if diagnostics:
         raise RuntimeError(f"bundled corpus failed to load cleanly: {diagnostics}")
     return docs

@@ -390,11 +390,11 @@ def bm25_rank(
     k: int,
     k1: float = BM25_K1,
     b: float = BM25_B,
-    query_id: str = "q",
 ) -> RankedList:
     """Top-k BM25 ranking of a few (unit_id, text) pairs, scored term at a
     time in pure Python with no index: ``bm25_search``'s ids and
-    bit-identical scores over an index of the same units.
+    bit-identical scores over an index of the same units, under its
+    default query id "q".
 
     Every step is ``_bm25_scores``': query terms in sorted order, idf-0
     terms skipped, and each unit's sum of
@@ -414,7 +414,7 @@ def bm25_rank(
         for i, tf in tfs:
             norm = k1 * (1.0 - b + b * (lengths[i] / avg_length))
             scores[i] += weight * (tf * (k1 + 1.0)) / (tf + norm)
-    return _ranked_top(query_id, zip([unit_id for unit_id, _ in units], scores), k)
+    return _ranked_top("q", zip([unit_id for unit_id, _ in units], scores), k)
 
 
 # ---------------------------------------------------------------------------

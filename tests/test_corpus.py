@@ -5,9 +5,11 @@ import math
 import random
 import re
 import sys
+import zipfile
 
 import pytest
 
+from casebench import minicorpus
 from casebench.citations import load_reporter_table
 from casebench.corpus import (
     CaseDocument,
@@ -84,6 +86,16 @@ class TestLoadCorpus:
         write_corpus_jsonl(mini_corpus, first)
         write_corpus_jsonl(read_corpus_jsonl(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_mini_corpus_loads_from_a_zipped_package(self, mini_corpus, tmp_path, monkeypatch):
+        # A zipped install's resources are zipfile.Path objects, which
+        # open() does not take.
+        archive = tmp_path / "casebench.zip"
+        with zipfile.ZipFile(archive, "w") as z:
+            z.writestr("mini_corpus.jsonl", minicorpus.mini_corpus_path().read_bytes())
+        with zipfile.ZipFile(archive) as z:
+            monkeypatch.setattr(minicorpus, "mini_corpus_path", lambda: zipfile.Path(z, "mini_corpus.jsonl"))
+            assert minicorpus.load_mini_corpus() == mini_corpus
 
     @pytest.mark.parametrize("bad_row, reason", [
         ('{"doc_id": "b", "text": "t"', "malformed JSON"),

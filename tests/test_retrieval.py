@@ -17,6 +17,7 @@ from casebench.retrieval import (
     IndexFormatError,
     NgramIndex,
     analyze,
+    bm25_idf,
     bm25_rank,
     bm25_search,
     build_index,
@@ -199,6 +200,12 @@ class TestBM25:
         for ranked in (bm25_rank(units, query, k=3), bm25_search(build_index(units), query, k=3)):
             assert ranked.unit_ids() == ["c", "a"]
             assert [e.score for e in ranked.entries] == [pytest.approx(s, rel=1e-12) for _, s in expected]
+        # Both rankers share bm25_idf, so it is held to the written formula
+        # on its own, at every df of a few collection sizes, floor included.
+        for n in (3, 7, 100):
+            for df in range(n + 1):
+                want = math.log((n - df + 0.5) / (df + 0.5))
+                assert bm25_idf(n, df) == (pytest.approx(want, rel=1e-12) if want > 0 else 0.0), (n, df)
 
     def test_random_corpora_match_oracle_exactly(self):
         """``bm25_search`` and ``bm25_rank`` return the same ranked list:

@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
 
@@ -128,13 +128,21 @@ def write_manifest(out_path, command: str, config: dict, inputs: dict, counts: d
 
 
 class OutputSet:
-    """Declared output files, removed as a group if the command fails."""
+    """Declared output files, removed as a group if the command fails.  A
+    path that resolves to a file the command reads, or to an output already
+    declared, is a ``ConfigError`` before anything is opened."""
 
-    def __init__(self):
+    def __init__(self, command: str, reads: Iterable):
+        self.command = command
+        self.reads = {Path(path).resolve() for path in reads if path is not None}
         self.paths: list[Path] = []
 
     def declare(self, path) -> Path:
         p = Path(path)
+        if p.resolve() in self.reads:
+            raise ConfigError(f"{self.command} would overwrite its input {path}")
+        if p.resolve() in {q.resolve() for q in self.paths}:
+            raise ConfigError(f"{self.command} would write {path} twice")
         p.parent.mkdir(parents=True, exist_ok=True)
         self.paths.append(p)
         return p
@@ -196,10 +204,6 @@ def cmd_ingest(args, cfg, out: OutputSet) -> dict:
 
 def cmd_chunk(args, cfg, out: OutputSet) -> dict:
     window, stride = _chunking(cfg)
-    # Passages are written while the documents are read, so the output
-    # must not be the input.
-    if Path(args.output).resolve() == Path(args.input).resolve():
-        raise ConfigError(f"chunk would overwrite its input {args.input}")
     docs = 0
 
     def passages():
@@ -586,10 +590,15 @@ def main(argv=None) -> int:
         if exc.code == 2:
             return EXIT_USAGE
         raise
-    out = OutputSet()
+    inputs = {role: path for role in INPUT_ROLES if (path := getattr(args, role, None)) is not None}
+    out = OutputSet(args.command, [*inputs.values(), args.config])
     try:
         cfg = _gather_config(args)
         counts = args.func(args, cfg, out)
+        if out.paths:
+            manifest = out.declare(out.paths[0].with_suffix(out.paths[0].suffix + ".manifest.json"))
+            read = {role: path for role, path in inputs.items() if Path(path).exists()}
+            write_manifest(manifest, args.command, {**_settings(args), **cfg}, read, counts)
     except BaseException as exc:
         out.discard_all()
         if isinstance(exc, ConfigError):
@@ -599,14 +608,6 @@ def main(argv=None) -> int:
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
         raise
-    if out.paths:
-        manifest_path = out.paths[0].with_suffix(out.paths[0].suffix + ".manifest.json")
-        inputs = {
-            role: path
-            for role in INPUT_ROLES
-            if (path := getattr(args, role, None)) is not None and Path(path).exists()
-        }
-        write_manifest(manifest_path, args.command, {**_settings(args), **cfg}, inputs, counts)
     return EXIT_OK
 
 

@@ -64,8 +64,11 @@ def evaluate_run(
     """Per-query and macro Recall@k over a run, and nDCG@10.
 
     Queries present in qrels but missing from the run score zero and are
-    counted; run-only queries are listed and excluded.
+    counted; run-only queries are listed and excluded.  Every k must be at
+    least 1, or ``ValueError`` is raised.
     """
+    if min(ks) < 1:
+        raise ValueError(f"every k must be at least 1, got {list(ks)}")
     per_query: dict[str, dict[str, float]] = {}
     missing = sorted(q for q in qrels if q not in run)
     extra = sorted(q for q in run if q not in qrels)

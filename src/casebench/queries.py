@@ -7,9 +7,10 @@ window.  Statute citations always stay.  The cited document is the query's
 relevance target.
 
 Each document is parsed once (``parse_document``: citations under one
-reporter table, then words and paired quotes on first use); ``build_query``
-then makes every requested view of one central citation from that parse,
-and nothing re-scans a window or a masked text.
+reporter table, then words, paired quotes and every central's target keys
+on first use); ``build_query`` then makes every requested view of one
+central citation from that parse, and nothing re-scans a window or a
+masked text.
 """
 
 from __future__ import annotations
@@ -106,40 +107,6 @@ def _seam_join(*parts: str) -> str:
     return " ".join(pieces)
 
 
-def _remove_spans(text: str, spans: Sequence[tuple[int, int]]) -> str:
-    """Drop the given spans, collapsing each removal site to one space."""
-    if not spans:
-        return text
-    out = []
-    pos = 0
-    for start, end in sorted(spans):
-        out.append(text[pos:start])
-        out.append("\x00")
-        pos = end
-    out.append(text[pos:])
-    return re.sub(r"[ \t]*\x00[ \t]*", " ", "".join(out)).strip()
-
-
-def _parallel_group(cases: Sequence[CitationSpan], central: CitationSpan, text: str) -> list[CitationSpan]:
-    """The run of ``cases`` (case citations, by start) joined to ``central``
-    by bare ", " gaps: parallel reporters for the same decision."""
-    try:
-        idx = next(i for i, c in enumerate(cases) if c.start == central.start and c.end == central.end)
-    except StopIteration:
-        return [central]
-    lo = idx
-    while lo > 0 and _GAP_RE.match(text[cases[lo - 1].end : cases[lo].start]) and "\n" not in text[cases[lo - 1].end : cases[lo].start]:
-        lo -= 1
-    hi = idx
-    while (
-        hi + 1 < len(cases)
-        and _GAP_RE.match(text[cases[hi].end : cases[hi + 1].start])
-        and "\n" not in text[cases[hi].end : cases[hi + 1].start]
-    ):
-        hi += 1
-    return cases[lo : hi + 1]
-
-
 def _word_index_at(word_starts: list[int], char_pos: int) -> int:
     """Index of the word containing or following char_pos."""
     return max(0, bisect_right(word_starts, char_pos) - 1)
@@ -147,9 +114,9 @@ def _word_index_at(word_starts: list[int], char_pos: int) -> int:
 
 @dataclass(frozen=True)
 class ParsedDocument:
-    """A document citation-parsed once under one reporter table; its words
-    and paired quotes are computed at most once.  Every query around its
-    citations, and the citation dump, reads from it."""
+    """A document citation-parsed once under one reporter table; its words,
+    paired quotes and target keys are computed at most once.  Every query
+    around its citations, and the citation dump, reads from it."""
 
     doc_id: str
     text: str
@@ -173,6 +140,35 @@ class ParsedDocument:
     @cached_property
     def cases(self) -> list[CitationSpan]:
         return [c for c in self.citations if c.kind == KIND_CASE]
+
+    @cached_property
+    def targets(self) -> dict[int, tuple[CitationKey, ...]]:
+        """Each central's start -> its target keys.  A case citation targets
+        the distinct keys of its parallel run in order: the case citations
+        joined to it by bare ", " gaps on one line, the parallel reporters
+        of one decision.  A short form targets the run of the last case
+        citation before it with its key, or its own key alone."""
+        run: list[CitationKey] = []
+        run_of: dict[int, list[CitationKey]] = {}
+        prev = None
+        for case in self.cases:
+            gap = self.text[prev.end : case.start] if prev else None
+            if gap is None or "\n" in gap or not _GAP_RE.match(gap):
+                run = []
+            if case.key is not None and case.key not in run:
+                run.append(case.key)
+            run_of[case.start] = run
+            prev = case
+        targets: dict[int, tuple[CitationKey, ...]] = {}
+        last_run: dict[CitationKey, tuple[CitationKey, ...]] = {}
+        for c in self.citations:
+            if c.key is None:
+                continue
+            if c.kind == KIND_CASE:
+                targets[c.start] = last_run[c.key] = tuple(run_of[c.start])
+            elif c.kind == KIND_SHORT_FORM:
+                targets[c.start] = last_run.get(c.key, (c.key,))
+        return targets
 
     def centrals(self) -> list[CitationSpan]:
         """Central candidates: full case citations and short forms that
@@ -205,8 +201,9 @@ def build_query(
     for view in views:
         if view not in _VIEW_CODES:
             raise ValueError(f"unknown view {view!r}")
-    if central.key is None:
-        raise ValueError("central citation must carry a resolvable key")
+    target_keys = parsed.targets.get(central.start)
+    if target_keys is None:
+        raise ValueError("central citation must be one of the document's centrals")
     text = parsed.text
     bounds = citation_sentence_bounds(text, central, parsed.cases)
     if bounds is None:
@@ -227,7 +224,6 @@ def build_query(
     lo_c = words[lo_w].start
     hi_c = words[hi_w - 1].end
 
-    target_keys = _target_keys(parsed, central)
     # A citation the window edge cuts through still counts: its in-window
     # part is masked, so no fragment of a target survives.
     window_citations = [c for c in parsed.citations if c.start < hi_c and lo_c < c.end]
@@ -257,32 +253,6 @@ def build_query(
     return out
 
 
-def _target_keys(parsed: ParsedDocument, central: CitationSpan) -> tuple[CitationKey, ...]:
-    """The keys of the central's parallel run in order, led by the central
-    key when the run lacks it."""
-    if central.kind == KIND_CASE:
-        group = _parallel_group(parsed.cases, central, parsed.text)
-    else:
-        # A short-form central targets its antecedent's parallel run, so a
-        # qrels target can resolve through any of the antecedent's reporters.
-        antecedent = next(
-            (
-                c
-                for c in reversed(parsed.citations)
-                if c.kind == KIND_CASE and c.end <= central.start and c.key == central.key
-            ),
-            None,
-        )
-        group = _parallel_group(parsed.cases, antecedent, parsed.text) if antecedent else [central]
-    target_keys: list[CitationKey] = []
-    for span in group:
-        if span.key is not None and span.key not in target_keys:
-            target_keys.append(span.key)
-    if central.key not in target_keys:
-        target_keys.insert(0, central.key)
-    return tuple(target_keys)
-
-
 def _classify(parsed: ParsedDocument, lo_c: int, hi_c: int, target_keys: tuple[CitationKey, ...]) -> str:
     """direct iff some quote with both marks in the window [lo_c, hi_c) pairs
     with a citation carrying a target key: the central citation, a parallel
@@ -309,9 +279,6 @@ def _mask(
     target_keys: tuple[CitationKey, ...],
     window_citations: Sequence[CitationSpan],
 ) -> tuple[str, str]:
-    left = text[lo_c:sent_start]
-    right = text[sent_end:hi_c]
-
     def doomed(c: CitationSpan) -> bool:
         if view == VIEW_ALL_REMOVED:
             return c.kind in (KIND_CASE, KIND_SHORT_FORM)
@@ -319,15 +286,19 @@ def _mask(
         # they go too, even in the single-removed view.
         return c.kind == KIND_CASE and c.key in target_keys
 
-    def spans_in(part_lo: int, part_hi: int) -> list[tuple[int, int]]:
-        return [
-            (max(c.start, part_lo) - part_lo, min(c.end, part_hi) - part_lo)
-            for c in window_citations
-            if c.start < part_hi and part_lo < c.end and doomed(c)
-        ]
+    def cut(lo: int, hi: int) -> str:
+        """text[lo:hi] without the parts of its doomed citations; each cut
+        closes up to one space."""
+        pieces, pos = [], lo
+        for c in window_citations:
+            if c.start < hi and lo < c.end and doomed(c):
+                pieces.append(text[pos : max(c.start, lo)])
+                pos = min(c.end, hi)
+        pieces.append(text[pos:hi])
+        return " ".join(piece.strip(" \t") for piece in pieces)
 
-    left_clean = _remove_spans(left, spans_in(lo_c, sent_start))
-    right_clean = _remove_spans(right, spans_in(sent_end, hi_c))
+    left_clean = cut(lo_c, sent_start)
+    right_clean = cut(sent_end, hi_c)
     masked = _seam_join(left_clean, right_clean)
     display = _seam_join(left_clean, "REDACTED", right_clean)
     return masked, display

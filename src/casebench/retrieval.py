@@ -62,9 +62,25 @@ def _ranked(query_id: str, unit_ids: Iterable[str], scores: Iterable[float]) -> 
     return RankedList(query_id=query_id, entries=entries)
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
+def _check_bm25(k1: float, b: float) -> None:
+    """A NaN or infinite k1 makes every score NaN, a negative one every
+    score negative, and a b outside [0, 1] a length penalty that reorders
+    the ranking; each raises ``ValueError``."""
+    if not 0.0 <= k1 < math.inf:
+        raise ValueError(f"k1 must be finite and at least 0, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must lie in [0, 1], got {b}")
+
+
 def _ranked_top(query_id: str, scored: Iterable[tuple[str, float]], k: int) -> RankedList:
     """The k best of (id, score) pairs that score above 0, best first,
-    ties by ascending id, as ``_top_k`` breaks them."""
+    ties by ascending id, as ``_top_k`` breaks them; k must be at least 1."""
+    _check_k(k)
     top = sorted((pair for pair in scored if pair[1] > 0.0), key=lambda pair: (-pair[1], pair[0]))[:k]
     return _ranked(query_id, [unit_id for unit_id, _ in top], [score for _, score in top])
 
@@ -89,13 +105,6 @@ class AnalyzerConfig:
 
     def to_dict(self) -> dict:
         return {"lowercase": self.lowercase, "keep_citation_periods": self.keep_citation_periods}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalyzerConfig":
-        return cls(
-            lowercase=bool(d.get("lowercase", True)),
-            keep_citation_periods=bool(d.get("keep_citation_periods", True)),
-        )
 
 
 _TOKEN_PERIODS_RE = re.compile(r"[0-9a-z]+(?:\.[0-9a-z]+)*")
@@ -154,7 +163,6 @@ class InvertedIndex:
         units: np.ndarray,
         tfs: np.ndarray,
         unit_kind: str,
-        analyzer: AnalyzerConfig,
         path=None,
     ):
         for column in (lengths, offsets, units, tfs):
@@ -168,7 +176,7 @@ class InvertedIndex:
         self.tfs = tfs
         self.postings = _Postings(self)
         self.unit_kind = unit_kind
-        self.analyzer = analyzer
+        self.analyzer = AnalyzerConfig()
         self.path = path
         self.n_units = len(unit_ids)
         # Exact integer sum keeps the average reproducible across builds.
@@ -198,10 +206,14 @@ class InvertedIndex:
         return ids, np.array(starts, dtype=np.int64), _id_ranks(ids)
 
     def _length_norm(self, k1: float, b: float) -> np.ndarray:
-        """Per-unit BM25 length normalisation, computed once per (k1, b)."""
+        """Per-unit BM25 length normalisation, computed (and its settings
+        checked) once per (k1, b)."""
         norm = self._norms.get((k1, b))
         if norm is None:
-            norm = self._norms[(k1, b)] = k1 * (1.0 - b + b * (self.lengths / self.avg_length))
+            _check_bm25(k1, b)
+            # Tokenless units alone (average length 0) have no postings, so
+            # their norm is never read.
+            norm = self._norms[(k1, b)] = k1 * (1.0 - b + b * (self.lengths / (self.avg_length or 1.0)))
         return norm
 
 
@@ -211,11 +223,7 @@ class InvertedIndex:
 _RLE_SLICE = 1 << 12
 
 
-def build_index(
-    units: Iterable[tuple[str, str]],
-    unit_kind: str = "passage",
-    analyzer: AnalyzerConfig | None = None,
-) -> InvertedIndex:
+def build_index(units: Iterable[tuple[str, str]], unit_kind: str = "passage") -> InvertedIndex:
     """Build an inverted index over (unit_id, text) pairs, read once, so
     ``units`` may be a one-shot iterator; no unit text is kept.  Unit ids
     must be unique ids (``corpus._checked_id``), or ``ValueError`` is
@@ -226,7 +234,6 @@ def build_index(
     """
     import numpy as np
 
-    analyzer = analyzer or AnalyzerConfig()
     unit_ids: list[str] = []
     lengths = array("q")
     # A term unseen so far gets the next id: the factory returns the
@@ -236,7 +243,7 @@ def build_index(
     tokens = array("i")
     for unit_id, text in units:
         unit_ids.append(_checked_id(unit_id, "unit id"))
-        terms = analyze(text, analyzer)
+        terms = analyze(text)
         lengths.append(len(terms))
         tokens.fromlist(list(map(vocab.__getitem__, terms)))
     if not unit_ids:
@@ -266,7 +273,7 @@ def build_index(
     postings = np.concatenate(unit_parts)
     unit_parts.clear()  # freed before the tfs are joined
     tfs = np.concatenate(tf_parts)
-    return InvertedIndex(unit_ids, lengths, terms, offsets, postings, tfs, unit_kind, analyzer)
+    return InvertedIndex(unit_ids, lengths, terms, offsets, postings, tfs, unit_kind)
 
 
 def _encode_runs(keys: np.ndarray, n_units: int, n_terms: int) -> tuple[np.ndarray, list, list]:
@@ -305,6 +312,7 @@ def _bm25_scores(index: InvertedIndex, query_text: str, k1: float, b: float) -> 
     term; repeated query terms weigh by their frequency."""
     import numpy as np
 
+    norm = index._length_norm(k1, b)
     query_terms = analyze(query_text, index.analyzer)
     spans, sizes, weights = [], [], []
     for term, qtf in sorted(Counter(query_terms).items()):
@@ -328,7 +336,7 @@ def _bm25_scores(index: InvertedIndex, query_text: str, k1: float, b: float) -> 
     # and * swapped, which IEEE arithmetic leaves bit-identical.
     ids = np.concatenate([index.units[s] for s in spans])
     contrib = np.concatenate([index.tfs[s] for s in spans]).astype(np.float64)
-    denom = index._length_norm(k1, b)[ids]
+    denom = norm[ids]
     denom += contrib
     contrib *= k1 + 1.0
     contrib *= np.repeat(weights, sizes)
@@ -338,12 +346,13 @@ def _bm25_scores(index: InvertedIndex, query_text: str, k1: float, b: float) -> 
 
 def _top_k(scores: np.ndarray, id_rank: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions and scores of the k highest positive scores, best first,
-    ties by ascending ``id_rank``."""
+    ties by ascending ``id_rank``; k must be at least 1."""
     import numpy as np
 
+    _check_k(k)
     candidates = np.flatnonzero(scores > 0.0)
     cand_scores = scores[candidates]
-    if 0 < k < candidates.size:
+    if k < candidates.size:
         # The frontier keeps every unit tied with the k-th score, so the
         # id tie-break below sees all of them.
         kth = np.partition(cand_scores, candidates.size - k)[candidates.size - k]
@@ -400,6 +409,7 @@ def bm25_rank(
     terms skipped, and each unit's sum of
     ``(qtf * idf) * (tf * (k1 + 1)) / (tf + norm)`` in that order.
     """
+    _check_bm25(k1, b)
     counts = [Counter(analyze(text)) for _, text in units]
     n = len(counts)
     lengths = [c.total() for c in counts]
@@ -604,9 +614,13 @@ def load_index(path) -> InvertedIndex:
         header = json.loads(data[start : start + header_len].decode("utf-8"))
         n_units, n_terms, n_postings = (int(header[key]) for key in ("n_units", "n_terms", "n_postings"))
         unit_kind = str(header["unit_kind"])
-        analyzer = AnalyzerConfig.from_dict(header["analyzer"])
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        analyzer = header["analyzer"]
+    except (ValueError, KeyError, TypeError) as exc:
         raise r.error(f"bad index header: {exc}")
+    # Compared as JSON, so that 1 does not pass for true.
+    default = AnalyzerConfig().to_dict()
+    if json.dumps(analyzer, sort_keys=True) != json.dumps(default, sort_keys=True):
+        raise r.error(f"bad index header: analyzer {analyzer!r} is not the default {default!r}")
     if min(n_units, n_terms, n_postings) < 0:
         raise r.error("bad index header: negative count")
     unit_ids = r.lines("unit ids", n_units)
@@ -626,7 +640,7 @@ def load_index(path) -> InvertedIndex:
     tfs = r.u4(n_postings, "tfs")
     if n_postings and int(units.max()) >= n_units:
         raise r.error(f"posting names unit {int(units.max())} of {n_units}")
-    return InvertedIndex(unit_ids, lengths, terms, offsets, units, tfs, unit_kind, analyzer, path)
+    return InvertedIndex(unit_ids, lengths, terms, offsets, units, tfs, unit_kind, path)
 
 
 # ---------------------------------------------------------------------------

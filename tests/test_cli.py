@@ -629,6 +629,21 @@ def searchable(tmp_path_factory):
     return work
 
 
+@pytest.fixture(scope="module")
+def every_input(searchable, tmp_path_factory):
+    """``searchable``'s files, a generation set, two generation runs and a
+    config file: an input for every command that writes a file."""
+    work = tmp_path_factory.mktemp("every_input")
+    for src in searchable.iterdir():
+        (work / src.name).write_bytes(src.read_bytes())
+    assert main(["build-genset", str(work / "corpus.jsonl"), str(work / "genset.jsonl")]) == 0
+    ids = [json.loads(line)["instance_id"] for line in (work / "genset.jsonl").read_text().splitlines()]
+    for name, text in (("gens.jsonl", "An answer."), ("gens2.jsonl", "Another answer.")):
+        (work / name).write_text("".join(json.dumps({"instance_id": i, "output_text": text}) + "\n" for i in ids))
+    (work / "run.cfg").write_text("seed = 1\n")
+    return work
+
+
 class TestUsageErrors:
     """Bad flags are usage errors: exit 1, and no output is written."""
 
@@ -684,6 +699,41 @@ class TestUsageErrors:
         assert "overwrite its input" in capsys.readouterr().err
         assert corpus.read_bytes() == (searchable / "corpus.jsonl").read_bytes()
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "{d}/raw.jsonl", "{d}/raw.jsonl"],
+        ["chunk", "{d}/corpus.jsonl", "{d}/./corpus.jsonl"],
+        ["parse-citations", "{d}/corpus.jsonl", "{d}/corpus.jsonl"],
+        ["parse-citations", "{d}/corpus.jsonl", "{d}/c2.jsonl", "--quotes-out", "{d}/c2.jsonl"],
+        ["build-queries", "{d}/corpus.jsonl", "{d}/corpus.jsonl", "{d}/q.txt"],
+        ["build-queries", "{d}/corpus.jsonl", "{d}/same.txt", "{d}/same.txt"],
+        ["build-queries", "{d}/corpus.jsonl", "{d}/q.jsonl", "{d}/q.txt", "--passage-qrels", "{d}/corpus.jsonl"],
+        ["build-queries", "{d}/corpus.jsonl", "{d}/q.jsonl", "{d}/q.jsonl.manifest.json"],
+        ["build-genset", "{d}/corpus.jsonl", "{d}/corpus.jsonl"],
+        ["index", "{d}/corpus.jsonl", "{d}/corpus.jsonl", "--unit", "document"],
+        ["search", "{d}/docs.idx", "{d}/queries.jsonl", "{d}/queries.jsonl"],
+        ["search", "{d}/docs.idx", "{d}/queries.jsonl", "{d}/docs.idx"],
+        ["search-quotes", "{d}/corpus.jsonl", "{d}/quotes.jsonl", "{d}/quotes.jsonl", "--unit", "document"],
+        ["eval-retrieval", "{d}/run.trec", "{d}/qrels.txt", "--output", "{d}/qrels.txt"],
+        ["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--output", "{d}/gens.jsonl"],
+        ["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--compare", "{d}/gens2.jsonl",
+         "--output", "{d}/gens2.jsonl"],
+        ["density", "{d}/corpus.jsonl", "{d}/corpus.jsonl"],
+        ["--config", "{d}/run.cfg", "ingest", "{d}/raw.jsonl", "{d}/run.cfg"],
+    ], ids=[
+        "ingest", "chunk", "parse-citations", "parse-citations-quotes-out-onto-output",
+        "build-queries-onto-corpus", "build-queries-qrels-onto-queries", "build-queries-passage-qrels-onto-corpus",
+        "build-queries-qrels-onto-manifest", "build-genset", "index", "search-onto-queries", "search-onto-index",
+        "search-quotes", "eval-retrieval", "eval-generation", "eval-generation-onto-compare", "density",
+        "onto-config",
+    ])
+    def test_no_command_overwrites_what_it_reads_or_writes(self, every_input, tmp_path, capsys, argv):
+        for src in every_input.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main([a.format(d=tmp_path) for a in argv]) == 1
+        assert re.search(r"would (overwrite its input|write .* twice)", capsys.readouterr().err)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

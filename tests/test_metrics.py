@@ -109,6 +109,12 @@ class TestEvaluateRun:
         )
         assert report.macro["recall@10"] == 0.5
 
+    @pytest.mark.parametrize("ks", [(0,), (10, -1), (-1,)])
+    def test_k_below_1_raises(self, ks):
+        # At k = -1, [:k] kept every ranked unit but the last.
+        with pytest.raises(ValueError, match="at least 1"):
+            evaluate_run({"q1": ["a", "b"]}, {"q1": {"a"}}, ks=ks)
+
 
 class TestRouge:
     def test_identical_texts(self):

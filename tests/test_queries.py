@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from casebench.citations import (
+    KIND_CASE,
     ReporterTable,
     default_reporter_table,
     find_case_citations,
@@ -11,6 +12,7 @@ from casebench.citations import (
 )
 from casebench.corpus import tokenize_words
 from casebench.queries import (
+    _GAP_RE,
     KIND_DIRECT,
     KIND_INDIRECT,
     VIEW_ALL_REMOVED,
@@ -155,6 +157,120 @@ class TestBuildQuery:
         doc = query_doc()
         with pytest.raises(ValueError):
             build_query(parse_document(doc, TABLE), central_of(doc, "601 U.S. 101"), views=())
+
+
+def parallel_group_oracle(cases, central, text):
+    """The run of ``cases`` (case citations, by start) joined to ``central``
+    by bare ", " gaps on one line, found by walking out from ``central``."""
+    try:
+        idx = next(i for i, c in enumerate(cases) if c.start == central.start and c.end == central.end)
+    except StopIteration:
+        return [central]
+
+    def joined(i):
+        gap = text[cases[i].end : cases[i + 1].start]
+        return _GAP_RE.match(gap) and "\n" not in gap
+
+    lo = idx
+    while lo > 0 and joined(lo - 1):
+        lo -= 1
+    hi = idx
+    while hi + 1 < len(cases) and joined(hi):
+        hi += 1
+    return cases[lo : hi + 1]
+
+
+def target_keys_oracle(parsed, central):
+    """The keys of the central's parallel run in order, led by the central
+    key when the run lacks it; a short form takes its antecedent's run, the
+    last case citation before it with its key, found by a reversed scan."""
+    if central.kind == KIND_CASE:
+        group = parallel_group_oracle(parsed.cases, central, parsed.text)
+    else:
+        antecedent = next(
+            (c for c in reversed(parsed.citations)
+             if c.kind == KIND_CASE and c.end <= central.start and c.key == central.key),
+            None,
+        )
+        group = parallel_group_oracle(parsed.cases, antecedent, parsed.text) if antecedent else [central]
+    target_keys = []
+    for span in group:
+        if span.key is not None and span.key not in target_keys:
+            target_keys.append(span.key)
+    if central.key not in target_keys:
+        target_keys.insert(0, central.key)
+    return tuple(target_keys)
+
+
+# Each way a run of parallel reporters starts, ends or repeats a key, and
+# both kinds of keyed short form.
+TARGETS_PARAGRAPHS = [
+    "The rule is old. Tilden v. Marsh Chemical Corp., 601 U.S. 101, 144 S.Ct. 901, 218 L.Ed.2d 44 (2023). "
+    "Id. at 105.",
+    "Two cases share a volume. Smith v. Jones, 477 U.S. 317 (1986); Doe v. Roe, 477 U.S. 400, "
+    "106 S.Ct. 2000 (1986). The later one controls. 477 U.S. at 405.",
+    "A run split by a line break: Brown v. Board, 347 U.S. 483,",
+    "74 S.Ct. 686 (1954). A gap with a word: Roe v. Wade, 410 U.S. 113, and 93 S.Ct. 705 (1973). "
+    "One key twice: Hughes v. Rowe, 449 U.S. 5, 449 U.S. 5, 101 S.Ct. 173 (1980).",
+]
+
+
+class TestTargets:
+    """``ParsedDocument.targets`` maps every central to the keys a
+    walk-out-and-scan oracle gives it."""
+
+    def test_hand_built_document(self):
+        parsed = parse_document(make_doc("targets", TARGETS_PARAGRAPHS), TABLE)
+        targets = {c.raw: [str(k) for k in parsed.targets[c.start]] for c in parsed.centrals()}
+        tilden = ["601 U.S. 101", "144 S.Ct. 901", "218 L.Ed.2d 44"]
+        doe = ["477 U.S. 400", "106 S.Ct. 2000"]
+        hughes = ["449 U.S. 5", "101 S.Ct. 173"]
+        assert targets == {
+            "601 U.S. 101": tilden,
+            "144 S.Ct. 901": tilden,
+            "218 L.Ed.2d 44 (2023)": tilden,
+            "Id. at 105": tilden,
+            "477 U.S. 317 (1986)": ["477 U.S. 317"],
+            "477 U.S. 400": doe,
+            "106 S.Ct. 2000 (1986)": doe,
+            "477 U.S. at 405": doe,
+            "347 U.S. 483": ["347 U.S. 483"],
+            "74 S.Ct. 686 (1954)": ["74 S.Ct. 686"],
+            "410 U.S. 113": ["410 U.S. 113"],
+            "93 S.Ct. 705 (1973)": ["93 S.Ct. 705"],
+            "449 U.S. 5": hughes,
+            "101 S.Ct. 173 (1980)": hughes,
+        }
+        assert sum(1 for c in parsed.centrals() if c.raw == "449 U.S. 5") == 2
+        for central in parsed.centrals():
+            assert parsed.targets[central.start] == target_keys_oracle(parsed, central)
+
+    def test_short_form_central_query_targets_its_antecedent_run(self):
+        parsed = parse_document(make_doc("targets", TARGETS_PARAGRAPHS), TABLE)
+        for raw in ("Id. at 105", "477 U.S. at 405"):
+            central = next(c for c in parsed.centrals() if c.raw == raw)
+            built = build_query(parsed, central, 100, (VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED))
+            for q in built.values():
+                assert q.target_keys == target_keys_oracle(parsed, central)
+                assert len(q.target_keys) > 1
+
+    def test_mini_corpus_matches_oracle(self, mini_corpus):
+        short_forms = 0
+        for doc in mini_corpus:
+            parsed = parse_document(doc, TABLE)
+            centrals = parsed.centrals()
+            assert set(parsed.targets) == {c.start for c in centrals}
+            for central in centrals:
+                assert parsed.targets[central.start] == target_keys_oracle(parsed, central)
+                short_forms += central.kind != KIND_CASE
+        assert short_forms > 0
+
+    def test_central_from_another_document_rejected(self):
+        parsed = parse_document(query_doc(), TABLE)
+        stray = parse_document(make_doc("targets", TARGETS_PARAGRAPHS), TABLE).centrals()[0]
+        assert stray.start not in parsed.targets
+        with pytest.raises(ValueError):
+            build_query(parsed, stray)
 
 
 class TestResidualShortForms:

@@ -249,6 +249,47 @@ class TestBM25:
         assert [e.rank for e in ranked.entries] == list(range(1, len(scores) + 1))
 
 
+# 10 of 60 units hold the phrase, so every ranker has 10 hits to cut.
+SETTINGS_UNITS = [(f"u{i:02d}", "alpha beta gamma" if i % 6 == 0 else f"filler {i}") for i in range(60)]
+
+
+def rank_with(ranker, k, query="alpha beta", **settings):
+    if ranker == "bm25_search":
+        return bm25_search(build_index(SETTINGS_UNITS), query, k, **settings)
+    if ranker == "bm25_rank":
+        return bm25_rank(SETTINGS_UNITS, query, k, **settings)
+    index = NgramIndex(SETTINGS_UNITS, 2, [query])
+    search = ngram_search if ranker == "ngram_search" else exact_match_search
+    return search(index, query, k)
+
+
+class TestRankerSettings:
+    """The library rankers reject the settings the CLI rejects, and do not
+    quietly rank with them: ``[:k]`` at k = -1 kept every hit but the
+    last, a NaN or negative k1 scored nothing, and b > 1 reordered."""
+
+    @pytest.mark.parametrize("ranker", ["bm25_search", "bm25_rank", "ngram_search", "exact_match_search"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_1_raises(self, ranker, k):
+        assert len(rank_with(ranker, 100).entries) == 10
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            rank_with(ranker, k)
+
+    @pytest.mark.parametrize("ranker", ["bm25_search", "bm25_rank"])
+    @pytest.mark.parametrize("settings", [
+        {"k1": -1.0}, {"k1": math.nan}, {"k1": math.inf}, {"b": -0.1}, {"b": 1.5}, {"b": math.nan},
+    ], ids=["k1-negative", "k1-nan", "k1-inf", "b-negative", "b-above-1", "b-nan"])
+    @pytest.mark.parametrize("query", ["alpha beta", "absent"])
+    def test_bad_bm25_setting_raises(self, ranker, settings, query):
+        # Even a query that shares no term with the units is refused.
+        with pytest.raises(ValueError, match="k1 must|b must"):
+            rank_with(ranker, 10, query, **settings)
+
+    @pytest.mark.parametrize("settings", [{"k1": 0.0}, {"b": 0.0}, {"b": 1.0}])
+    def test_edge_settings_rank(self, settings):
+        assert rank_with("bm25_search", 10, **settings) == rank_with("bm25_rank", 10, **settings)
+
+
 class TestMaxP:
     """``bm25_search(..., maxp=True)`` ranks a passage index's documents by
     their best passage.  The fillers keep every term's df below N/2, so its
@@ -548,6 +589,42 @@ class TestDamagedIndex:
         path = tmp_path / "damaged.idx"
         path.write_bytes(bytes(data))
         with pytest.raises(IndexFormatError):
+            load_index(path)
+
+
+def with_header_analyzer(data: bytes, analyzer) -> bytes:
+    """An index file's bytes with its header's analyzer replaced."""
+    end = section_ends(data)["header"]
+    header = {**json.loads(data[12:end]), "analyzer": analyzer}
+    blob = json.dumps(header, sort_keys=True).encode()
+    return data[:8] + struct.pack("<I", len(blob)) + blob + data[end:]
+
+
+class TestHeaderAnalyzer:
+    """An index is built with the default analyzer alone, so a header that
+    names any other is a format error.  ``bool()`` used to coerce each
+    switch, so ``{"lowercase": "no"}`` loaded as a lowercasing analyzer."""
+
+    def test_default_analyzer_loads(self, tmp_path):
+        data = saved_index(tmp_path)
+        path = tmp_path / "same.idx"
+        path.write_bytes(with_header_analyzer(data, AnalyzerConfig().to_dict()))
+        assert path.read_bytes() == data
+        assert load_index(path).analyzer == AnalyzerConfig()
+
+    @pytest.mark.parametrize("analyzer", [
+        {"lowercase": "no", "keep_citation_periods": True},
+        {"lowercase": False, "keep_citation_periods": True},
+        {"lowercase": True, "keep_citation_periods": False},
+        {"lowercase": 1, "keep_citation_periods": True},
+        {"lowercase": True},
+        {"lowercase": True, "keep_citation_periods": True, "stemming": False},
+        None,
+    ], ids=["string", "cased", "plain-periods", "int-for-bool", "missing-key", "extra-key", "null"])
+    def test_other_analyzer_rejected(self, tmp_path, analyzer):
+        path = tmp_path / "other.idx"
+        path.write_bytes(with_header_analyzer(saved_index(tmp_path), analyzer))
+        with pytest.raises(IndexFormatError, match="is not the default"):
             load_index(path)
 
 

@@ -192,7 +192,10 @@ _SUPRA_RE = re.compile(
 
 
 def _overlaps(start: int, end: int, spans: Sequence[CitationSpan]) -> bool:
-    return any(start < s.end and end > s.start for s in spans)
+    """Whether [start, end) meets one of the disjoint ``spans``, sorted by
+    start: only the last to start before ``end`` can reach past ``start``."""
+    i = bisect_left(spans, end, key=lambda s: s.start)
+    return i > 0 and spans[i - 1].end > start
 
 
 def find_citations(text: str, reporters: ReporterTable) -> list[CitationSpan]:
@@ -206,7 +209,7 @@ def find_citations(text: str, reporters: ReporterTable) -> list[CitationSpan]:
     """
     statutes = find_statute_citations(text)
     cases = [s for s in find_case_citations(text, reporters) if not _overlaps(s.start, s.end, statutes)]
-    blocked = statutes + cases
+    blocked = sorted(statutes + cases, key=lambda s: s.start)
     shorts = [
         m
         for pattern in (_ID_RE, _SUPRA_RE, reporters.at_cite_re)

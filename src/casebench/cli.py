@@ -5,11 +5,16 @@ hashes, and counts, so identical runs produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage or config error, 2 a malformed or unreadable
 input file (``DataError``, ``OSError``); any other exception is a bug.
+
+``main`` owns the output files.  One that resolves to an input, the
+``--config`` file or another output is refused (exit 1) before anything is
+read or removed; a command that fails leaves none of the paths it names.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -45,9 +50,10 @@ CONFIG_KEYS = {
 
 
 def load_config_file(path) -> dict:
-    """Parse flat "key = value" lines; '#' starts a comment.  Unknown keys
-    and unparseable values are configuration errors."""
+    """Parse flat "key = value" lines; '#' starts a comment.  Unknown or
+    repeated keys and unparseable values are configuration errors."""
     out = {}
+    lines = {}  # key -> the line that set it
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -63,6 +69,9 @@ def load_config_file(path) -> dict:
         value = value.strip().strip('"')
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
         caster = CONFIG_KEYS[key]
         try:
             if caster is bool:
@@ -127,29 +136,21 @@ def write_manifest(out_path, command: str, config: dict, inputs: dict, counts: d
         f.write("\n")
 
 
-class OutputSet:
-    """Declared output files, removed as a group if the command fails.  A
-    path that resolves to a file the command reads, or to an output already
-    declared, is a ``ConfigError`` before anything is opened."""
-
-    def __init__(self, command: str, reads: Iterable):
-        self.command = command
-        self.reads = {Path(path).resolve() for path in reads if path is not None}
-        self.paths: list[Path] = []
-
-    def declare(self, path) -> Path:
-        p = Path(path)
-        if p.resolve() in self.reads:
-            raise ConfigError(f"{self.command} would overwrite its input {path}")
-        if p.resolve() in {q.resolve() for q in self.paths}:
-            raise ConfigError(f"{self.command} would write {path} twice")
-        p.parent.mkdir(parents=True, exist_ok=True)
-        self.paths.append(p)
-        return p
-
-    def discard_all(self) -> None:
-        for p in self.paths:
-            p.unlink(missing_ok=True)
+def _output_paths(args, reads: Iterable) -> list[Path]:
+    """The output-role arguments, in ``OUTPUT_PATHS`` order, then the first
+    one's manifest.  One that resolves to a file the command reads, or to
+    an earlier output, is a ``ConfigError``."""
+    paths = [Path(path) for dest in OUTPUT_PATHS[1:] if (path := getattr(args, dest, None)) is not None]
+    if paths:
+        paths.append(paths[0].with_suffix(paths[0].suffix + ".manifest.json"))
+    reads = {Path(path).resolve() for path in reads if path is not None}
+    resolved = [path.resolve() for path in paths]
+    for i, path in enumerate(paths):
+        if resolved[i] in reads:
+            raise ConfigError(f"{args.command} would overwrite its input {path}")
+        if resolved[i] in resolved[:i]:
+            raise ConfigError(f"{args.command} would write {path} twice")
+    return paths
 
 
 def _reporters(args) -> citations.ReporterTable:
@@ -192,17 +193,17 @@ def _window_lengths(cfg) -> list[int]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args, cfg, out: OutputSet) -> dict:
+def cmd_ingest(args, cfg) -> dict:
     docs, diagnostics = corpus.load_corpus_jsonl(args.input)
     if not docs:
         raise corpus.DataError(f"no loadable records in {args.input}")
-    n = corpus.write_corpus_jsonl(docs, out.declare(args.output))
+    n = corpus.write_corpus_jsonl(docs, args.output)
     for d in diagnostics:
         print(f"rejected: {d}", file=sys.stderr)
     return {"documents": n, "rejected": len(diagnostics)}
 
 
-def cmd_chunk(args, cfg, out: OutputSet) -> dict:
+def cmd_chunk(args, cfg) -> dict:
     window, stride = _chunking(cfg)
     docs = 0
 
@@ -212,11 +213,11 @@ def cmd_chunk(args, cfg, out: OutputSet) -> dict:
             docs += 1
             yield from corpus.chunk_document(doc, window, stride)
 
-    n = corpus.write_passages_jsonl(passages(), out.declare(args.output))
+    n = corpus.write_passages_jsonl(passages(), args.output)
     return {"documents": docs, "passages": n, "window": window, "stride": stride}
 
 
-def cmd_parse_citations(args, cfg, out: OutputSet) -> dict:
+def cmd_parse_citations(args, cfg) -> dict:
     docs = corpus.read_corpus_jsonl(args.input)
     table = _reporters(args)
     rows = []
@@ -239,9 +240,9 @@ def cmd_parse_citations(args, cfg, out: OutputSet) -> dict:
                     }
                 )
                 counts["quotes"] += 1
-    citations.write_citations_jsonl(rows, out.declare(args.output))
+    citations.write_citations_jsonl(rows, args.output)
     if args.quotes_out:
-        corpus.write_jsonl(quote_rows, out.declare(args.quotes_out))
+        corpus.write_jsonl(quote_rows, args.quotes_out)
     if args.labeled_sample:
         samples = citations.read_labeled_samples(args.labeled_sample)
         accuracy, n = citations.sentence_extraction_accuracy(samples, table)
@@ -261,7 +262,7 @@ def _parse_views(value: str) -> list[str]:
     return views
 
 
-def cmd_build_queries(args, cfg, out: OutputSet) -> dict:
+def cmd_build_queries(args, cfg) -> dict:
     views = _parse_views(args.view)
     chunking = _chunking(cfg) if args.passage_qrels else None
     docs = corpus.read_corpus_jsonl(args.input)
@@ -271,22 +272,22 @@ def cmd_build_queries(args, cfg, out: OutputSet) -> dict:
     built, qrels, report = queries.build_queries(
         docs, views=views, kinds=kinds, window_words=lengths, reporters=table
     )
-    queries.write_queries_jsonl(built, out.declare(args.output))
-    queries.write_qrels(qrels, out.declare(args.qrels_out))
+    queries.write_queries_jsonl(built, args.output)
+    queries.write_qrels(qrels, args.qrels_out)
     counts = dict(report.to_dict())
     if chunking:
         passages_by_doc = {
             doc.doc_id: [p.passage_id for p in corpus.chunk_document(doc, *chunking)] for doc in docs
         }
         pq = queries.passage_qrels(qrels, passages_by_doc)
-        queries.write_qrels(pq, out.declare(args.passage_qrels))
+        queries.write_qrels(pq, args.passage_qrels)
         counts["passage_qrels"] = len(pq)
     counts["queries"] = len(built)
     counts["window_words"] = lengths if len(lengths) > 1 else lengths[0]
     return counts
 
 
-def cmd_build_genset(args, cfg, out: OutputSet) -> dict:
+def cmd_build_genset(args, cfg) -> dict:
     docs = corpus.read_corpus_jsonl(args.input)
     table = _reporters(args)
     instances, diagnostics = genset.build_genset(
@@ -297,7 +298,7 @@ def cmd_build_genset(args, cfg, out: OutputSet) -> dict:
         word_budget=cfg.get("word_budget", genset.DEFAULT_WORD_BUDGET),
         reporters=table,
     )
-    genset.write_genset_jsonl(instances, out.declare(args.output))
+    genset.write_genset_jsonl(instances, args.output)
     for d in diagnostics:
         print(f"skipped: {d}", file=sys.stderr)
     return {"instances": len(instances), "skipped": len(diagnostics)}
@@ -311,17 +312,17 @@ def _units(path, unit: str) -> Iterator[tuple[str, str]]:
     return ((d.doc_id, d.text) for d in corpus.iter_corpus_jsonl(path))
 
 
-def cmd_index(args, cfg, out: OutputSet) -> dict:
+def cmd_index(args, cfg) -> dict:
     units = _units(args.input, args.unit)
     first = next(units, None)
     if first is None:
         raise corpus.DataError(f"no units in {args.input}")
     index = retrieval.build_index(chain([first], units), unit_kind=args.unit)
-    retrieval.save_index(index, out.declare(args.output))
+    retrieval.save_index(index, args.output)
     return {"units": index.n_units, "vocabulary": index.vocabulary_size, "unit_kind": args.unit}
 
 
-def cmd_search(args, cfg, out: OutputSet) -> dict:
+def cmd_search(args, cfg) -> dict:
     k = _positive("--k", args.k)
     index = retrieval.load_index(args.index)
     if args.maxp and index.unit_kind != "passage":
@@ -334,11 +335,11 @@ def cmd_search(args, cfg, out: OutputSet) -> dict:
         for row in rows
     ]
     tag = "bm25-maxp" if args.maxp else "bm25"
-    n = retrieval.write_trec_run(runs, out.declare(args.output), tag=tag)
+    n = retrieval.write_trec_run(runs, args.output, tag=tag)
     return {"queries": len(runs), "rows": n, "k": k, "tag": tag}
 
 
-def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
+def cmd_search_quotes(args, cfg) -> dict:
     k = _positive("--k", args.k)
     units = list(_units(args.corpus, args.unit))
     rows = queries.read_queries_jsonl(args.quotes, "quote")
@@ -352,11 +353,11 @@ def cmd_search_quotes(args, cfg, out: OutputSet) -> dict:
             runs.append(search(index, row["quote"], k, query_id=row["query_id"]))
         except retrieval.EmptyQuoteError:
             empty += 1
-    rows_written = retrieval.write_trec_run(runs, out.declare(args.output), tag=f"{args.mode}-{n}")
+    rows_written = retrieval.write_trec_run(runs, args.output, tag=f"{args.mode}-{n}")
     return {"quotes": len(rows), "rows": rows_written, "rejected_empty": empty, "mode": args.mode}
 
 
-def cmd_eval_retrieval(args, cfg, out: OutputSet) -> dict:
+def cmd_eval_retrieval(args, cfg) -> dict:
     ks = _positive_ints("--k", args.k)
     run = retrieval.read_trec_run(args.run)
     qrels = queries.read_qrels(args.qrels)
@@ -364,17 +365,10 @@ def cmd_eval_retrieval(args, cfg, out: OutputSet) -> dict:
         raise corpus.DataError(f"no positive judgments in {args.qrels}")
     ranked = {qid: [unit for unit, _, _ in rows] for qid, rows in run.items()}
     report = metrics.evaluate_run(ranked, qrels, ks=ks)
-    with open(out.declare(args.output), "w", encoding="utf-8") as f:
-        f.write(report.to_json(indent=2) + "\n")
-    print(_format_table(report.macro))
-    return {
-        "queries_scored": len(report.per_query),
-        **{k: round(v, 6) for k, v in report.macro.items()},
-        **report.skipped,
-    }
+    return _write_report(args.output, report.to_dict(), report, "queries_scored")
 
 
-def cmd_eval_generation(args, cfg, out: OutputSet) -> dict:
+def cmd_eval_generation(args, cfg) -> dict:
     table = _reporters(args)
     instances = genset.read_genset_jsonl(args.genset)
     outputs = metrics.read_generations_jsonl(args.generations)
@@ -389,34 +383,35 @@ def cmd_eval_generation(args, cfg, out: OutputSet) -> dict:
             instances, other, include_references_in_substring_check=include_refs, reporters=table
         )
         result["gain_over_compare"] = metrics.compare_runs(report, other_report)
-    with open(out.declare(args.output), "w", encoding="utf-8") as f:
-        json.dump(result, f, indent=2, sort_keys=True)
+    return _write_report(args.output, result, report, "instances_scored")
+
+
+def _write_report(path, payload: dict, report: metrics.MetricReport, scored: str) -> dict:
+    """Write ``payload`` as sorted JSON and print ``report``'s macro table;
+    return the manifest counts: items ``scored``, macro scores and skips."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     print(_format_table(report.macro))
     return {
-        "instances_scored": len(report.per_query),
+        scored: len(report.per_query),
         **{k: round(v, 6) for k, v in report.macro.items()},
         **report.skipped,
     }
 
 
-def cmd_density(args, cfg, out: OutputSet) -> dict:
+def cmd_density(args, cfg) -> dict:
     docs = corpus.read_corpus_jsonl(args.input)
     if not docs:
         raise corpus.DataError(f"no documents in {args.input}")
     profile = genset.citation_density_profile(docs, _reporters(args))
-    payload = {
-        "decile_densities": list(profile.decile_densities),
-        "decile_words": list(profile.decile_words),
-        "decile_citations": list(profile.decile_citations),
-    }
-    with open(out.declare(args.output), "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
+    with open(args.output, "w", encoding="utf-8") as f:
+        json.dump(dataclasses.asdict(profile), f, indent=2)
         f.write("\n")
     return {"documents": len(docs), "total_words": sum(profile.decile_words)}
 
 
-def cmd_stats(args, cfg, out: OutputSet) -> dict:
+def cmd_stats(args, cfg) -> dict:
     docs = corpus.read_corpus_jsonl(args.input)
     rows = [("documents", len(docs), _avg(d.word_count() for d in docs))]
     if args.passages:
@@ -591,16 +586,20 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         raise
     inputs = {role: path for role in INPUT_ROLES if (path := getattr(args, role, None)) is not None}
-    out = OutputSet(args.command, [*inputs.values(), args.config])
+    outputs: list[Path] = []
     try:
+        outputs = _output_paths(args, [*inputs.values(), args.config])
         cfg = _gather_config(args)
-        counts = args.func(args, cfg, out)
-        if out.paths:
-            manifest = out.declare(out.paths[0].with_suffix(out.paths[0].suffix + ".manifest.json"))
+        for path in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        counts = args.func(args, cfg)
+        if outputs:
             read = {role: path for role, path in inputs.items() if Path(path).exists()}
-            write_manifest(manifest, args.command, {**_settings(args), **cfg}, read, counts)
+            write_manifest(outputs[-1], args.command, {**_settings(args), **cfg}, read, counts)
     except BaseException as exc:
-        out.discard_all()
+        # A refused run has no outputs to remove: the path it refused may be an input.
+        for path in outputs:
+            path.unlink(missing_ok=True)
         if isinstance(exc, ConfigError):
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE

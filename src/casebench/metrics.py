@@ -11,7 +11,6 @@ rationals.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
@@ -279,9 +278,6 @@ class MetricReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def _macro(per_query: dict[str, dict[str, float]]) -> dict[str, float]:

@@ -380,12 +380,13 @@ def build_queries(
                 if target_doc is None or target_doc == doc.doc_id:
                     report.skipped_unresolvable += 1
                     break
+                # Every view of a central shares its kind.
+                if kinds is not None and first.kind not in kinds:
+                    continue
                 if first.residual_short_form:
                     report.residual_short_form_queries += 1
                 for view in views:
                     q = built[view]
-                    if kinds is not None and q.kind not in kinds:
-                        continue
                     if len(window_words) > 1:
                         q = replace(q, query_id=f"{q.query_id}:w{length}")
                     queries.append(q)

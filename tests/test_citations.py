@@ -159,6 +159,45 @@ class TestShortForms:
         assert str(at_span.key) == "449 U.S. 5"
 
 
+def overlaps_oracle(start, end, spans):
+    """The full scan ``find_citations`` once filtered with."""
+    return any(start < s.end and end > s.start for s in spans)
+
+
+class TestOverlapFilter:
+    """``_overlaps`` bisects disjoint spans sorted by start; the full scan
+    judges it."""
+
+    def test_random_disjoint_spans_match_the_scan(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            spans, pos = [], 0
+            for _ in range(rng.randint(0, 8)):
+                start = pos + rng.randint(0, 3)  # adjacent spans included
+                pos = start + rng.randint(1, 5)
+                spans.append(citations.CitationSpan(start, pos, "case", "x"))
+            for _ in range(30):
+                start = rng.randint(0, pos + 2)
+                end = start + rng.randint(0, 6)
+                assert citations._overlaps(start, end, spans) == overlaps_oracle(start, end, spans), (start, end, spans)
+
+    # A case inside a statute, an at-page cite inside a case (their "5"),
+    # and an id. inside a statute; none of the mini-corpus spans clash.
+    CLASHES = "Smith, 5 U.S. 5 U.S. at 7. Later, 28 U.S.C. § 1291 U.S. 5 (1980). Fed.R.Civ.P. 56(id.) applies."
+
+    def test_spans_inside_others_are_dropped(self):
+        assert [(s.kind, s.raw) for s in find_citations(self.CLASHES, TABLE)] == [
+            ("case", "5 U.S. 5"), ("statute", "28 U.S.C. § 1291"), ("statute", "Fed.R.Civ.P. 56(id.)"),
+        ]
+
+    def test_mini_corpus_spans_match_the_scan(self, mini_corpus, monkeypatch):
+        texts = [doc.text for doc in mini_corpus]
+        texts += ["\n\n".join(texts), self.CLASHES]
+        got = [find_citations(text, TABLE) for text in texts]
+        monkeypatch.setattr(citations, "_overlaps", overlaps_oracle)
+        assert got == [find_citations(text, TABLE) for text in texts]
+
+
 class TestNormalize:
     def test_spacing_variant_and_pincite_dropped(self):
         span = find_case_citations("477 U. S. 317, 322", TABLE)[0]

@@ -15,7 +15,7 @@ import pytest
 
 import casebench
 from casebench.citations import default_reporter_table, load_reporter_table
-from casebench.cli import build_parser, main
+from casebench.cli import OUTPUT_PATHS, build_parser, main
 from casebench.corpus import fold_words, read_corpus_jsonl, read_passages_jsonl
 from casebench.minicorpus import mini_corpus_path
 from casebench.queries import (
@@ -127,6 +127,15 @@ class TestErrors:
         rc = main(["--config", str(cfg), "ingest", str(raw_corpus), str(tmp_path / "out.jsonl")])
         assert rc == 1
         assert "not_a_key" in capsys.readouterr().err
+
+    def test_repeated_config_key_names_both_lines(self, tmp_path, raw_corpus, capsys):
+        # The later value used to win silently: chunk exited 0 with window 300.
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text("window = 100\nstride = 50\n# a comment\nwindow = 300\n")
+        out = tmp_path / "o.jsonl"
+        assert main(["--config", str(cfg), "chunk", str(raw_corpus), str(out)]) == 1
+        assert f"{cfg}:4: config key 'window' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_config_value_rejected(self, tmp_path, raw_corpus, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -937,6 +946,81 @@ class TestDataErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+def subcommands() -> set[str]:
+    parser = build_parser()
+    return set(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+# A successful run of every subcommand on ``every_input``'s files, writing
+# under a directory that does not exist yet.
+EVERY_COMMAND = [
+    ["ingest", "{d}/raw.jsonl", "{d}/out/corpus.jsonl"],
+    ["chunk", "{d}/corpus.jsonl", "{d}/out/passages.jsonl"],
+    ["parse-citations", "{d}/corpus.jsonl", "{d}/out/c.jsonl", "--quotes-out", "{d}/out/quotes.jsonl"],
+    ["build-queries", "{d}/corpus.jsonl", "{d}/out/q.jsonl", "{d}/out/q.txt", "--passage-qrels", "{d}/out/pq.txt"],
+    ["--config", "{d}/run.cfg", "build-genset", "{d}/corpus.jsonl", "{d}/out/genset.jsonl"],
+    ["index", "{d}/corpus.jsonl", "{d}/out/docs.idx", "--unit", "document"],
+    ["search", "{d}/docs.idx", "{d}/queries.jsonl", "{d}/out/run.trec", "--k", "5"],
+    ["search-quotes", "{d}/corpus.jsonl", "{d}/quotes.jsonl", "{d}/out/quotes.trec", "--unit", "document", "--k", "5"],
+    ["eval-retrieval", "{d}/run.trec", "{d}/qrels.txt", "--output", "{d}/out/report.json"],
+    ["eval-generation", "{d}/genset.jsonl", "{d}/gens.jsonl", "--compare", "{d}/gens2.jsonl",
+     "--output", "{d}/out/gen.json"],
+    ["density", "{d}/corpus.jsonl", "{d}/out/density.json"],
+    ["stats", "{d}/corpus.jsonl", "--queries", "{d}/queries.jsonl"],
+]
+
+
+def command_of(argv) -> str:
+    return argv[2] if argv[0] == "--config" else argv[0]
+
+
+class TestOutputFiles:
+    """``main`` names every file a command writes before the command runs:
+    it refuses a clash before reading anything, and a failed command leaves
+    none of the paths it names."""
+
+    @pytest.mark.parametrize("config", [None, "bad.cfg"])
+    def test_refusal_reads_nothing(self, tmp_path, capsys, config):
+        # The corpus used to be read first: exit 2 on its bad row.  So was
+        # the config file: exit 1 on its unknown key.
+        bad = tmp_path / "BAD.jsonl"
+        bad.write_text("{not json\n")
+        (tmp_path / "bad.cfg").write_text("not_a_key = 1\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = ["build-queries", str(bad), str(bad), str(tmp_path / "q.txt")]
+        assert main((["--config", str(tmp_path / config)] if config else []) + argv) == 1
+        assert "build-queries would overwrite its input" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failure_removes_stale_outputs(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(jsonl({**DOC_ROW, "reporter_cite": 5}))
+        before = corpus.read_bytes()
+        for name in ("q.jsonl", "q.jsonl.manifest.json"):
+            (tmp_path / name).write_text("left by an earlier run\n")
+        assert main(["build-queries", str(corpus), str(tmp_path / "q.jsonl"), str(tmp_path / "q.txt")]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+        assert corpus.read_bytes() == before
+
+    def test_every_subcommand_is_run_below(self):
+        assert {command_of(argv) for argv in EVERY_COMMAND} == subcommands()
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[command_of(argv) for argv in EVERY_COMMAND])
+    def test_command_writes_exactly_the_paths_main_names(self, every_input, tmp_path, capsys, argv):
+        for src in every_input.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        before = {p for p in tmp_path.rglob("*") if p.is_file()}
+        argv = [a.format(d=tmp_path) for a in argv]
+        assert main(argv) == 0
+        args = build_parser().parse_args(argv)
+        named = [Path(getattr(args, dest)) for dest in OUTPUT_PATHS[1:] if getattr(args, dest, None) is not None]
+        if named:
+            named.append(Path(f"{named[0]}.manifest.json"))
+        assert {p for p in tmp_path.rglob("*") if p.is_file()} - before == set(named)
+        assert {p.name: p.read_bytes() for p in before} == {p.name: (every_input / p.name).read_bytes() for p in before}
+
+
 # Runs each stage's argv in turn in one interpreter and records, after the
 # import and after every stage, its exit code and whether numpy is loaded.
 _STAGES_SCRIPT = """
@@ -1008,9 +1092,8 @@ def readme_commands() -> list[list[str]]:
 class TestReadme:
     def test_shell_examples_name_every_subcommand_and_parse(self):
         parser = build_parser()
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         commands = readme_commands()
-        assert {argv[0] for argv in commands} == set(subparsers.choices)
+        assert {argv[0] for argv in commands} == subcommands()
         for argv in commands:
             try:
                 parser.parse_args(argv)

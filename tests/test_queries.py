@@ -300,6 +300,19 @@ class TestResidualShortForms:
             }
             assert report.residual_short_form_queries == 1
 
+    @pytest.mark.parametrize("lengths", [(300,), (100, 300)])
+    def test_tally_follows_the_kind_filter(self, mini_corpus, lengths):
+        """The tally counts only the queries the kind filter keeps: direct
+        and indirect add up to both, and each counts a flagged query once
+        per length."""
+        tally = {}
+        for kinds in ((KIND_DIRECT,), (KIND_INDIRECT,), None):
+            queries, _, report = build_queries(mini_corpus, kinds=kinds, window_words=lengths)
+            assert report.residual_short_form_queries == sum(q.residual_short_form for q in queries)
+            tally[kinds] = report.residual_short_form_queries
+        assert tally[KIND_DIRECT,] > 0 and tally[KIND_INDIRECT,] > 0
+        assert tally[KIND_DIRECT,] + tally[KIND_INDIRECT,] == tally[None]
+
 
 class TestClassify:
     def test_quote_attributed_through_id_is_direct(self):

@@ -8,7 +8,8 @@ input file (``DataError``, ``OSError``); any other exception is a bug.
 
 ``main`` owns the output files.  One that resolves to an input, the
 ``--config`` file or another output is refused (exit 1) before anything is
-read or removed; a command that fails leaves none of the paths it names.
+read or removed; a command that fails leaves none of the paths it names,
+nor a directory made for them.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from . import citations, corpus, genset, metrics, queries, retrieval
 
@@ -33,19 +36,31 @@ class ConfigError(Exception):
     pass
 
 
-# Config file keys (TOML-like "key = value" lines); flags override these.
+class Key(NamedTuple):
+    """A config key: the type of its values, its default, and the range
+    [low, high] that a numeric value must lie in; an infinite value never does."""
+
+    type: type
+    default: object
+    low: float | None = None
+    high: float = math.inf
+
+
+# Config file keys (TOML-like "key = value" lines).  Each command lists the
+# keys it reads; its flags override the file.  query_window, a comma list of
+# lengths, is held to the rules of _window_lengths.
 CONFIG_KEYS = {
-    "window": int,
-    "stride": int,
-    "query_window": str,  # a comma list of lengths, parsed by _window_lengths
-    "bm25_k1": float,
-    "bm25_b": float,
-    "ngram_n": int,
-    "seed": int,
-    "salient_k": int,
-    "word_budget": int,
-    "per_doc": int,
-    "include_references_in_substring_check": bool,
+    "window": Key(int, corpus.DEFAULT_WINDOW, 1),
+    "stride": Key(int, corpus.DEFAULT_STRIDE, 1),
+    "query_window": Key(str, str(queries.DEFAULT_QUERY_WINDOW)),
+    "bm25_k1": Key(float, retrieval.BM25_K1, 0),
+    "bm25_b": Key(float, retrieval.BM25_B, 0, 1),
+    "ngram_n": Key(int, 5, 1),
+    "seed": Key(int, 0, 0),
+    "salient_k": Key(int, genset.DEFAULT_SALIENT_K, 1),
+    "word_budget": Key(int, genset.DEFAULT_WORD_BUDGET, 1),
+    "per_doc": Key(int, 1, 1),
+    "include_references_in_substring_check": Key(bool, False),
 }
 
 
@@ -72,7 +87,7 @@ def load_config_file(path) -> dict:
         if key in lines:
             raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {lines[key]}")
         lines[key] = lineno
-        caster = CONFIG_KEYS[key]
+        caster = CONFIG_KEYS[key].type
         try:
             if caster is bool:
                 if value.lower() not in ("true", "false", "1", "0"):
@@ -83,21 +98,6 @@ def load_config_file(path) -> dict:
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}")
     return out
-
-
-def _validate_config(cfg: dict) -> None:
-    """Hold each key to its range, whether a flag or the file set it."""
-    for key, value in cfg.items():
-        if key == "query_window":
-            _window_lengths(cfg)
-        elif key == "bm25_b":
-            if not 0 <= value <= 1:
-                raise ConfigError(f"config key 'bm25_b' must be in [0, 1], got {value}")
-        elif key in ("seed", "bm25_k1"):
-            if not 0 <= value < float("inf"):
-                raise ConfigError(f"config key {key!r} must be non-negative, got {value}")
-        elif not isinstance(value, bool) and value <= 0:
-            raise ConfigError(f"config key {key!r} must be positive, got {value}")
 
 
 def _sha256(path) -> str:
@@ -165,8 +165,7 @@ def _positive(flag: str, n: int) -> int:
 
 def _chunking(cfg) -> tuple[int, int]:
     """The configured passage (window, stride); window < stride skips words."""
-    window = cfg.get("window", corpus.DEFAULT_WINDOW)
-    stride = cfg.get("stride", corpus.DEFAULT_STRIDE)
+    window, stride = cfg["window"], cfg["stride"]
     if window < stride:
         raise ConfigError(f"window ({window}) must be at least stride ({stride})")
     return window, stride
@@ -181,11 +180,11 @@ def _positive_ints(flag: str, value: str) -> list[int]:
         raise ConfigError(f"{flag} takes comma-separated integers, got {value!r}")
 
 
-def _window_lengths(cfg) -> list[int]:
+def _window_lengths(value: str) -> list[int]:
     """The distinct query window lengths of ``--window-words`` or ``query_window``."""
-    lengths = _positive_ints("query_window", cfg.get("query_window", str(queries.DEFAULT_QUERY_WINDOW)))
+    lengths = _positive_ints("query_window", value)
     if len(set(lengths)) < len(lengths):
-        raise ConfigError(f"query_window repeats a length: {cfg['query_window']!r}")
+        raise ConfigError(f"query_window repeats a length: {value!r}")
     return lengths
 
 
@@ -268,7 +267,7 @@ def cmd_build_queries(args, cfg) -> dict:
     docs = corpus.read_corpus_jsonl(args.input)
     table = _reporters(args)
     kinds = None if args.kind == "both" else [args.kind]
-    lengths = _window_lengths(cfg)
+    lengths = _window_lengths(cfg["query_window"])
     built, qrels, report = queries.build_queries(
         docs, views=views, kinds=kinds, window_words=lengths, reporters=table
     )
@@ -290,14 +289,8 @@ def cmd_build_queries(args, cfg) -> dict:
 def cmd_build_genset(args, cfg) -> dict:
     docs = corpus.read_corpus_jsonl(args.input)
     table = _reporters(args)
-    instances, diagnostics = genset.build_genset(
-        docs,
-        seed=cfg.get("seed", 0),
-        per_doc=cfg.get("per_doc", 1),
-        salient_k=cfg.get("salient_k", genset.DEFAULT_SALIENT_K),
-        word_budget=cfg.get("word_budget", genset.DEFAULT_WORD_BUDGET),
-        reporters=table,
-    )
+    # The listed keys are build_genset's seed, per_doc, salient_k and word_budget.
+    instances, diagnostics = genset.build_genset(docs, reporters=table, **cfg)
     genset.write_genset_jsonl(instances, args.output)
     for d in diagnostics:
         print(f"skipped: {d}", file=sys.stderr)
@@ -328,8 +321,7 @@ def cmd_search(args, cfg) -> dict:
     if args.maxp and index.unit_kind != "passage":
         raise ConfigError(f"--maxp ranks a passage index's documents, but {args.index} indexes {index.unit_kind}s")
     rows = queries.read_queries_jsonl(args.queries)
-    k1 = cfg.get("bm25_k1", retrieval.BM25_K1)
-    b = cfg.get("bm25_b", retrieval.BM25_B)
+    k1, b = cfg["bm25_k1"], cfg["bm25_b"]
     runs = [
         retrieval.bm25_search(index, row["masked_text"], k, k1=k1, b=b, query_id=row["query_id"], maxp=args.maxp)
         for row in rows
@@ -343,7 +335,7 @@ def cmd_search_quotes(args, cfg) -> dict:
     k = _positive("--k", args.k)
     units = list(_units(args.corpus, args.unit))
     rows = queries.read_queries_jsonl(args.quotes, "quote")
-    n = cfg.get("ngram_n", 5)
+    n = cfg["ngram_n"]
     index = retrieval.NgramIndex(units, n, [row["quote"] for row in rows])
     search = retrieval.ngram_search if args.mode == "ngram" else retrieval.exact_match_search
     runs = []
@@ -372,16 +364,11 @@ def cmd_eval_generation(args, cfg) -> dict:
     table = _reporters(args)
     instances = genset.read_genset_jsonl(args.genset)
     outputs = metrics.read_generations_jsonl(args.generations)
-    include_refs = cfg.setdefault("include_references_in_substring_check", False)
-    report = metrics.score_generation_run(
-        instances, outputs, include_references_in_substring_check=include_refs, reporters=table
-    )
+    report = metrics.score_generation_run(instances, outputs, reporters=table, **cfg)
     result = report.to_dict()
     if args.compare:
         other = metrics.read_generations_jsonl(args.compare)
-        other_report = metrics.score_generation_run(
-            instances, other, include_references_in_substring_check=include_refs, reporters=table
-        )
+        other_report = metrics.score_generation_run(instances, other, reporters=table, **cfg)
         result["gain_over_compare"] = metrics.compare_runs(report, other_report)
     return _write_report(args.output, result, report, "instances_scored")
 
@@ -451,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Corpus-to-benchmark toolkit for case-law retrieval and generation evaluation.",
     )
     parser.add_argument("--config", help="TOML-like key=value config file")
-    parser.add_argument("--seed", type=int, help="seed for sampled artifacts")
+    # Each subcommand lists the CONFIG_KEYS it reads as its config_keys.
+    parser.set_defaults(config_keys=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="normalize raw case records into a corpus file")
@@ -464,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--window", type=int, dest="window")
     p.add_argument("--stride", type=int, dest="stride")
-    p.set_defaults(func=cmd_chunk)
+    p.set_defaults(func=cmd_chunk, config_keys=("window", "stride"))
 
     p = sub.add_parser("parse-citations", help="dump citation spans per document")
     p.add_argument("input")
@@ -483,18 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-words", dest="query_window", help="comma list; several lengths suffix ids :w<length>")
     p.add_argument("--passage-qrels", help="also derive passage-level qrels")
     p.add_argument("--reporters")
-    p.set_defaults(func=cmd_build_queries)
+    p.set_defaults(func=cmd_build_queries, config_keys=("query_window", "window", "stride"))
 
     p = sub.add_parser("build-genset", help="build generation instances with prompts")
     p.add_argument("input")
     p.add_argument("output")
-    # SUPPRESS keeps an absent subcommand flag from overwriting the global --seed.
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, help="seed for sampling gold paragraphs")
     p.add_argument("--per-doc", type=int, dest="per_doc")
     p.add_argument("--salient-k", type=int, dest="salient_k")
     p.add_argument("--word-budget", type=int, dest="word_budget")
     p.add_argument("--reporters")
-    p.set_defaults(func=cmd_build_genset)
+    p.set_defaults(func=cmd_build_genset, config_keys=("seed", "per_doc", "salient_k", "word_budget"))
 
     p = sub.add_parser("index", help="build a BM25 inverted index")
     p.add_argument("input")
@@ -510,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxp", action="store_true", help="rank documents by their best passage (MaxP)")
     p.add_argument("--bm25-k1", type=float, dest="bm25_k1")
     p.add_argument("--bm25-b", type=float, dest="bm25_b")
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_search, config_keys=("bm25_k1", "bm25_b"))
 
     p = sub.add_parser("search-quotes", help="n-gram or exact retrieval with quotes")
     p.add_argument("corpus")
@@ -518,9 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--unit", default="passage", choices=["passage", "document"])
     p.add_argument("--mode", default="ngram", choices=["ngram", "exact"])
-    p.add_argument("--n", type=int, dest="ngram_n", help="shingle length (default 5)")
+    p.add_argument("--n", type=int, dest="ngram_n", help=f"shingle length (default {CONFIG_KEYS['ngram_n'].default})")
     p.add_argument("--k", type=int, default=1000)
-    p.set_defaults(func=cmd_search_quotes)
+    p.set_defaults(func=cmd_search_quotes, config_keys=("ngram_n",))
 
     p = sub.add_parser("eval-retrieval", help="Recall@k / nDCG@k on a TREC run")
     p.add_argument("run")
@@ -538,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-references-in-substring-check", action="store_true", default=None,
                    dest="include_references_in_substring_check")
     p.add_argument("--reporters")
-    p.set_defaults(func=cmd_eval_generation)
+    p.set_defaults(func=cmd_eval_generation, config_keys=("include_references_in_substring_check",))
 
     p = sub.add_parser("density", help="citation density per paragraph decile")
     p.add_argument("input")
@@ -557,22 +544,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _gather_config(args) -> dict:
-    cfg: dict = {}
+    """The effective value of each key the command lists: its flag, else the
+    ``--config`` file, else the default.  Every key the file sets is held to
+    its range too, but only the listed keys are returned."""
+    cfg = {key: CONFIG_KEYS[key].default for key in args.config_keys}
     if args.config:
         cfg.update(load_config_file(args.config))
-    # Flags override the config file.
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    _validate_config(cfg)
-    return cfg
+    cfg.update((key, value) for key in args.config_keys if (value := getattr(args, key, None)) is not None)
+    for name, value in cfg.items():
+        key = CONFIG_KEYS[name]
+        if key.type is str:
+            _window_lengths(value)
+        elif key.low is not None and not (math.isfinite(value) and key.low <= value <= key.high):
+            bounds = f"[{key.low}, {key.high}]" if key.high < math.inf else f"[{key.low}, inf)"
+            raise ConfigError(f"config key {name!r} must be in {bounds}, got {value}")
+    return {key: cfg[key] for key in args.config_keys}
 
 
 def _settings(args) -> dict:
     """Every flag and positional that names no file, as parsed.  Config
     keys are left out: the gathered config holds their effective values."""
-    skip = {"command", "func", *INPUT_ROLES, *OUTPUT_PATHS, *CONFIG_KEYS}
+    skip = {"command", "func", "config_keys", *INPUT_ROLES, *OUTPUT_PATHS, *CONFIG_KEYS}
     return {dest: value for dest, value in vars(args).items() if dest not in skip}
 
 
@@ -587,19 +579,24 @@ def main(argv=None) -> int:
         raise
     inputs = {role: path for role in INPUT_ROLES if (path := getattr(args, role, None)) is not None}
     outputs: list[Path] = []
+    made: list[Path] = []  # the directories main creates, outermost first
     try:
         outputs = _output_paths(args, [*inputs.values(), args.config])
         cfg = _gather_config(args)
         for path in outputs:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            for parent in reversed(path.parents):
+                if not parent.exists():
+                    parent.mkdir()
+                    made.append(parent)
         counts = args.func(args, cfg)
         if outputs:
-            read = {role: path for role, path in inputs.items() if Path(path).exists()}
-            write_manifest(outputs[-1], args.command, {**_settings(args), **cfg}, read, counts)
+            write_manifest(outputs[-1], args.command, {**_settings(args), **cfg}, inputs, counts)
     except BaseException as exc:
         # A refused run has no outputs to remove: the path it refused may be an input.
         for path in outputs:
             path.unlink(missing_ok=True)
+        for path in reversed(made):
+            path.rmdir()
         if isinstance(exc, ConfigError):
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -15,7 +15,7 @@ import pytest
 
 import casebench
 from casebench.citations import default_reporter_table, load_reporter_table
-from casebench.cli import OUTPUT_PATHS, build_parser, main
+from casebench.cli import CONFIG_KEYS, OUTPUT_PATHS, build_parser, main
 from casebench.corpus import fold_words, read_corpus_jsonl, read_passages_jsonl
 from casebench.minicorpus import mini_corpus_path
 from casebench.queries import (
@@ -67,7 +67,7 @@ def run_pipeline(workdir, raw):
     assert main(["index", str(corpus), str(index), "--unit", "document"]) == 0
     assert main(["search", str(index), str(queries), str(run), "--k", "10"]) == 0
     assert main(["eval-retrieval", str(run), str(qrels), "--k", "5,10", "--output", str(report)]) == 0
-    assert main(["--seed", "0", "build-genset", str(corpus), str(genset)]) == 0
+    assert main(["build-genset", str(corpus), str(genset), "--seed", "0"]) == 0
     # Self-scoring: gold paragraphs as the system output.
     write_gold_generations(genset, gens)
     assert main(["eval-generation", str(genset), str(gens), "--output", str(genreport)]) == 0
@@ -476,14 +476,12 @@ class TestFlagPrecedence:
         config, _ = manifest_config(by_config)
         assert config["include_references_in_substring_check"] is True
 
-    def test_global_seed_reaches_build_genset(self, tmp_path, raw_corpus):
-        corpus = tmp_path / "corpus.jsonl"
-        genset = tmp_path / "genset.jsonl"
-        assert main(["ingest", str(raw_corpus), str(corpus)]) == 0
-        assert main(["--seed", "3", "build-genset", str(corpus), str(genset)]) == 0
-        manifest = json.loads((tmp_path / "genset.jsonl.manifest.json").read_text())
-        assert manifest["config"]["seed"] == 3
-        assert "threads" not in manifest["config"]
+    def test_seed_is_build_gensets_own_flag(self, tmp_path, raw_corpus, capsys):
+        # The global --seed was accepted by every command and read by one.
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(["--seed", "3", "build-genset", str(raw_corpus), str(tmp_path / "genset.jsonl")]) == 1
+        assert capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_search_quotes_n_overrides_config_and_is_recorded(self, tmp_path, raw_corpus):
         corpus = tmp_path / "corpus.jsonl"
@@ -612,11 +610,12 @@ class TestManifestConfig:
             "exact.trec": ["search-quotes", str(corpus), str(tmp_path / "quotes.jsonl"), str(tmp_path / "exact.trec"),
                            "--unit", "document", "--mode", "exact", "--k", "7"],
         }
+        chunking = {"window": 350, "stride": 175}
         expected = {
-            "queries.jsonl": {"view": "all-removed", "kind": "direct"},
-            "windows.jsonl": {"view": "single-removed", "kind": "both", "query_window": "100,300"},
+            "queries.jsonl": {"view": "all-removed", "kind": "direct", "query_window": "300", **chunking},
+            "windows.jsonl": {"view": "single-removed", "kind": "both", "query_window": "100,300", **chunking},
             "docs.idx": {"unit": "document"},
-            "exact.trec": {"unit": "document", "mode": "exact", "k": 7},
+            "exact.trec": {"unit": "document", "mode": "exact", "k": 7, "ngram_n": 5},
         }
         for output, argv in runs.items():
             assert main(argv) == 0
@@ -682,6 +681,8 @@ class TestUsageErrors:
         ["--config", "{d}/window.cfg", "build-queries", "{w}/corpus.jsonl", "{o}", "{d}/qrels.txt",
          "--passage-qrels", "{d}/pq.txt"],
         ["--config", "{d}/absent.cfg", "chunk", "{w}/corpus.jsonl", "{o}"],
+        # search reads no query_window, but every key the file sets is checked.
+        ["--config", "{d}/query_window.cfg", "search", "{w}/docs.idx", "{w}/queries.jsonl", "{o}"],
     ], ids=[
         "lengths-empty-item", "lengths-not-integer", "lengths-zero", "config-query-window-zero",
         "eval-k-empty-item", "eval-k-zero", "eval-k-negative",
@@ -689,6 +690,7 @@ class TestUsageErrors:
         "search-bm25-b-above-1", "search-bm25-b-negative", "search-bm25-k1-negative", "search-bm25-k1-nan",
         "search-quotes-k-zero", "search-quotes-k-negative", "unknown-subcommand",
         "chunk-window-below-stride", "config-window-below-stride", "config-file-missing",
+        "config-unlisted-key-out-of-range",
     ])
     def test_exits_1(self, searchable, tmp_path, capsys, argv):
         (tmp_path / "window.cfg").write_text("window = 10\nstride = 20\n")
@@ -946,9 +948,17 @@ class TestDataErrors:
         assert list(tmp_path.iterdir()) == []
 
 
-def subcommands() -> set[str]:
+def subparsers() -> dict[str, argparse.ArgumentParser]:
     parser = build_parser()
-    return set(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices)
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def subcommands() -> set[str]:
+    return set(subparsers())
+
+
+def listed_keys(command: str) -> tuple[str, ...]:
+    return subparsers()[command].get_default("config_keys") or ()
 
 
 # A successful run of every subcommand on ``every_input``'s files, writing
@@ -1003,6 +1013,15 @@ class TestOutputFiles:
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
         assert corpus.read_bytes() == before
 
+    def test_failure_removes_the_directories_main_made(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n")
+        (tmp_path / "kept").mkdir()
+        out = tmp_path / "kept" / "new" / "sub"
+        assert main(["build-queries", str(bad), str(out / "q.jsonl"), str(out / "q.txt")]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.jsonl", "kept"]
+
     def test_every_subcommand_is_run_below(self):
         assert {command_of(argv) for argv in EVERY_COMMAND} == subcommands()
 
@@ -1019,6 +1038,64 @@ class TestOutputFiles:
             named.append(Path(f"{named[0]}.manifest.json"))
         assert {p for p in tmp_path.rglob("*") if p.is_file()} - before == set(named)
         assert {p.name: p.read_bytes() for p in before} == {p.name: (every_input / p.name).read_bytes() for p in before}
+
+
+# EVERY_COMMAND's runs that write a manifest, without a config file.
+MANIFEST_COMMANDS = [argv[2:] if argv[0] == "--config" else argv for argv in EVERY_COMMAND if argv[0] != "stats"]
+
+# A value for every config key, in its range and unlike its default.
+NON_DEFAULTS = {
+    "window": 100, "stride": 50, "query_window": "100,200", "bm25_k1": 0.9, "bm25_b": 0.5, "ngram_n": 7,
+    "seed": 3, "salient_k": 3, "word_budget": 500, "per_doc": 2, "include_references_in_substring_check": True,
+}
+
+
+def manifest_of(work, argv, name, config=None) -> bytes:
+    """Run ``argv`` on ``work``'s files, its outputs under ``work/name`` and
+    ``config`` as its config file; return the manifest's bytes."""
+    argv = [a.replace("{d}/out/", "{d}/" + name + "/").format(d=work) for a in argv]
+    if config is not None:
+        (work / f"{name}.cfg").write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        argv = ["--config", str(work / f"{name}.cfg"), *argv]
+    assert main(argv) == 0
+    args = build_parser().parse_args(argv)
+    first = next(getattr(args, dest) for dest in OUTPUT_PATHS[1:] if getattr(args, dest, None) is not None)
+    return Path(f"{first}.manifest.json").read_bytes()
+
+
+class TestConfigKeys:
+    """A manifest records every key its command lists at its effective
+    value, defaults included, and no key the command does not list."""
+
+    def test_every_key_is_listed_by_some_command(self):
+        assert {key for command in subcommands() for key in listed_keys(command)} == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=[argv[0] for argv in MANIFEST_COMMANDS])
+    def test_spelled_out_defaults_write_the_bare_manifest(self, every_input, tmp_path, capsys, argv):
+        # chunk --window 350 --stride 175 used to record both, and the bare run neither.
+        for src in every_input.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        # Flags that take a key's value; a store_true flag cannot spell False.
+        flags = {a.dest: a.option_strings[0] for a in subparsers()[argv[0]]._actions
+                 if a.dest in CONFIG_KEYS and a.nargs != 0}
+        assert set(flags) <= set(listed_keys(argv[0]))
+        spelled, config = [], {}
+        for key in listed_keys(argv[0]):
+            if key in flags:
+                spelled += [flags[key], str(CONFIG_KEYS[key].default)]
+            else:
+                config[key] = CONFIG_KEYS[key].default
+        assert manifest_of(tmp_path, argv + spelled, "spelled", config) == manifest_of(tmp_path, argv, "bare")
+
+    @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=[argv[0] for argv in MANIFEST_COMMANDS])
+    def test_unlisted_keys_leave_the_manifest_alone(self, every_input, tmp_path, capsys, argv):
+        # index used to record every key a config file set, though it reads none.
+        assert set(NON_DEFAULTS) == set(CONFIG_KEYS)
+        assert all(value != CONFIG_KEYS[key].default for key, value in NON_DEFAULTS.items())
+        for src in every_input.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        unlisted = {key: value for key, value in NON_DEFAULTS.items() if key not in listed_keys(argv[0])}
+        assert manifest_of(tmp_path, argv, "unlisted", unlisted) == manifest_of(tmp_path, argv, "bare")
 
 
 # Runs each stage's argv in turn in one interpreter and records, after the

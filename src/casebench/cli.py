@@ -19,13 +19,20 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import citations, corpus, genset, metrics, queries, retrieval
+# Every command reads or writes corpus files; each imports the other layer
+# modules it runs, so a stage starts only what it uses.
+from . import corpus
+
+if TYPE_CHECKING:
+    from .citations import ReporterTable
+    from .metrics import MetricReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,17 +55,18 @@ class Key(NamedTuple):
 
 # Config file keys (TOML-like "key = value" lines).  Each command lists the
 # keys it reads; its flags override the file.  query_window, a comma list of
-# lengths, is held to the rules of _window_lengths.
+# lengths, is held to the rules of _window_lengths and recorded in canonical
+# form.  The library defaults live in corpus, which every command loads.
 CONFIG_KEYS = {
     "window": Key(int, corpus.DEFAULT_WINDOW, 1),
     "stride": Key(int, corpus.DEFAULT_STRIDE, 1),
-    "query_window": Key(str, str(queries.DEFAULT_QUERY_WINDOW)),
-    "bm25_k1": Key(float, retrieval.BM25_K1, 0),
-    "bm25_b": Key(float, retrieval.BM25_B, 0, 1),
+    "query_window": Key(str, str(corpus.DEFAULT_QUERY_WINDOW)),
+    "bm25_k1": Key(float, corpus.BM25_K1, 0),
+    "bm25_b": Key(float, corpus.BM25_B, 0, 1),
     "ngram_n": Key(int, 5, 1),
     "seed": Key(int, 0, 0),
-    "salient_k": Key(int, genset.DEFAULT_SALIENT_K, 1),
-    "word_budget": Key(int, genset.DEFAULT_WORD_BUDGET, 1),
+    "salient_k": Key(int, corpus.DEFAULT_SALIENT_K, 1),
+    "word_budget": Key(int, corpus.DEFAULT_WORD_BUDGET, 1),
     "per_doc": Key(int, 1, 1),
     "include_references_in_substring_check": Key(bool, False),
 }
@@ -153,8 +161,10 @@ def _output_paths(args, reads: Iterable) -> list[Path]:
     return paths
 
 
-def _reporters(args) -> citations.ReporterTable:
-    return citations.load_reporter_table(getattr(args, "reporters", None))
+def _reporters(args) -> ReporterTable:
+    from .citations import load_reporter_table
+
+    return load_reporter_table(getattr(args, "reporters", None))
 
 
 def _positive(flag: str, n: int) -> int:
@@ -217,6 +227,8 @@ def cmd_chunk(args, cfg) -> dict:
 
 
 def cmd_parse_citations(args, cfg) -> dict:
+    from . import citations, queries
+
     docs = corpus.read_corpus_jsonl(args.input)
     table = _reporters(args)
     rows = []
@@ -252,6 +264,8 @@ def cmd_parse_citations(args, cfg) -> dict:
 
 
 def _parse_views(value: str) -> list[str]:
+    from . import queries
+
     views = [v.strip() for v in value.split(",") if v.strip()]
     if not views:
         raise ConfigError(f"--view names no view: {value!r}")
@@ -262,6 +276,8 @@ def _parse_views(value: str) -> list[str]:
 
 
 def cmd_build_queries(args, cfg) -> dict:
+    from . import queries
+
     views = _parse_views(args.view)
     chunking = _chunking(cfg) if args.passage_qrels else None
     docs = corpus.read_corpus_jsonl(args.input)
@@ -287,6 +303,8 @@ def cmd_build_queries(args, cfg) -> dict:
 
 
 def cmd_build_genset(args, cfg) -> dict:
+    from . import genset
+
     docs = corpus.read_corpus_jsonl(args.input)
     table = _reporters(args)
     # The listed keys are build_genset's seed, per_doc, salient_k and word_budget.
@@ -306,6 +324,8 @@ def _units(path, unit: str) -> Iterator[tuple[str, str]]:
 
 
 def cmd_index(args, cfg) -> dict:
+    from . import retrieval
+
     units = _units(args.input, args.unit)
     first = next(units, None)
     if first is None:
@@ -316,11 +336,13 @@ def cmd_index(args, cfg) -> dict:
 
 
 def cmd_search(args, cfg) -> dict:
+    from . import retrieval
+
     k = _positive("--k", args.k)
     index = retrieval.load_index(args.index)
     if args.maxp and index.unit_kind != "passage":
         raise ConfigError(f"--maxp ranks a passage index's documents, but {args.index} indexes {index.unit_kind}s")
-    rows = queries.read_queries_jsonl(args.queries)
+    rows = corpus.read_queries_jsonl(args.queries)
     k1, b = cfg["bm25_k1"], cfg["bm25_b"]
     runs = [
         retrieval.bm25_search(index, row["masked_text"], k, k1=k1, b=b, query_id=row["query_id"], maxp=args.maxp)
@@ -332,9 +354,11 @@ def cmd_search(args, cfg) -> dict:
 
 
 def cmd_search_quotes(args, cfg) -> dict:
+    from . import retrieval
+
     k = _positive("--k", args.k)
     units = list(_units(args.corpus, args.unit))
-    rows = queries.read_queries_jsonl(args.quotes, "quote")
+    rows = corpus.read_queries_jsonl(args.quotes, "quote")
     n = cfg["ngram_n"]
     index = retrieval.NgramIndex(units, n, [row["quote"] for row in rows])
     search = retrieval.ngram_search if args.mode == "ngram" else retrieval.exact_match_search
@@ -350,9 +374,11 @@ def cmd_search_quotes(args, cfg) -> dict:
 
 
 def cmd_eval_retrieval(args, cfg) -> dict:
+    from . import metrics, retrieval
+
     ks = _positive_ints("--k", args.k)
     run = retrieval.read_trec_run(args.run)
-    qrels = queries.read_qrels(args.qrels)
+    qrels = corpus.read_qrels(args.qrels)
     if not qrels:
         raise corpus.DataError(f"no positive judgments in {args.qrels}")
     ranked = {qid: [unit for unit, _, _ in rows] for qid, rows in run.items()}
@@ -361,6 +387,8 @@ def cmd_eval_retrieval(args, cfg) -> dict:
 
 
 def cmd_eval_generation(args, cfg) -> dict:
+    from . import genset, metrics
+
     table = _reporters(args)
     instances = genset.read_genset_jsonl(args.genset)
     outputs = metrics.read_generations_jsonl(args.generations)
@@ -373,7 +401,7 @@ def cmd_eval_generation(args, cfg) -> dict:
     return _write_report(args.output, result, report, "instances_scored")
 
 
-def _write_report(path, payload: dict, report: metrics.MetricReport, scored: str) -> dict:
+def _write_report(path, payload: dict, report: MetricReport, scored: str) -> dict:
     """Write ``payload`` as sorted JSON and print ``report``'s macro table;
     return the manifest counts: items ``scored``, macro scores and skips."""
     with open(path, "w", encoding="utf-8") as f:
@@ -388,6 +416,8 @@ def _write_report(path, payload: dict, report: metrics.MetricReport, scored: str
 
 
 def cmd_density(args, cfg) -> dict:
+    from . import genset
+
     docs = corpus.read_corpus_jsonl(args.input)
     if not docs:
         raise corpus.DataError(f"no documents in {args.input}")
@@ -405,9 +435,11 @@ def cmd_stats(args, cfg) -> dict:
         passages = corpus.read_passages_jsonl(args.passages)
         rows.append(("passages", len(passages), _avg(p.word_end - p.word_start for p in passages)))
     if args.queries:
-        qrows = queries.read_queries_jsonl(args.queries)
+        qrows = corpus.read_queries_jsonl(args.queries)
         rows.append(("queries", len(qrows), _avg(len(r["masked_text"].split()) for r in qrows)))
     if args.genset:
+        from . import genset
+
         insts = genset.read_genset_jsonl(args.genset)
         rows.append(("generation", len(insts), _avg(len(i.prompt_with_refs.split()) for i in insts)))
     print(f"{'collection':<12} {'count':>10} {'avg words':>10}")
@@ -431,6 +463,16 @@ def _format_table(macro: dict) -> str:
 # ---------------------------------------------------------------------------
 # Parser wiring
 # ---------------------------------------------------------------------------
+
+class _ReadsChunking(argparse.Action):
+    """``--passage-qrels``: store the path, and list the window and stride
+    keys, which chunk the passages its qrels name."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        if "window" not in namespace.config_keys:
+            namespace.config_keys += ("window", "stride")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -469,9 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--view", default="single-removed", help="comma list: single-removed,all-removed")
     p.add_argument("--kind", default="both", choices=["direct", "indirect", "both"])
     p.add_argument("--window-words", dest="query_window", help="comma list; several lengths suffix ids :w<length>")
-    p.add_argument("--passage-qrels", help="also derive passage-level qrels")
+    p.add_argument("--passage-qrels", action=_ReadsChunking, help="also derive passage-level qrels")
     p.add_argument("--reporters")
-    p.set_defaults(func=cmd_build_queries, config_keys=("query_window", "window", "stride"))
+    p.set_defaults(func=cmd_build_queries, config_keys=("query_window",))
 
     p = sub.add_parser("build-genset", help="build generation instances with prompts")
     p.add_argument("input")
@@ -554,7 +596,7 @@ def _gather_config(args) -> dict:
     for name, value in cfg.items():
         key = CONFIG_KEYS[name]
         if key.type is str:
-            _window_lengths(value)
+            cfg[name] = ",".join(map(str, _window_lengths(value)))
         elif key.low is not None and not (math.isfinite(value) and key.low <= value <= key.high):
             bounds = f"[{key.low}, {key.high}]" if key.high < math.inf else f"[{key.low}, inf)"
             raise ConfigError(f"config key {name!r} must be in {bounds}, got {value}")
@@ -569,6 +611,8 @@ def _settings(args) -> dict:
 
 
 def main(argv=None) -> int:
+    # casebench makes no BLAS call, so numpy need not start a thread per core.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,8 +17,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 T = TypeVar("T")
 
+# The library's defaults for the settings the CLI takes, kept here because
+# every command loads this module: passage chunking, query windows (see
+# queries), BM25 (retrieval) and salient references (genset).
 DEFAULT_WINDOW = 350
 DEFAULT_STRIDE = 175
+DEFAULT_QUERY_WINDOW = 300
+BM25_K1 = 1.2
+BM25_B = 0.75
+DEFAULT_SALIENT_K = 2
+DEFAULT_WORD_BUDGET = 6000
 
 _WORD_RE = re.compile(r"\S+")
 # Every byte but an ASCII digit or lowercase letter becomes a space.
@@ -351,3 +359,27 @@ def _passage_from_row(row: dict) -> Passage:
         word_end=int(row["word_end"]),
         text=str_field(row, "text"),
     )
+
+
+def read_queries_jsonl(path, text_field: str = "masked_text") -> list[dict]:
+    """Query rows, each with a string ``text_field`` (``quote`` in a ``--quotes-out`` file)."""
+    return read_jsonl(path, lambda row: {**row, text_field: str_field(row, text_field)}, "query_id")
+
+
+def read_qrels(path) -> dict[str, set[str]]:
+    """query_id -> its relevant units.  A unit judged twice for one query
+    is a DataError, even when both judgments agree."""
+    qrels: dict[str, set[str]] = {}
+    seen: set[tuple[str, str]] = set()
+    for lineno, line in iter_lines(path):
+        try:
+            qid, _, unit_id, rel = line.split()
+            relevant = int(rel) > 0
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed qrels line (query 0 unit relevance)") from None
+        if (qid, unit_id) in seen:
+            raise DataError(f"{path}:{lineno}: unit {unit_id!r} judged again for query {qid!r}")
+        seen.add((qid, unit_id))
+        if relevant:
+            qrels.setdefault(qid, set()).add(unit_id)
+    return qrels

@@ -20,12 +20,17 @@ from .citations import (
     default_reporter_table,
     find_case_citations,
 )
-from .corpus import CaseDocument, chunk_document, read_jsonl, str_field, write_jsonl
+from .corpus import (
+    DEFAULT_SALIENT_K,
+    DEFAULT_WORD_BUDGET,
+    CaseDocument,
+    chunk_document,
+    read_jsonl,
+    str_field,
+    write_jsonl,
+)
 from .queries import build_corpus_key_index
 from .retrieval import bm25_rank
-
-DEFAULT_SALIENT_K = 2
-DEFAULT_WORD_BUDGET = 6000
 
 
 class GensetError(ValueError):

@@ -35,14 +35,22 @@ from .citations import (
     find_citations,
     parse_citation_key,
 )
-from .corpus import CaseDocument, DataError, WordSpan, iter_lines, read_jsonl, str_field, tokenize_words, write_jsonl
+# read_queries_jsonl and read_qrels live in corpus so that search and eval
+# read their inputs without loading this module; they are re-exported here.
+from .corpus import (
+    DEFAULT_QUERY_WINDOW,
+    CaseDocument,
+    WordSpan,
+    read_qrels,
+    read_queries_jsonl,
+    tokenize_words,
+    write_jsonl,
+)
 
 VIEW_SINGLE_REMOVED = "single-removed"
 VIEW_ALL_REMOVED = "all-removed"
 KIND_DIRECT = "direct"
 KIND_INDIRECT = "indirect"
-
-DEFAULT_QUERY_WINDOW = 300
 
 _VIEW_CODES = {VIEW_SINGLE_REMOVED: "sr", VIEW_ALL_REMOVED: "ar"}
 _GAP_RE = re.compile(r"^[\s,]*$")
@@ -429,11 +437,6 @@ def write_queries_jsonl(queries: Iterable[RetrievalQuery], path) -> int:
     )
 
 
-def read_queries_jsonl(path, text_field: str = "masked_text") -> list[dict]:
-    """Query rows, each with a string ``text_field`` (``quote`` in a ``--quotes-out`` file)."""
-    return read_jsonl(path, lambda row: {**row, text_field: str_field(row, text_field)}, "query_id")
-
-
 def write_qrels(entries: Iterable[QrelsEntry], path) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as f:
@@ -441,22 +444,3 @@ def write_qrels(entries: Iterable[QrelsEntry], path) -> int:
             f.write(f"{e.query_id} 0 {e.unit_id} {e.relevance}\n")
             n += 1
     return n
-
-
-def read_qrels(path) -> dict[str, set[str]]:
-    """query_id -> its relevant units.  A unit judged twice for one query
-    is a DataError, even when both judgments agree."""
-    qrels: dict[str, set[str]] = {}
-    seen: set[tuple[str, str]] = set()
-    for lineno, line in iter_lines(path):
-        try:
-            qid, _, unit_id, rel = line.split()
-            relevant = int(rel) > 0
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed qrels line (query 0 unit relevance)") from None
-        if (qid, unit_id) in seen:
-            raise DataError(f"{path}:{lineno}: unit {unit_id!r} judged again for query {qid!r}")
-        seen.add((qid, unit_id))
-        if relevant:
-            qrels.setdefault(qid, set()).add(unit_id)
-    return qrels

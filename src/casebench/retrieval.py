@@ -20,15 +20,12 @@ from functools import cached_property
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .corpus import DataError, _checked_id, fold_words, iter_lines
+from .corpus import BM25_B, BM25_K1, DataError, _checked_id, fold_words, iter_lines
 
 # numpy is imported by the functions that touch index arrays, so the CLI
 # stages that never build, load or search an index start without it.
 if TYPE_CHECKING:
     import numpy as np
-
-BM25_K1 = 1.2
-BM25_B = 0.75
 
 _MAGIC = b"CBIX"
 _VERSION = 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -610,10 +611,10 @@ class TestManifestConfig:
             "exact.trec": ["search-quotes", str(corpus), str(tmp_path / "quotes.jsonl"), str(tmp_path / "exact.trec"),
                            "--unit", "document", "--mode", "exact", "--k", "7"],
         }
-        chunking = {"window": 350, "stride": 175}
+        # Without --passage-qrels, build-queries reads no window or stride.
         expected = {
-            "queries.jsonl": {"view": "all-removed", "kind": "direct", "query_window": "300", **chunking},
-            "windows.jsonl": {"view": "single-removed", "kind": "both", "query_window": "100,300", **chunking},
+            "queries.jsonl": {"view": "all-removed", "kind": "direct", "query_window": "300"},
+            "windows.jsonl": {"view": "single-removed", "kind": "both", "query_window": "100,300"},
             "docs.idx": {"unit": "document"},
             "exact.trec": {"unit": "document", "mode": "exact", "k": 7, "ngram_n": 5},
         }
@@ -798,6 +799,21 @@ class TestMaxPRun:
                 assert [score for _, score, _ in ranked] == [pytest.approx(best[doc], abs=1e-6) for doc, _, _ in ranked]
 
 
+class TestEvalRetrieval:
+    def test_recall_at_1_is_hand_counted(self, tmp_path, capsys):
+        # q1's positive is ranked first, q2's second.
+        run = tmp_path / "run.trec"
+        run.write_text("q1 Q0 a 1 2.0 t\nq1 Q0 b 2 1.0 t\nq2 Q0 x 1 2.0 t\nq2 Q0 b 2 1.0 t\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 a 1\nq2 0 b 1\n")
+        out = tmp_path / "report.json"
+        assert main(["eval-retrieval", str(run), str(qrels), "--k", "1", "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert {qid: row["recall@1"] for qid, row in report["per_query"].items()} == {"q1": 1.0, "q2": 0.0}
+        assert report["macro"]["recall@1"] == 0.5
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["counts"]["recall@1"] == 0.5
+
+
 def jsonl(*rows) -> str:
     return "".join(json.dumps(row) + "\n" for row in rows)
 
@@ -957,8 +973,9 @@ def subcommands() -> set[str]:
     return set(subparsers())
 
 
-def listed_keys(command: str) -> tuple[str, ...]:
-    return subparsers()[command].get_default("config_keys") or ()
+def listed_keys(argv) -> tuple[str, ...]:
+    """The config keys the command run by ``argv`` reads."""
+    return build_parser().parse_args(argv).config_keys
 
 
 # A successful run of every subcommand on ``every_input``'s files, writing
@@ -1068,7 +1085,7 @@ class TestConfigKeys:
     value, defaults included, and no key the command does not list."""
 
     def test_every_key_is_listed_by_some_command(self):
-        assert {key for command in subcommands() for key in listed_keys(command)} == set(CONFIG_KEYS)
+        assert {key for argv in EVERY_COMMAND for key in listed_keys(argv)} == set(CONFIG_KEYS)
 
     @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=[argv[0] for argv in MANIFEST_COMMANDS])
     def test_spelled_out_defaults_write_the_bare_manifest(self, every_input, tmp_path, capsys, argv):
@@ -1078,9 +1095,9 @@ class TestConfigKeys:
         # Flags that take a key's value; a store_true flag cannot spell False.
         flags = {a.dest: a.option_strings[0] for a in subparsers()[argv[0]]._actions
                  if a.dest in CONFIG_KEYS and a.nargs != 0}
-        assert set(flags) <= set(listed_keys(argv[0]))
+        assert set(flags) <= set(listed_keys(argv))
         spelled, config = [], {}
-        for key in listed_keys(argv[0]):
+        for key in listed_keys(argv):
             if key in flags:
                 spelled += [flags[key], str(CONFIG_KEYS[key].default)]
             else:
@@ -1094,8 +1111,35 @@ class TestConfigKeys:
         assert all(value != CONFIG_KEYS[key].default for key, value in NON_DEFAULTS.items())
         for src in every_input.iterdir():
             (tmp_path / src.name).write_bytes(src.read_bytes())
-        unlisted = {key: value for key, value in NON_DEFAULTS.items() if key not in listed_keys(argv[0])}
+        unlisted = {key: value for key, value in NON_DEFAULTS.items() if key not in listed_keys(argv)}
         assert manifest_of(tmp_path, argv, "unlisted", unlisted) == manifest_of(tmp_path, argv, "bare")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_query_window_is_recorded_as_parsed(self, every_input, tmp_path, capsys, source):
+        # --window-words 0300 used to record "0300", so its config_hash was not the default run's.
+        for src in every_input.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        argv = ["build-queries", "{d}/corpus.jsonl", "{d}/out/q.jsonl", "{d}/out/q.txt"]
+
+        def manifest(spelling, name):
+            if source == "flag":
+                return manifest_of(tmp_path, [*argv, "--window-words", spelling], name)
+            return manifest_of(tmp_path, argv, name, {"query_window": spelling})
+
+        assert manifest("0300", "padded") == manifest_of(tmp_path, argv, "bare")
+        assert json.loads(manifest("0100, +300", "list"))["config"]["query_window"] == "100,300"
+
+    def test_build_queries_lists_chunking_only_with_passage_qrels(self, every_input, tmp_path, capsys):
+        # window and stride used to be recorded, though only --passage-qrels reads them.
+        for src in every_input.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        argv = ["build-queries", "{d}/corpus.jsonl", "{d}/out/q.jsonl", "{d}/out/q.txt"]
+        chunking = {"window": 100, "stride": 50}
+        assert manifest_of(tmp_path, argv, "chunked", chunking) == manifest_of(tmp_path, argv, "bare")
+        derived = [*argv, "--passage-qrels", "{d}/out/pq.txt"]
+        assert json.loads(manifest_of(tmp_path, derived, "derived", chunking))["config"] == {
+            "view": "single-removed", "kind": "both", "query_window": "300", **chunking,
+        }
 
 
 # Runs each stage's argv in turn in one interpreter and records, after the
@@ -1106,6 +1150,26 @@ from casebench.cli import main
 seen = [["import", 0, "numpy" in sys.modules]]
 for name, argv in json.loads(sys.argv[1]):
     seen.append([name, main(argv), "numpy" in sys.modules])
+with open(sys.argv[2], "w") as f:
+    json.dump(seen, f)
+"""
+
+
+# Runs one command and records its exit code, the casebench modules loaded,
+# and OPENBLAS_NUM_THREADS as numpy's import found it (None: never imported).
+_IMPORTS_SCRIPT = """
+import json, os, sys
+seen = {"blas_at_numpy_import": None}
+
+class NumpySpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen["blas_at_numpy_import"] = os.environ.get("OPENBLAS_NUM_THREADS")
+
+sys.meta_path.insert(0, NumpySpy())
+from casebench.cli import main
+seen["exit"] = main(json.loads(sys.argv[1]))
+seen["modules"] = sorted(m for m in sys.modules if m.split(".")[0] == "casebench")
 with open(sys.argv[2], "w") as f:
     json.dump(seen, f)
 """
@@ -1147,6 +1211,75 @@ class TestNumpyOnlyWhereBM25Runs:
         assert [tuple(row) for row in json.loads(seen.read_text())] == (
             [("import", 0, False)] + [(name, 0, False) for name, _ in stages[:-1]] + [("index", 0, True)]
         )
+
+    @pytest.mark.parametrize("command, extra, blas", [
+        ("ingest", (), None),
+        ("chunk", (), None),
+        ("build-queries", ("citations", "data", "queries"), None),
+        ("index", ("retrieval",), "1"),
+        ("search", ("retrieval",), "1"),
+        ("search", ("retrieval",), "3"),
+    ], ids=["ingest", "chunk", "build-queries", "index", "search", "search-caller-threads"])
+    def test_each_command_imports_only_what_it_runs(self, searchable, tmp_path, command, extra, blas):
+        """In a fresh interpreter, a command loads only its own casebench
+        modules, and numpy, where it loads, starts with one BLAS thread
+        unless the caller chose a count."""
+        argv = {
+            "ingest": ["ingest", str(mini_corpus_path()), str(tmp_path / "corpus.jsonl")],
+            "chunk": ["chunk", str(searchable / "corpus.jsonl"), str(tmp_path / "passages.jsonl")],
+            "build-queries": ["build-queries", str(searchable / "corpus.jsonl"), str(tmp_path / "q.jsonl"),
+                              str(tmp_path / "q.txt")],
+            "index": ["index", str(searchable / "corpus.jsonl"), str(tmp_path / "docs.idx"), "--unit", "document"],
+            "search": ["search", str(searchable / "docs.idx"), str(searchable / "queries.jsonl"),
+                       str(tmp_path / "run.trec"), "--k", "5"],
+        }[command]
+        src = str(Path(casebench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # main() sets the variable in this process too.
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas == "3":
+            env["OPENBLAS_NUM_THREADS"] = blas
+        seen = tmp_path / "seen.json"
+        proc = subprocess.run([sys.executable, "-c", _IMPORTS_SCRIPT, json.dumps(argv), str(seen)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(seen.read_text()) == {
+            "exit": 0,
+            "modules": sorted(["casebench", "casebench.cli", "casebench.corpus", *(f"casebench.{m}" for m in extra)]),
+            "blas_at_numpy_import": blas,
+        }
+
+
+class TestLazyPackage:
+    def test_public_names_resolve_to_their_modules_objects(self):
+        for name in casebench.__all__:
+            module = importlib.import_module(f"casebench.{casebench._EXPORTS[name]}")
+            assert getattr(casebench, name) is getattr(module, name)
+        assert set(casebench.__all__) <= set(dir(casebench))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            casebench.no_such_name
+
+    @staticmethod
+    def fresh(script: str) -> str:
+        """``script``'s stdout, run in a new interpreter on this checkout."""
+        src = str(Path(casebench.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_import_loads_no_module(self):
+        script = "import sys, casebench; print(sorted(m for m in sys.modules if m.split('.')[0] == 'casebench'))"
+        assert self.fresh(script) == "['casebench']\n"
+
+    def test_modules_resolve_as_attributes(self):
+        # The readers and evaluate_run are reached only through their modules.
+        script = (
+            "import casebench as cb\n"
+            "print(cb.metrics.evaluate_run.__module__, cb.corpus.read_corpus_jsonl.__module__)\n"
+            "print(all(getattr(cb, m).__name__ == f'casebench.{m}' for m in set(cb._EXPORTS.values())))\n"
+        )
+        assert self.fresh(script) == "casebench.metrics casebench.corpus\nTrue\n"
 
 
 def readme_blocks(lang: str) -> list[str]:

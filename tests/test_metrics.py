@@ -9,6 +9,7 @@ import pytest
 import fixtures
 from casebench.citations import load_reporter_table, parse_citation_key
 from casebench.metrics import (
+    MetricReport,
     _lcs_length,
     citation_report,
     citation_report_from_keys,
@@ -108,6 +109,17 @@ class TestEvaluateRun:
             {"q1": ["a"], "q2": ["x"]}, {"q1": {"a"}, "q2": {"b"}}, ks=(10,)
         )
         assert report.macro["recall@10"] == 0.5
+
+    def test_recall_at_1_counts_only_the_top_unit(self):
+        # q1's positive is ranked first, q2's second; q3 has one of two first.
+        report = evaluate_run(
+            {"q1": ["a", "b"], "q2": ["x", "b"], "q3": ["c", "y"]},
+            {"q1": {"a"}, "q2": {"b"}, "q3": {"c", "d"}},
+            ks=(1, 2),
+        )
+        assert [report.per_query[q]["recall@1"] for q in ("q1", "q2", "q3")] == [1.0, 0.0, 0.5]
+        assert report.macro["recall@1"] == 0.5
+        assert report.macro["recall@2"] == 2.5 / 3
 
     @pytest.mark.parametrize("ks", [(0,), (10, -1), (-1,)])
     def test_k_below_1_raises(self, ks):
@@ -362,3 +374,14 @@ class TestScoreGenerationRun:
         assert gains["cr"]["without_refs"] == 0.0
         assert gains["cr"]["gain_pct"] is None
         assert gains["rouge1"]["gain_pct"] > 0
+
+    def test_compare_runs_gain_pct_is_exact(self):
+        def report(macro):
+            return MetricReport(per_query={}, macro=macro, skipped={}, missing_ids=[], extra_ids=[])
+
+        gains = compare_runs(report({"a": 0.75, "b": 0.25, "c": 0.5}), report({"a": 0.5, "b": 0.5, "c": 0.0}))
+        assert gains == {
+            "a": {"with_refs": 0.75, "without_refs": 0.5, "gain_pct": 50.0},
+            "b": {"with_refs": 0.25, "without_refs": 0.5, "gain_pct": -50.0},
+            "c": {"with_refs": 0.5, "without_refs": 0.0, "gain_pct": None},
+        }

@@ -63,11 +63,11 @@ CONFIG_KEYS = {
     "query_window": Key(str, str(corpus.DEFAULT_QUERY_WINDOW)),
     "bm25_k1": Key(float, corpus.BM25_K1, 0),
     "bm25_b": Key(float, corpus.BM25_B, 0, 1),
-    "ngram_n": Key(int, 5, 1),
-    "seed": Key(int, 0, 0),
+    "ngram_n": Key(int, corpus.DEFAULT_NGRAM_N, 1),
+    "seed": Key(int, corpus.DEFAULT_GENSET_SEED, 0),
     "salient_k": Key(int, corpus.DEFAULT_SALIENT_K, 1),
     "word_budget": Key(int, corpus.DEFAULT_WORD_BUDGET, 1),
-    "per_doc": Key(int, 1, 1),
+    "per_doc": Key(int, corpus.DEFAULT_PER_DOC, 1),
     "include_references_in_substring_check": Key(bool, False),
 }
 
@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-retrieval", help="Recall@k / nDCG@k on a TREC run")
     p.add_argument("run")
     p.add_argument("qrels")
-    p.add_argument("--k", default="10,100,1000")
+    p.add_argument("--k", default=",".join(map(str, corpus.DEFAULT_RECALL_KS)))
     p.add_argument("--output", default="retrieval_report.json")
     p.set_defaults(func=cmd_eval_retrieval)
 

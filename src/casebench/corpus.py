@@ -12,21 +12,26 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 T = TypeVar("T")
 
 # The library's defaults for the settings the CLI takes, kept here because
 # every command loads this module: passage chunking, query windows (see
-# queries), BM25 (retrieval) and salient references (genset).
+# queries), BM25 and quote shingles (retrieval), gold paragraph sampling and
+# salient references (genset), and the Recall cut-offs (metrics).
 DEFAULT_WINDOW = 350
 DEFAULT_STRIDE = 175
 DEFAULT_QUERY_WINDOW = 300
 BM25_K1 = 1.2
 BM25_B = 0.75
+DEFAULT_NGRAM_N = 5
+DEFAULT_GENSET_SEED = 0
+DEFAULT_PER_DOC = 1
 DEFAULT_SALIENT_K = 2
 DEFAULT_WORD_BUDGET = 6000
+DEFAULT_RECALL_KS = (10, 100, 1000)
 
 _WORD_RE = re.compile(r"\S+")
 # Every byte but an ASCII digit or lowercase letter becomes a space.
@@ -52,18 +57,21 @@ _word_span = partial(tuple.__new__, WordSpan)
 
 @dataclass(frozen=True)
 class CaseDocument:
-    """One case opinion text with identity and paragraph structure.
-
-    ``paragraphs`` are (start, end) character spans into ``text``;
-    paragraphs are separated by single newline characters and partition
-    the non-separator text.
-    """
+    """One case opinion text with identity; its paragraphs are its lines."""
 
     doc_id: str
     title: str
     reporter_cite: str
     text: str
-    paragraphs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def paragraphs(self) -> tuple[tuple[int, int], ...]:
+        """The (start, end) character span of each line of ``text``."""
+        spans, start = [], 0
+        for line in self.text.split("\n"):
+            spans.append((start, start + len(line)))
+            start += len(line) + 1
+        return tuple(spans)
 
     def paragraph_text(self, index: int) -> str:
         start, end = self.paragraphs[index]
@@ -147,19 +155,12 @@ def load_corpus(records: Iterable[dict]) -> tuple[list[CaseDocument], list[str]]
         if not paragraphs:
             diagnostics.append(f"record {i} ({doc_id}): no opinion text")
             continue
-        text = "\n".join(paragraphs)
-        spans: list[tuple[int, int]] = []
-        pos = 0
-        for p in paragraphs:
-            spans.append((pos, pos + len(p)))
-            pos += len(p) + 1
         docs.append(
             CaseDocument(
                 doc_id=doc_id,
                 title=str(rec.get("name") or ""),
                 reporter_cite=str(rec.get("cite") or ""),
-                text=text,
-                paragraphs=tuple(spans),
+                text="\n".join(paragraphs),
             )
         )
         seen.add(doc_id)
@@ -295,8 +296,11 @@ def load_corpus_jsonl(path) -> tuple[list[CaseDocument], list[str]]:
 
 
 def write_corpus_jsonl(docs: Iterable[CaseDocument], path) -> int:
-    """Write normalized documents; this representation round-trips losslessly."""
-    return write_jsonl(map(vars, docs), path)
+    """Write normalized documents, each with its paragraph spans, which the
+    reader checks; this representation round-trips losslessly."""
+    rows = ({"doc_id": d.doc_id, "title": d.title, "reporter_cite": d.reporter_cite, "text": d.text,
+             "paragraphs": d.paragraphs} for d in docs)
+    return write_jsonl(rows, path)
 
 
 def iter_corpus_jsonl(path) -> Iterator[CaseDocument]:
@@ -308,35 +312,23 @@ def read_corpus_jsonl(path) -> list[CaseDocument]:
 
 
 def _document_from_row(row: dict) -> CaseDocument:
-    text = str_field(row, "text")
-    paragraphs = tuple((int(a), int(b)) for a, b in row["paragraphs"])
-    _check_partition(paragraphs, text)
-    return CaseDocument(
+    """The row's document; its ``paragraphs`` must be its text's line spans."""
+    doc = CaseDocument(
         doc_id=row["doc_id"],
         title=str_field(row, "title", ""),
         reporter_cite=str_field(row, "reporter_cite", ""),
-        text=text,
-        paragraphs=paragraphs,
+        text=str_field(row, "text"),
     )
-
-
-def _check_partition(spans: tuple[tuple[int, int], ...], text: str) -> None:
-    """Raise ValueError unless ``spans`` are paragraphs as ``load_corpus``
-    writes them: from 0 to ``len(text)``, in order, each next span starting
-    just past a newline that ends the one before."""
-    if not spans:
-        raise ValueError("paragraphs is empty")
-    pos = 0
-    for i, (start, end) in enumerate(spans):
-        if i and text[pos - 1 : pos] != "\n":
-            raise ValueError(f"paragraph {i} does not follow a newline that ends paragraph {i - 1}")
-        if start != pos:
-            raise ValueError(f"paragraph {i} starts at {start}, not at {pos}")
-        if end < start:
-            raise ValueError(f"paragraph {i} ends at {end}, before its start {start}")
-        pos = end + 1
-    if end != len(text):
-        raise ValueError(f"paragraphs end at {end}, not at the text's end {len(text)}")
+    given, lines = row["paragraphs"], [list(span) for span in doc.paragraphs]
+    if given != lines:
+        if not isinstance(given, list):
+            raise TypeError(f"paragraphs must be a list, not {type(given).__name__}")
+        i = next((i for i, (a, b) in enumerate(zip(given, lines)) if a != b), min(len(given), len(lines)))
+        if i == len(given):
+            raise ValueError(f"paragraph {i} is missing: the text has {len(lines)} lines")
+        where = f"past the text's {len(lines)} lines" if i == len(lines) else f"not {lines[i]}, the span of line {i}"
+        raise ValueError(f"paragraph {i} is {json.dumps(given[i])}, {where}")
+    return doc
 
 
 def write_passages_jsonl(passages: Iterable[Passage], path) -> int:

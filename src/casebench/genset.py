@@ -21,6 +21,8 @@ from .citations import (
     find_case_citations,
 )
 from .corpus import (
+    DEFAULT_GENSET_SEED,
+    DEFAULT_PER_DOC,
     DEFAULT_SALIENT_K,
     DEFAULT_WORD_BUDGET,
     CaseDocument,
@@ -202,8 +204,8 @@ def render_prompt(instance: GenerationInstance, with_refs: bool) -> str:
 
 def build_genset(
     docs: Sequence[CaseDocument],
-    seed: int = 0,
-    per_doc: int = 1,
+    seed: int = DEFAULT_GENSET_SEED,
+    per_doc: int = DEFAULT_PER_DOC,
     salient_k: int = DEFAULT_SALIENT_K,
     word_budget: int = DEFAULT_WORD_BUDGET,
     reporters: ReporterTable | None = None,

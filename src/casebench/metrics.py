@@ -24,7 +24,7 @@ from .citations import (
     default_reporter_table,
     find_case_citations,
 )
-from .corpus import fold_words, read_jsonl, str_field
+from .corpus import DEFAULT_RECALL_KS, fold_words, read_jsonl, str_field
 
 VERDICT_MATCHED = "matched"
 VERDICT_GROUNDED = "prefix-grounded"
@@ -58,7 +58,7 @@ def ndcg_at_k(ranked_ids: Sequence[str], positives: set[str], k: int = 10) -> fl
 def evaluate_run(
     run: Mapping[str, Sequence[str]],
     qrels: Mapping[str, set[str]],
-    ks: Sequence[int] = (10, 100, 1000),
+    ks: Sequence[int] = DEFAULT_RECALL_KS,
 ) -> "MetricReport":
     """Per-query and macro Recall@k over a run, and nDCG@10.
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import re
@@ -908,6 +909,9 @@ class TestDataErrors:
          {"corpus.jsonl": jsonl({**DOC_ROW, "paragraphs": [[-5, 3]]})}),
         (["build-genset", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": jsonl({**DOC_ROW, "paragraphs": [[0, 500]]})}),
         (["density", "{d}/corpus.jsonl", "{o}"], {"corpus.jsonl": jsonl({**DOC_ROW, "paragraphs": [[12, 0]]})}),
+        # A span across a newline was one paragraph to density and two to the citation layer.
+        (["density", "{d}/corpus.jsonl", "{o}"],
+         {"corpus.jsonl": jsonl({**DOC_ROW, "text": "one\ntwo", "paragraphs": [[0, 7]]})}),
         # Document a's passages are apart, as only a hand-written passages file has them.
         (["search", "{d}/passages.idx", "{w}/queries.jsonl", "{o}", "--maxp"],
          {"passages.idx": index_bytes([("a#0", "word"), ("b#0", "word"), ("a#1", "word")])}),
@@ -923,6 +927,7 @@ class TestDataErrors:
         "generation-id-with-space", "compare-repeated-instance-id",
         "run-repeats-a-unit", "qrels-repeats-a-unit", "queries-reporter-cite-not-a-string", "genset-reporter-cite-not-a-string",
         "genset-title-a-list", "queries-span-before-text", "genset-span-past-text", "density-span-reversed",
+        "density-span-across-a-newline",
         "search-maxp-document-split-up",
     ])
     def test_exits_2(self, searchable, tmp_path, capsys, argv, files):
@@ -1086,6 +1091,34 @@ class TestConfigKeys:
 
     def test_every_key_is_listed_by_some_command(self):
         assert {key for argv in EVERY_COMMAND for key in listed_keys(argv)} == set(CONFIG_KEYS)
+
+    def test_each_default_is_the_library_default_it_feeds(self):
+        # seed and per_doc were written out here and in build_genset's signature.
+        from casebench import corpus, genset, metrics, queries, retrieval
+
+        feeds = {
+            "window": (corpus.chunk_document, "window"),
+            "stride": (corpus.chunk_document, "stride"),
+            "query_window": (queries.build_queries, "window_words"),
+            "bm25_k1": (retrieval.bm25_search, "k1"),
+            "bm25_b": (retrieval.bm25_search, "b"),
+            "seed": (genset.build_genset, "seed"),
+            "per_doc": (genset.build_genset, "per_doc"),
+            "salient_k": (genset.build_genset, "salient_k"),
+            "word_budget": (genset.build_genset, "word_budget"),
+            "include_references_in_substring_check": (metrics.score_generation_run,
+                                                      "include_references_in_substring_check"),
+        }
+        # NgramIndex takes its shingle length with no default.
+        assert inspect.signature(retrieval.NgramIndex).parameters["n"].default is inspect.Parameter.empty
+        assert set(feeds) == set(CONFIG_KEYS) - {"ngram_n"}
+        for key, (func, param) in feeds.items():
+            default = CONFIG_KEYS[key].default
+            if key == "query_window":
+                default = tuple(map(int, default.split(",")))
+            assert default == inspect.signature(func).parameters[param].default, key
+        ks = build_parser().parse_args(["eval-retrieval", "run", "qrels"]).k
+        assert tuple(map(int, ks.split(","))) == inspect.signature(metrics.evaluate_run).parameters["ks"].default
 
     @pytest.mark.parametrize("argv", MANIFEST_COMMANDS, ids=[argv[0] for argv in MANIFEST_COMMANDS])
     def test_spelled_out_defaults_write_the_bare_manifest(self, every_input, tmp_path, capsys, argv):

@@ -102,7 +102,7 @@ class TestLoadCorpus:
         ('["b", "t"]', "expected a JSON object, got list"),
         ('{"doc_id": "b", "text": "t"}', "missing field 'paragraphs'"),
         ('{"doc_id": "b", "text": 7, "paragraphs": []}', "text must be a string, not int"),
-        ('{"doc_id": "b", "text": "t", "paragraphs": [[0]]}', "not enough values to unpack"),
+        ('{"doc_id": "b", "text": "t", "paragraphs": [[0]]}', "paragraph 0 is [0], not [0, 1], the span of line 0"),
         ('{"doc_id": "a", "text": "t", "paragraphs": [[0, 1]]}', "duplicate doc_id 'a'"),
         ('{"doc_id": "b\\u00a0c", "text": "t", "paragraphs": [[0, 1]]}', "doc_id 'b\\xa0c' contains whitespace"),
         ('{"doc_id": "", "text": "t", "paragraphs": [[0, 1]]}', "missing doc_id"),
@@ -119,9 +119,9 @@ class TestLoadCorpus:
 
 
 class TestParagraphPartition:
-    """A corpus row's paragraphs partition its text as ``load_corpus``
-    writes them: spans from 0 to the end, each next one starting just past
-    the newline that ends the one before."""
+    """A document's paragraphs are the lines of its text, and a corpus
+    row's ``paragraphs`` must be exactly their spans; the reader names the
+    first paragraph that differs."""
 
     TEXT = "First paragraph.\nSecond paragraph"  # 33 characters, newline at 16
 
@@ -132,30 +132,64 @@ class TestParagraphPartition:
 
     @pytest.mark.parametrize("paragraphs, text", [
         ([[0, 16], [17, 33]], TEXT),
-        ([[0, 33]], TEXT),
+        ([[0, 16], [17, 33], [34, 34]], TEXT + "\n"),
         ([[0, 0]], ""),
         ([[0, 1], [2, 2], [3, 4]], "a\n\nb"),
+        ([[0, 0], [1, 2]], "\nb"),
     ])
     def test_partition_read(self, tmp_path, paragraphs, text):
         (doc,) = self.read(tmp_path, paragraphs, text)
         assert doc.paragraphs == tuple(map(tuple, paragraphs))
 
     @pytest.mark.parametrize("paragraphs, reason", [
-        ([], "paragraphs is empty"),
-        ([[-5, 3]], "paragraph 0 starts at -5, not at 0"),
-        ([[0, 500]], "paragraphs end at 500, not at the text's end 33"),
-        ([[12, 0]], "paragraph 0 starts at 12, not at 0"),
-        ([[0, 16]], "paragraphs end at 16, not at the text's end 33"),
-        ([[0, 16], [18, 33]], "paragraph 1 starts at 18, not at 17"),
-        ([[0, -1], [0, 33]], "paragraph 0 ends at -1, before its start 0"),
-        ([[0, 16], [17, 10]], "paragraph 1 ends at 10, before its start 17"),
-        ([[0, 15], [16, 33]], "paragraph 1 does not follow a newline that ends paragraph 0"),
-        ([[0, 40], [41, 42]], "paragraph 1 does not follow a newline that ends paragraph 0"),
-        ([[0, 16], [17, 33], [34, 34]], "paragraph 2 does not follow a newline that ends paragraph 1"),
+        ([], "paragraph 0 is missing: the text has 2 lines"),
+        ([[-5, 3]], "paragraph 0 is [-5, 3], not [0, 16], the span of line 0"),
+        ([[0, 500]], "paragraph 0 is [0, 500], not [0, 16], the span of line 0"),
+        ([[12, 0]], "paragraph 0 is [12, 0], not [0, 16], the span of line 0"),
+        ([[0, 16]], "paragraph 1 is missing: the text has 2 lines"),
+        ([[0, 16], [18, 33]], "paragraph 1 is [18, 33], not [17, 33], the span of line 1"),
+        ([[0, -1], [0, 33]], "paragraph 0 is [0, -1], not [0, 16], the span of line 0"),
+        ([[0, 16], [17, 10]], "paragraph 1 is [17, 10], not [17, 33], the span of line 1"),
+        ([[0, 15], [16, 33]], "paragraph 0 is [0, 15], not [0, 16], the span of line 0"),
+        ([[0, 40], [41, 42]], "paragraph 0 is [0, 40], not [0, 16], the span of line 0"),
+        ([[0, 16], [17, 33], [34, 34]], "paragraph 2 is [34, 34], past the text's 2 lines"),
+        ([[0, 33]], "paragraph 0 is [0, 33], not [0, 16], the span of line 0"),
+        ([[0, 16], [17]], "paragraph 1 is [17], not [17, 33], the span of line 1"),
+        ([["0", 16], [17, 33]], 'paragraph 0 is ["0", 16], not [0, 16], the span of line 0'),
+        ({"0": [0, 16]}, "paragraphs must be a list, not dict"),
     ])
     def test_spans_that_are_no_partition_rejected(self, tmp_path, paragraphs, reason):
         with pytest.raises(DataError, match=re.escape(f"corpus.jsonl:1: {reason}")):
             self.read(tmp_path, paragraphs)
+
+    def test_paragraphs_are_the_lines_of_random_text(self):
+        rng = random.Random(2029)
+        texts = ["", "\n", "\n\n", "a\n", "\na", "a\n\nb"]
+        texts += [_random_text(rng, rng.randint(0, 40)) for _ in range(300)]
+        for text in texts:
+            doc = CaseDocument("d", "", "", text)
+            newlines = [i for i, c in enumerate(text) if c == "\n"]
+            starts = [0] + [i + 1 for i in newlines]
+            assert doc.paragraphs == tuple(zip(starts, newlines + [len(text)]))
+            lines = text.split("\n")
+            assert [doc.paragraph_text(i) for i in range(len(lines))] == lines
+
+    def test_write_read_round_trip_keeps_documents_and_bytes(self, tmp_path):
+        # Fresh documents have not cached their paragraphs, so a writer
+        # that dumped vars(doc) would leave them out.
+        docs = [
+            CaseDocument("a", "A v. B", "1 U.S. 1", "First.\nSecond, with “quotes”."),
+            CaseDocument("b", "", "", "One line."),
+        ]
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_corpus_jsonl(docs, first)
+        assert read_corpus_jsonl(first) == docs
+        write_corpus_jsonl(read_corpus_jsonl(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text().split("\n")[0]) == {
+            "doc_id": "a", "title": "A v. B", "reporter_cite": "1 U.S. 1",
+            "text": "First.\nSecond, with “quotes”.", "paragraphs": [[0, 6], [7, 29]],
+        }
 
 
 class TestTokenizeWords:
@@ -214,14 +248,14 @@ class TestWordContract:
             text = _random_text(rng, rng.randint(0, 60))
             want = _span_words(text)
             assert [text[a:b] for a, b in tokenize_words(text)] == want
-            assert CaseDocument("d", "", "", text, ((0, len(text)),)).word_count() == len(want)
+            assert CaseDocument("d", "", "", text).word_count() == len(want)
 
     def test_chunk_document_rejoins_the_oracle_words(self):
         rng = random.Random(3000)
         for _ in range(300):
             text = _random_text(rng, rng.randint(1, 120))
             words = _span_words(text)
-            doc = CaseDocument("d", "", "", text, ((0, len(text)),))
+            doc = CaseDocument("d", "", "", text)
             passages = chunk_document(doc, window=7, stride=3)
             assert [(p.word_start, p.word_end) for p in passages] == oracle_chunks(len(words), 7, 3)
             for p in passages:
@@ -245,12 +279,9 @@ class TestWordContract:
         want = [0] * 10
         for d in range(20):
             paragraphs = [_random_text(rng, rng.randint(1, 40)).replace("\n", " ") for _ in range(rng.randint(1, 15))]
-            spans, pos = [], 0
             for i, para in enumerate(paragraphs):
-                spans.append((pos, pos + len(para)))
-                pos += len(para) + 1
                 want[(10 * i) // len(paragraphs)] += len(_span_words(para))
-            docs.append(CaseDocument(f"d{d}", "", "", "\n".join(paragraphs), tuple(spans)))
+            docs.append(CaseDocument(f"d{d}", "", "", "\n".join(paragraphs)))
         profile = citation_density_profile(docs, load_reporter_table())
         assert list(profile.decile_words) == want
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -66,20 +67,19 @@ class TestSelectReferenceParagraphs:
                 assert len(find_case_citations(doc.paragraph_text(t - 1), TABLE)) >= 2
 
 
+def authorities():
+    return [
+        make_doc("auth1", ["Authority one text about movant burden.", "More authority one analysis."],
+                 cite="601 U.S. 101"),
+        make_doc("auth2", ["Authority two text about genuine dispute.", "More authority two analysis."],
+                 cite="602 U.S. 555"),
+    ]
+
+
 class TestBuildInstance:
     def corpus_with_authorities(self):
-        authority1 = make_doc(
-            "auth1",
-            ["Authority one text about movant burden.", "More authority one analysis."],
-            cite="601 U.S. 101",
-        )
-        authority2 = make_doc(
-            "auth2",
-            ["Authority two text about genuine dispute.", "More authority two analysis."],
-            cite="602 U.S. 555",
-        )
         doc = twelve_para_doc()
-        return doc, {d.doc_id: d for d in (doc, authority1, authority2)}
+        return doc, {d.doc_id: d for d in (doc, *authorities())}
 
     def test_instance_fields_and_contiguity(self):
         doc, corpus = self.corpus_with_authorities()
@@ -104,6 +104,23 @@ class TestBuildInstance:
         inst = instance(doc, 10, corpus, word_budget=10)
         total = sum(len(tokenize_words(r.text)) for r in inst.references)
         assert total <= 10
+
+    @pytest.mark.parametrize("t, message", [
+        (0, "paragraph index 0 out of range 1..12"),
+        (13, "paragraph index 13 out of range 1..12"),
+        (1, "gold paragraph needs a non-empty prefix"),
+    ])
+    def test_gold_paragraph_outside_2_to_n_raises(self, t, message):
+        doc, corpus = self.corpus_with_authorities()
+        with pytest.raises(GensetError, match=f"^{re.escape(message)}$"):
+            instance(doc, t, corpus)
+
+    def test_last_paragraph_builds(self):
+        paragraphs = [f"Paragraph number {i} with plain words only." for i in range(1, 12)] + [CITED_PARA]
+        doc = make_doc("g12", paragraphs)
+        inst = instance(doc, 12, {d.doc_id: d for d in (doc, *authorities())})
+        assert inst.gold == CITED_PARA
+        assert inst.prefix + "\n" + inst.gold == doc.text
 
     def test_no_resolvable_keys_raises(self):
         doc = twelve_para_doc()
@@ -279,6 +296,13 @@ class TestBuildGenset:
             words = [len(tokenize_words(r.text)) for r in b.references]
             assert words == [30] + [0] * (len(words) - 1), b.instance_id
             assert b.references[0].text == " ".join(a.references[0].text.split()[:30])
+
+    def test_smallest_eligible_document_builds_paragraph_2(self):
+        # N = 4 is the least N with floor(2N/3) <= N - 2; its one candidate is t = 2.
+        doc = make_doc("g4", ["Opening words.", CITED_PARA, "Plain words.", "Closing words."])
+        instances, diagnostics = build_genset([doc, *authorities()])
+        assert [i.instance_id for i in instances] == ["g4:p2"]
+        assert diagnostics == []
 
     def test_round_trip(self, mini_corpus, tmp_path):
         instances, _ = build_genset(mini_corpus, seed=0)

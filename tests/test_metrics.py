@@ -121,6 +121,12 @@ class TestEvaluateRun:
         assert report.macro["recall@1"] == 0.5
         assert report.macro["recall@2"] == 2.5 / 3
 
+    def test_ndcg_at_10_misses_a_hit_at_rank_11(self):
+        # The default ks reach 1000; nDCG stays cut at 10.
+        report = evaluate_run({"q1": [f"x{i}" for i in range(10)] + ["a"]}, {"q1": {"a"}})
+        assert report.per_query["q1"]["recall@100"] == 1.0
+        assert report.per_query["q1"]["ndcg@10"] == 0.0
+
     @pytest.mark.parametrize("ks", [(0,), (10, -1), (-1,)])
     def test_k_below_1_raises(self, ks):
         # At k = -1, [:k] kept every ranked unit but the last.
@@ -357,6 +363,21 @@ class TestScoreGenerationRun:
         assert row == {
             "rouge1": 1.0, "rouge2": 1.0, "rougeL": 1.0, "cr": 1.0, "cp": 1.0, "cfp": 0.0,
         }
+
+    def test_rouge_scores_are_their_own_orders(self):
+        # Scoring the gold itself sets all three to 1, so it cannot tell them apart.
+        inst = self.make_instance()
+        text = "Officers are liable, and control confers status. 912 F.3d 640."
+        row = score_generation_run([inst], {"i1": text}).per_query["i1"]
+        want = {"rouge1": rouge_f(text, inst.gold, 1), "rouge2": rouge_f(text, inst.gold, 2),
+                "rougeL": rouge_f(text, inst.gold, "L")}
+        assert len(set(want.values())) == 3
+        assert {metric: row[metric] for metric in want} == want
+
+    def test_degenerate_counts_each_output_without_a_case_citation(self):
+        insts = [self.make_instance("i1"), self.make_instance("i2")]
+        report = score_generation_run(insts, {"i1": insts[0].gold, "i2": "Control confers fiduciary status."})
+        assert report.skipped["degenerate"] == 1
 
     def test_unmatched_ids_listed_and_excluded(self):
         inst = self.make_instance()

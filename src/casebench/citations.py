@@ -7,6 +7,15 @@ parallel citation runs, ``Id.``/``supra``/at-page short forms, and the two
 statute families ``<title> U.S.C. § <section>`` and ``Fed.R.Civ.P. <rule>``.
 Reporter surface variants ("U. S.", "F. 3d") come from a JSON table and are
 canonicalized before keys are compared.
+
+Every scanner is one compiled regex that opens with the character its match
+consumes first: a digit for case, at-page and U.S.C. citations, ``I``/``i``
+for ``Id.``, an ``s`` for supra, ``F`` for Fed.R.Civ.P.  The word-boundary
+lookbehind sits after that character, so ``re`` tries a full match only at
+the positions where the match could begin.  The one case the opening
+character cannot cover, a case volume's stray OCR letter ("P51"), is
+re-attached after the match.  Sentence bounds likewise visit only the
+parentheses, periods and semicolons a regex finds.
 """
 
 from __future__ import annotations
@@ -39,6 +48,9 @@ class CitationError(ValueError):
     """A span could not be normalized into a volume/reporter/page key."""
 
 
+_KEY_STR_RE = re.compile(r"(\d+) (\S.*?) (\d+)")
+
+
 @dataclass(frozen=True, order=True)
 class CitationKey:
     """Canonical citation identity: two keys are equal iff all fields are."""
@@ -54,7 +66,7 @@ class CitationKey:
     def from_str(cls, s: str) -> CitationKey:
         """The key whose ``str()`` is ``s``; no reporter table is consulted,
         so a key reads back under any table it was written with."""
-        m = re.fullmatch(r"(\d+) (\S.*?) (\d+)", s)
+        m = _KEY_STR_RE.fullmatch(s)
         if m is None:
             raise CitationError(f"unparseable citation key {s!r}")
         return cls(int(m.group(1)), m.group(2), int(m.group(3)))
@@ -100,16 +112,21 @@ class ReporterTable:
         alt = "|".join(
             r"[ \t]".join(re.escape(part) for part in v.split(" ")) for v in alts
         )
-        # Volume may carry one stray leading letter (OCR noise like "P51").
-        # The pincite lookahead keeps ", 106" out of the pincite slot when
-        # "106" is really the volume of the next parallel citation.
+        # A volume follows no word character, period or section sign; the
+        # lookbehind sits after its first digit, so the scan skips straight
+        # to digits.  Volume may carry one stray leading letter (OCR noise
+        # like "P51"), itself after none of those: the match starts at the
+        # first digit and find_case_citations re-attaches the letter.  The
+        # pincite lookahead keeps ", 106" out of the pincite slot when "106"
+        # is really the volume of the next parallel citation.
         self.case_re = re.compile(
-            rf"(?<![\w.§])(?P<vol>[A-Za-z]?\d{{1,4}})[ \t]+(?P<rep>{alt})[ \t]+(?P<page>\d{{1,5}})(?!\d)"
+            rf"(?P<vol>\d(?:(?<![\w.§]\d)|(?<=[A-Za-z]\d)(?<![\w.§].\d))\d{{0,3}})"
+            rf"[ \t]+(?P<rep>{alt})[ \t]+(?P<page>\d{{1,5}})(?!\d)"
             rf"(?P<pin>,[ \t]+{_PIN_TAIL}(?![ \t]+(?:{alt})[ \t]+(?:\d|at\b)))?"
             rf"(?P<paren>[ \t]*\([^()\n]*\d{{4}}\))?"
         )
         self.at_cite_re = re.compile(
-            rf"(?<![\w.§])(?P<vol>\d{{1,4}})[ \t]+(?P<rep>{alt})[ \t]+at[ \t]+{_PIN_TAIL}"
+            rf"(?P<vol>\d(?<![\w.§]\d)\d{{0,3}})[ \t]+(?P<rep>{alt})[ \t]+at[ \t]+{_PIN_TAIL}"
         )
 
     def canonical(self, surface: str) -> str | None:
@@ -138,23 +155,28 @@ def load_reporter_table(path=None) -> ReporterTable:
 
 
 def _key_from_match(m: re.Match, table: ReporterTable) -> CitationKey:
-    vol_digits = re.sub(r"\D", "", m.group("vol"))
+    """The key of a ``case_re`` match; its volume group holds digits only."""
     reporter = table.canonical(m.group("rep"))
-    if not vol_digits or reporter is None:
+    if reporter is None:
         raise CitationError(f"cannot normalize {m.group(0)!r}")
-    return CitationKey(volume=int(vol_digits), reporter=reporter, page=int(m.group("page")))
+    return CitationKey(volume=int(m.group("vol")), reporter=reporter, page=int(m.group("page")))
 
 
 def find_case_citations(text: str, reporters: ReporterTable) -> list[CitationSpan]:
     """Full case citations, non-overlapping, ordered by start offset."""
     spans = []
     for m in reporters.case_re.finditer(text):
+        start = m.start()
+        # Only case_re's letter branch lets a letter precede the volume: the
+        # other branch wants no word character there.
+        if start and text[start - 1].isalpha():
+            start -= 1
         spans.append(
             CitationSpan(
-                start=m.start(),
+                start=start,
                 end=m.end(),
                 kind=KIND_CASE,
-                raw=m.group(0),
+                raw=text[start : m.end()],
                 key=_key_from_match(m, reporters),
             )
         )
@@ -162,7 +184,7 @@ def find_case_citations(text: str, reporters: ReporterTable) -> list[CitationSpa
 
 
 _USC_RE = re.compile(
-    r"(?<![\w.])\d{1,3}[ \t]+U\.[ \t]?S\.[ \t]?C\.(?:A\.)?[ \t]*§{1,2}[ \t]*\d+[A-Za-z0-9().–-]*"
+    r"\d(?<![\w.]\d)\d{0,2}[ \t]+U\.[ \t]?S\.[ \t]?C\.(?:A\.)?[ \t]*§{1,2}[ \t]*\d+[A-Za-z0-9().–-]*"
 )
 _FRCP_RE = re.compile(r"Fed\.[ \t]?R\.[ \t]?Civ\.[ \t]?P\.[ \t]*\d+[A-Za-z0-9().]*")
 
@@ -185,9 +207,13 @@ def find_statute_citations(text: str) -> list[CitationSpan]:
     return out
 
 
-_ID_RE = re.compile(rf"(?<![A-Za-z])[Ii]d\.(?:[ \t]+at[ \t]+{_PIN_TAIL})?")
+_ID_RE = re.compile(rf"[Ii](?<![A-Za-z][Ii])d\.(?:[ \t]+at[ \t]+{_PIN_TAIL})?")
+# Case-insensitive after its first character, which is spelled out: "s"
+# under IGNORECASE also matches "S" and "ſ" (U+017F), but a cased first
+# character gives ``re`` no set of characters to skip to.  The lookbehind's
+# letters stay case-insensitive, so "ſ", "ı", "İ" and the Kelvin sign count.
 _SUPRA_RE = re.compile(
-    rf"(?<![A-Za-z])supra(?:,?[ \t]+(?:at[ \t]+{_PIN_TAIL}|note[ \t]+\d+))?", re.IGNORECASE
+    rf"[sSſ](?<!(?i:[A-Za-z])[sSſ])(?i:upra(?:,?[ \t]+(?:at[ \t]+{_PIN_TAIL}|note[ \t]+\d+))?)"
 )
 
 
@@ -283,6 +309,7 @@ def _is_abbreviation(token: str) -> bool:
 
 
 _CLOSERS = "”’\"'"
+_TERMINAL_MARK_RE = re.compile(r"[().;]")
 
 
 def _iter_terminals(
@@ -302,43 +329,48 @@ def _iter_terminals(
     recognized citation never ends a sentence.
     """
     depth = 0
-    i = lo
-    skips = iter(skip_spans)
-    current_skip = next(skips, None)
-    while i < hi:
-        while current_skip is not None and current_skip[1] <= i:
-            current_skip = next(skips, None)
-        if current_skip is not None and current_skip[0] <= i < current_skip[1]:
-            i = current_skip[1]
-            continue
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if closing_paren_ends and depth <= 0:
-                j = i + 1
-                if j < hi and text[j] == ".":
-                    j += 1
-                yield j
-        elif ch == ";" and depth <= 0:
-            yield i + 1
-        elif ch == "." and depth <= 0:
-            nxt = text[i + 1] if i + 1 < len(text) else ""
-            if nxt == "" or nxt.isspace() or nxt in _CLOSERS:
-                if not _is_abbreviation(_token_before(text, i)):
+    for a, b in _gaps(lo, hi, skip_spans):
+        for m in _TERMINAL_MARK_RE.finditer(text, a, b):
+            ch, i = m.group(), m.start()
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if closing_paren_ends and depth <= 0:
                     j = i + 1
-                    while j < hi and text[j] in _CLOSERS:
+                    if j < hi and text[j] == ".":
                         j += 1
                     yield j
-        i += 1
+            elif ch == ";" and depth <= 0:
+                yield i + 1
+            elif ch == "." and depth <= 0:
+                nxt = text[i + 1] if i + 1 < len(text) else ""
+                if nxt == "" or nxt.isspace() or nxt in _CLOSERS:
+                    if not _is_abbreviation(_token_before(text, i)):
+                        j = i + 1
+                        while j < hi and text[j] in _CLOSERS:
+                            j += 1
+                        yield j
+
+
+def _gaps(lo: int, hi: int, skip_spans: Sequence[tuple[int, int]]):
+    """The maximal runs of [lo, hi) outside the sorted, disjoint ``skip_spans``."""
+    pos = lo
+    for a, b in skip_spans:
+        if a >= hi:
+            break
+        if a > pos:
+            yield pos, a
+        pos = max(pos, b)
+    if pos < hi:
+        yield pos, hi
 
 
 # Sentence-starter forms that may open a citation sentence.
 _STARTER_RE = re.compile(
     r"(?<![A-Za-z])(?:See,?[ \t]+e\.g\.,?|See\b|Cf\.|E\.g\.,?|Accord\b|In[ \t]+re\b|Id\.)"
 )
-_VERSUS_RE = re.compile(r"(?<![\w.])vs?\.[ \t]")
+_VERSUS_RE = re.compile(r"v(?<![\w.]v)s?\.[ \t]")
 _CAPTION_CONNECTORS = frozenset(
     {"of", "the", "and", "in", "for", "ex", "rel.", "de", "la", "van", "von", "d'", "&", "et"}
 )
@@ -347,12 +379,19 @@ _CAPTION_CONNECTORS = frozenset(
 _CAPTION_STOPWORDS = frozenset({"see", "cf", "e.g", "accord", "compare", "contra", "but", "id"})
 
 
+# A caption takes at most this many words before its " v. ".
+_CAPTION_MAX_WORDS = 12
+
+
 def _caption_start(text: str, lo: int, v_pos: int) -> int | None:
-    """Walk left from an " v. " to the start of the party caption."""
-    words = [(m.start(), m.group(0)) for m in re.finditer(r"\S+", text[lo:v_pos])]
-    start = None
-    taken = 0
-    for offset, token in reversed(words):
+    """Walk left from an " v. " to the start of the party caption, which
+    begins at or after ``lo``."""
+    head = text[lo:v_pos]
+    # The last words of head, the only ones the caption can take.
+    words = head.rsplit(None, _CAPTION_MAX_WORDS)[-_CAPTION_MAX_WORDS:]
+    taken: list[tuple[int, str]] = []  # (offset in head, word), right to left
+    pos = len(head)
+    for token in reversed(words):
         stripped = token.rstrip(",")
         if not stripped:
             break
@@ -361,23 +400,20 @@ def _caption_start(text: str, lo: int, v_pos: int) -> int | None:
         ok = stripped[0].isupper() or stripped[0].isdigit() or stripped.lower() in _CAPTION_CONNECTORS
         if stripped[0] in "()“”\"":
             ok = False
-        if not ok or taken >= 12:
+        if not ok:
             break
-        start = lo + offset
-        taken += 1
-    if start is None:
+        # Only whitespace follows the word up to pos, so its last occurrence is it.
+        pos = head.rindex(token, 0, pos)
+        taken.append((pos, token))
+    if not taken:
         return None
     # Trim leading lowercase connectors: sentences do not start with "of".
-    while True:
-        m = re.match(r"\S+", text[start:v_pos])
-        if m and m.group(0).rstrip(",") in _CAPTION_CONNECTORS:
-            nxt = re.search(r"\S", text[start + m.end() : v_pos])
-            if nxt is None:
-                break
-            start = start + m.end() + nxt.start()
-        else:
-            break
-    return start
+    while len(taken) > 1 and taken[-1][1].rstrip(",") in _CAPTION_CONNECTORS:
+        taken.pop()
+    return lo + taken[-1][0]
+
+
+_NON_SPACE_RE = re.compile(r"\S")
 
 
 def citation_sentence_bounds(
@@ -419,9 +455,9 @@ def citation_sentence_bounds(
     for pos in _iter_terminals(text, para_lo, citation.start, skip_spans=skip_spans):
         last_terminal = pos
     if last_terminal is not None:
-        m = re.search(r"\S", text[last_terminal : citation.start])
+        m = _NON_SPACE_RE.search(text, last_terminal, citation.start)
         # Whitespace only up to the citation: the sentence starts at it.
-        candidates.append(last_terminal + m.start() if m else citation.start)
+        candidates.append(m.start() if m else citation.start)
     for m in _STARTER_RE.finditer(text, para_lo, citation.start):
         candidates.append(m.start())
     for m in _VERSUS_RE.finditer(text, para_lo, citation.start):

@@ -292,7 +292,8 @@ def cmd_build_queries(args, cfg) -> dict:
     counts = dict(report.to_dict())
     if chunking:
         passages_by_doc = {
-            doc.doc_id: [p.passage_id for p in corpus.chunk_document(doc, *chunking)] for doc in docs
+            doc.doc_id: [pid for pid, _, _ in corpus.passage_windows(doc.doc_id, doc.word_count(), *chunking)]
+            for doc in docs
         }
         pq = queries.passage_qrels(qrels, passages_by_doc)
         queries.write_qrels(pq, args.passage_qrels)

@@ -13,6 +13,8 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import accumulate, chain, repeat
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 T = TypeVar("T")
@@ -38,6 +40,8 @@ _WORD_RE = re.compile(r"\S+")
 _FOLD_TABLE = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for c in range(256))
 _PARA_BREAK_RE = re.compile(r"\n[ \t]*\n+")
 _HSPACE_RE = re.compile(r"[ \t\f\v]+")
+# json.dumps(row, ensure_ascii=False) without a new encoder per row.
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 class DataError(ValueError):
@@ -101,6 +105,24 @@ def tokenize_words(text: str) -> list[WordSpan]:
     rejoins words calls ``text.split()`` instead.
     """
     return list(map(_word_span, map(re.Match.span, _WORD_RE.finditer(text))))
+
+
+def word_bounds(text: str) -> tuple[list[int], list[int]]:
+    """The start offsets and the end offsets of the words of ``text``: the
+    spans of ``tokenize_words`` as two lists, with no object per word.
+
+    Word k ends at the sum of the lengths of words 0..k and of the
+    whitespace runs before each of them.  Normalized text has one
+    whitespace character between words and none around them, which its
+    length shows; only other text is scanned for its whitespace runs.
+    """
+    lengths = list(map(len, text.split()))
+    if sum(lengths) + len(lengths) - 1 == len(text):
+        gaps = chain((0,), repeat(1))
+    else:
+        gaps = map(len, _WORD_RE.split(text))
+    ends = list(accumulate(map(add, gaps, lengths)))
+    return list(map(sub, ends, lengths)), ends
 
 
 def fold_words(text: str) -> list[str]:
@@ -180,12 +202,14 @@ def _checked_id(value, field: str) -> str:
     return value
 
 
-def chunk_document(
-    doc: CaseDocument,
+def passage_windows(
+    doc_id: str,
+    total: int,
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
-) -> list[Passage]:
-    """Chunk a document into overlapping word windows.
+) -> list[tuple[str, int, int]]:
+    """The ``(passage_id, word_start, word_end)`` of each passage of the
+    ``total``-word document ``doc_id``, the chunks of ``chunk_document``.
 
     Chunk i covers words [i*stride, min(i*stride + window, total)); chunks
     are emitted while i*stride < total, except that a final chunk adding no
@@ -193,28 +217,26 @@ def chunk_document(
     """
     if stride < 1 or window < stride:
         raise ValueError(f"require window >= stride >= 1, got {window}/{stride}")
-    words = doc.text.split()
-    total = len(words)
-    passages: list[Passage] = []
-    prev_end = -1
-    i = 0
-    while i * stride < total:
-        word_start = i * stride
+    windows: list[tuple[str, int, int]] = []
+    for i, word_start in enumerate(range(0, total, stride)):
         word_end = min(word_start + window, total)
-        if word_end <= prev_end:
+        if windows and word_end <= windows[-1][2]:
             break  # adds no new words
-        passages.append(
-            Passage(
-                passage_id=f"{doc.doc_id}#{i}",
-                doc_id=doc.doc_id,
-                word_start=word_start,
-                word_end=word_end,
-                text=" ".join(words[word_start:word_end]),
-            )
-        )
-        prev_end = word_end
-        i += 1
-    return passages
+        windows.append((f"{doc_id}#{i}", word_start, word_end))
+    return windows
+
+
+def chunk_document(
+    doc: CaseDocument,
+    window: int = DEFAULT_WINDOW,
+    stride: int = DEFAULT_STRIDE,
+) -> list[Passage]:
+    """Chunk a document into overlapping word windows (``passage_windows``)."""
+    words = doc.text.split()
+    return [
+        Passage(passage_id, doc.doc_id, word_start, word_end, " ".join(words[word_start:word_end]))
+        for passage_id, word_start, word_end in passage_windows(doc.doc_id, len(words), window, stride)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +291,7 @@ def write_jsonl(rows: Iterable[dict], path) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
-            f.write(json.dumps(row, ensure_ascii=False) + "\n")
+            f.write(_JSONL_ENCODER.encode(row) + "\n")
             n += 1
     return n
 

@@ -40,10 +40,9 @@ from .citations import (
 from .corpus import (
     DEFAULT_QUERY_WINDOW,
     CaseDocument,
-    WordSpan,
     read_qrels,
     read_queries_jsonl,
-    tokenize_words,
+    word_bounds,
     write_jsonl,
 )
 
@@ -130,15 +129,12 @@ class ParsedDocument:
     text: str
     citations: list[CitationSpan]
 
-    # Tokenized on first use, so a document without central citations is
-    # never tokenized.
+    # Found on first use, so a document without central citations is never
+    # split into words.
     @cached_property
-    def words(self) -> list[WordSpan]:
-        return tokenize_words(self.text)
-
-    @cached_property
-    def word_starts(self) -> list[int]:
-        return [start for start, _ in self.words]
+    def word_bounds(self) -> tuple[list[int], list[int]]:
+        """The start offsets and the end offsets of the words of ``text``."""
+        return word_bounds(self.text)
 
     @cached_property
     def quotes(self) -> list[QuoteSpan]:
@@ -218,19 +214,19 @@ def build_query(
         return None
     sent_start, sent_end = bounds
 
-    words, starts = parsed.words, parsed.word_starts
-    total = len(words)
+    starts, ends = parsed.word_bounds
+    total = len(starts)
     half = window_words // 2
     anchor = _word_index_at(starts, central.start)
     sw_start = _word_index_at(starts, sent_start)
-    if words[sw_start].end <= sent_start and sw_start + 1 < total:
+    if ends[sw_start] <= sent_start and sw_start + 1 < total:
         sw_start += 1
     sw_end = _word_index_at(starts, max(sent_start, sent_end - 1)) + 1
 
     lo_w = min(max(0, anchor - half), sw_start)
     hi_w = max(min(total, anchor + half), sw_end)
-    lo_c = words[lo_w].start
-    hi_c = words[hi_w - 1].end
+    lo_c = starts[lo_w]
+    hi_c = ends[hi_w - 1]
 
     # A citation the window edge cuts through still counts: its in-window
     # part is masked, so no fragment of a target survives.

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import citation_oracles
 from casebench import citations, genset, metrics, queries
 from casebench.citations import (
     CitationError,
@@ -415,3 +416,134 @@ class TestBalancedQuoteSpans:
         for _ in range(3000):
             text = "".join(rng.choice("““””\"ab ") for _ in range(rng.randint(0, 30)))
             assert citations._balanced_quote_spans(text) == walked_quote_spans(text), text
+
+
+# Pieces of random citation text: every pattern's opening character with and
+# without a word boundary before it, OCR-lettered volumes, long s, reporter
+# variants, statute signs, sentence punctuation and odd whitespace.
+_CITE_PIECES = [
+    "477 U.S. 317", "P51 F. Supp. 2d 9", "x7 F.3d 1", "12 U. S. 4, 9", "106 S.Ct. 2548", "(1986)", "(9th Cir.1995)",
+    "5 U.S. at 7", "51 F. Supp. 2d at 3–4", "42 U.S.C. § 1983", "28 U.S.C. §§ 1291(a).", "Fed.R.Civ.P. 56(c).",
+    "Id.", "id.", "Id. at 5", "supra", "SUPRA", "ſupra", "supra, at 4", "supra note 2", "Kſupra", "ısupra",
+    "\u212asupra", "v.", "vs.", "Smith", "of", "the", "See", "See, e.g.,", "Cf.", "In re", "Corp.", "Inc.,", "Co.",
+    "and",
+    "A B C D E F G H I J K L M N", "“", "”", "’", '"', "said", "words", "1", "22", "8", "P", "§", ".", ",", "(",
+    ")", ";", ":", "\n", "U.S.C. §", "F.", "Supp.", "2d",
+]
+_CITE_SEPARATORS = [" ", " ", " ", "", "\xa0", "\xa0\xa0", "　", " 　 ", "\t", "  "]
+
+
+def random_citation_text(rng):
+    pieces = [rng.choice(_CITE_PIECES) for _ in range(rng.randint(0, 24))]
+    text = "".join(piece + rng.choice(_CITE_SEPARATORS) for piece in pieces)
+    return rng.choice(["", " ", "\xa0　"]) + text + rng.choice(["", " ", "\n"])
+
+
+def cases_of(spans):
+    return [s for s in spans if s.kind == "case"]
+
+
+class TestScannersMatchTheOracles:
+    """The scanners open with the character they consume and visit only the
+    punctuation a regex finds; the lookbehind patterns and character walks
+    they replaced (``citation_oracles``) judge them."""
+
+    def test_find_citations_on_random_text(self):
+        rng = random.Random(2301)
+        for _ in range(3000):
+            text = random_citation_text(rng)
+            assert find_citations(text, TABLE) == citation_oracles.find_citations(text, TABLE), text
+
+    def test_find_case_citations_under_a_custom_table(self):
+        table = ReporterTable({"U.S.": "U.S.", "Cal. App.": "Cal.App.", "P.": "P."})
+        rng = random.Random(2302)
+        for _ in range(1000):
+            text = random_citation_text(rng).replace("F.3d", "Cal. App.").replace("S.Ct.", "P.")
+            assert find_case_citations(text, table) == citation_oracles.find_case_citations(text, table), text
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("477 U.S. 317 (1986).", [(0, 19, "case")]),
+            ("P51 F.2d 3 at first", [(0, 10, "case")]),
+            ("Id. at 5.", [(0, 8, "short-form")]),
+            ("supra, at 4.", [(0, 11, "short-form")]),
+            ("ſupra note 2", [(0, 12, "short-form")]),
+            ("5 U.S. at 7", [(0, 11, "short-form")]),
+            ("42 U.S.C. § 1983.", [(0, 16, "statute")]),
+            # A letter-prefixed volume right after ")" takes its letter.
+            ("(1990)P51 F.2d 3.", [(6, 16, "case")]),
+            # After a word character, period or section sign no volume opens.
+            ("aP51 F.2d 3, §5 F.2d 3, .5 F.2d 3, 75 F.2d 3", [(35, 44, "case")]),
+            ("xId. Kſupra ısupra", []),
+        ],
+    )
+    def test_citation_at_the_edges(self, text, want):
+        got = find_citations(text, TABLE)
+        assert [(s.start, s.end, s.kind) for s in got] == want
+        assert got == citation_oracles.find_citations(text, TABLE)
+        assert all(s.raw == text[s.start : s.end] for s in got)
+
+    def test_letter_volume_keeps_its_letter_and_key(self):
+        text = "(1990)P51 F.2d 3."
+        [span] = find_case_citations(text, TABLE)
+        assert (span.raw, str(span.key)) == ("P51 F.2d 3", "51 F.2d 3")
+        assert parse_citation_key("P51 F.2d 3", TABLE) == span.key
+
+    def test_sentence_bounds_on_random_text(self):
+        rng = random.Random(2303)
+        checked = 0
+        for _ in range(2000):
+            text = random_citation_text(rng)
+            spans = find_citations(text, TABLE)
+            cases = cases_of(spans)
+            probes = list(spans)
+            for _ in range(3):
+                if len(text) > 1:
+                    start = rng.randrange(len(text) - 1)
+                    probes.append(citations.CitationSpan(start, rng.randint(start + 1, len(text)), "case", ""))
+            for span in probes:
+                want = citation_oracles.citation_sentence_bounds(text, span, cases)
+                assert citation_sentence_bounds(text, span, cases) == want, (text, span)
+                checked += 1
+        assert checked > 5000
+
+    def test_long_captions_take_at_most_twelve_words(self):
+        rng = random.Random(2304)
+        words = ["Alpha", "of", "the", "Beta,", "Co.", "See", "e.g.,", "(Gamma", "and", "D'", "7", ",", "in"]
+        for n in range(0, 30):
+            for _ in range(20):
+                caption = " ".join(rng.choice(words) for _ in range(n))
+                text = f"Earlier text. {caption} v. Jones, 477 U.S. 317 (1986)."
+                [span] = find_case_citations(text, TABLE)
+                want = citation_oracles.citation_sentence_bounds(text, span, [span])
+                assert citation_sentence_bounds(text, span, [span]) == want, text
+                v_pos = text.index(" v. ") + 1
+                assert citations._caption_start(text, 0, v_pos) == citation_oracles.caption_start(text, 0, v_pos)
+
+    def test_terminals_on_random_text(self):
+        rng = random.Random(2305)
+        for _ in range(2000):
+            text = random_citation_text(rng)
+            cases = [(s.start, s.end) for s in cases_of(find_citations(text, TABLE))]
+            lo = rng.randint(0, len(text))
+            hi = rng.randint(lo, len(text))
+            for parens in (False, True):
+                got = list(citations._iter_terminals(text, lo, hi, parens, cases))
+                assert got == list(citation_oracles.walk_terminals(text, lo, hi, parens, cases)), (text, lo, hi)
+
+    def test_direct_quotes_on_random_text(self, monkeypatch):
+        rng = random.Random(2306)
+        texts = [random_citation_text(rng) for _ in range(2000)]
+        got = [extract_direct_quotes(text, find_citations(text, TABLE)) for text in texts]
+        monkeypatch.setattr(citations, "_iter_terminals", citation_oracles.walk_terminals)
+        assert got == [extract_direct_quotes(text, find_citations(text, TABLE)) for text in texts]
+
+    def test_mini_corpus_matches_the_oracles(self, mini_corpus):
+        for doc in mini_corpus:
+            spans = find_citations(doc.text, TABLE)
+            assert spans == citation_oracles.find_citations(doc.text, TABLE)
+            cases = cases_of(spans)
+            for span in spans:
+                want = citation_oracles.citation_sentence_bounds(doc.text, span, cases)
+                assert citation_sentence_bounds(doc.text, span, cases) == want

@@ -9,6 +9,7 @@ import zipfile
 
 import pytest
 
+import citation_oracles
 from casebench import minicorpus
 from casebench.citations import load_reporter_table
 from casebench.corpus import (
@@ -18,9 +19,12 @@ from casebench.corpus import (
     chunk_document,
     fold_words,
     load_corpus,
+    passage_windows,
     read_corpus_jsonl,
     tokenize_words,
+    word_bounds,
     write_corpus_jsonl,
+    write_jsonl,
 )
 from casebench.genset import _truncate_words, citation_density_profile
 from conftest import make_doc
@@ -376,3 +380,64 @@ class TestChunkDocument:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             chunk_document(doc_of_n_words(10), window=5, stride=10)
+
+
+class TestPassageWindows:
+    """``build-queries --passage-qrels`` takes passage ids from
+    ``passage_windows`` and ``chunk_document`` its chunks: one rule."""
+
+    def test_windows_are_the_chunks(self):
+        rng = random.Random(2310)
+        for _ in range(300):
+            total = rng.randint(0, 60)
+            stride = rng.randint(1, 9)
+            window = rng.randint(stride, 20)
+            doc = doc_of_n_words(total, doc_id="d7") if total else CaseDocument("d7", "", "", "")
+            got = passage_windows("d7", total, window, stride)
+            assert [(a, b) for _, a, b in got] == oracle_chunks(total, window, stride)
+            chunks = chunk_document(doc, window, stride)
+            assert got == [(p.passage_id, p.word_start, p.word_end) for p in chunks]
+
+    def test_rejects_bad_window(self):
+        with pytest.raises(ValueError):
+            passage_windows("d", 10, window=5, stride=10)
+
+
+class TestWordBounds:
+    """``word_bounds`` gives the spans of ``tokenize_words`` as two int
+    lists, without an object per word; ``tokenize_words`` judges it."""
+
+    @pytest.mark.parametrize(
+        "text", ["", " ", "a", " a", "a ", "a b", "a  b", "a\nb", "\xa0a", "a\u3000\u3000b", "ab cd\nef g"]
+    )
+    def test_examples(self, text):
+        assert word_bounds(text) == citation_oracles.word_bounds(text)
+
+    def test_random_text_with_odd_whitespace(self):
+        rng = random.Random(2311)
+        for _ in range(2000):
+            text = _random_text(rng, rng.randint(0, 60))
+            assert word_bounds(text) == citation_oracles.word_bounds(text), ascii(text)
+
+    def test_random_single_spaced_text(self):
+        # One whitespace character between words and none around them, as
+        # in every normalized document.
+        rng = random.Random(2312)
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            words = ["".join(rng.choice(_WORD_CHARS) for _ in range(rng.randint(1, 4))) for _ in range(n)]
+            text = words[0] + "".join(rng.choice(_ODD_SPACES + [" "] * 8) + w for w in words[1:])
+            assert word_bounds(text) == citation_oracles.word_bounds(text), ascii(text)
+
+    def test_mini_corpus(self, mini_corpus):
+        for doc in mini_corpus:
+            assert word_bounds(doc.text) == citation_oracles.word_bounds(doc.text)
+
+
+class TestWriteJsonl:
+    def test_rows_are_json_dumps_lines(self, tmp_path):
+        rows = [{"a": "é“x”\u2028", "b": [1, 2.5, None, True], "c": {"d": "\n"}}, {}, {"k": float("inf")}]
+        path = tmp_path / "rows.jsonl"
+        assert write_jsonl(iter(rows), path) == 3
+        want = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode("utf-8")

@@ -207,7 +207,9 @@ def find_statute_citations(text: str) -> list[CitationSpan]:
     return out
 
 
-_ID_RE = re.compile(rf"[Ii](?<![A-Za-z][Ii])d\.(?:[ \t]+at[ \t]+{_PIN_TAIL})?")
+# Opens on its literal "d." with the "I" behind it, so ``re`` skips from
+# one "d." to the next; a match starts one character after its span.
+_ID_RE = re.compile(rf"d\.(?<=(?<![A-Za-z])[Ii]d\.)(?:[ \t]+at[ \t]+{_PIN_TAIL})?")
 # Case-insensitive after its first character, which is spelled out: "s"
 # under IGNORECASE also matches "S" and "ſ" (U+017F), but a cased first
 # character gives ``re`` no set of characters to skip to.  The lookbehind's
@@ -237,19 +239,19 @@ def find_citations(text: str, reporters: ReporterTable) -> list[CitationSpan]:
     cases = [s for s in find_case_citations(text, reporters) if not _overlaps(s.start, s.end, statutes)]
     blocked = sorted(statutes + cases, key=lambda s: s.start)
     shorts = [
-        m
+        (m.start() - (pattern is _ID_RE), m)
         for pattern in (_ID_RE, _SUPRA_RE, reporters.at_cite_re)
         for m in pattern.finditer(text)
-        if not _overlaps(m.start(), m.end(), blocked)
     ]
+    shorts = [(start, m) for start, m in shorts if not _overlaps(start, m.end(), blocked)]
     # No two spans share a start, so one sort orders full and short forms.
-    ordered = sorted([(s.start, s) for s in blocked] + [(m.start(), m) for m in shorts], key=lambda pair: pair[0])
+    ordered = sorted([(s.start, s) for s in blocked] + shorts, key=lambda pair: pair[0])
 
     spans: list[CitationSpan] = []
     last_case: CitationSpan | None = None
     after_statute = False
     latest: dict[tuple[int, str], CitationKey] = {}  # (volume, reporter) -> key
-    for _, item in ordered:
+    for start, item in ordered:
         if isinstance(item, CitationSpan):
             if item.kind == KIND_CASE:
                 last_case, after_statute = item, False
@@ -260,11 +262,11 @@ def find_citations(text: str, reporters: ReporterTable) -> list[CitationSpan]:
             continue
         key = None
         if item.re is _ID_RE:
-            if last_case is not None and not after_statute and "\n" not in text[last_case.end : item.start()]:
+            if last_case is not None and not after_statute and "\n" not in text[last_case.end : start]:
                 key = last_case.key
         elif item.re is reporters.at_cite_re:
             key = latest.get((int(item["vol"]), reporters.canonical(item["rep"])))
-        spans.append(CitationSpan(item.start(), item.end(), KIND_SHORT_FORM, item[0], key))
+        spans.append(CitationSpan(start, item.end(), KIND_SHORT_FORM, text[start : item.end()], key))
     return spans
 
 
@@ -366,9 +368,12 @@ def _gaps(lo: int, hi: int, skip_spans: Sequence[tuple[int, int]]):
         yield pos, hi
 
 
-# Sentence-starter forms that may open a citation sentence.
+# Sentence-starter forms that may open a citation sentence.  Each opens with
+# its capital, the word boundary behind it, so ``re`` skips to the next A,
+# C, E, I or S.
 _STARTER_RE = re.compile(
-    r"(?<![A-Za-z])(?:See,?[ \t]+e\.g\.,?|See\b|Cf\.|E\.g\.,?|Accord\b|In[ \t]+re\b|Id\.)"
+    r"S(?<![A-Za-z]S)ee(?:,?[ \t]+e\.g\.,?|\b)|C(?<![A-Za-z]C)f\.|E(?<![A-Za-z]E)\.g\.,?"
+    r"|A(?<![A-Za-z]A)ccord\b|I(?<![A-Za-z]I)(?:n[ \t]+re\b|d\.)"
 )
 _VERSUS_RE = re.compile(r"v(?<![\w.]v)s?\.[ \t]")
 _CAPTION_CONNECTORS = frozenset(

@@ -291,9 +291,11 @@ def cmd_build_queries(args, cfg) -> dict:
     queries.write_qrels(qrels, args.qrels_out)
     counts = dict(report.to_dict())
     if chunking:
+        cited = {entry.unit_id for entry in qrels}
         passages_by_doc = {
             doc.doc_id: [pid for pid, _, _ in corpus.passage_windows(doc.doc_id, doc.word_count(), *chunking)]
             for doc in docs
+            if doc.doc_id in cited
         }
         pq = queries.passage_qrels(qrels, passages_by_doc)
         queries.write_qrels(pq, args.passage_qrels)

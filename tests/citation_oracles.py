@@ -1,9 +1,9 @@
 """Reference implementations the citation scanners and word bounds are
-checked against: the citation patterns as they were before each opened with
-the character it consumes (every one behind a leading lookbehind), the
-per-character sentence-terminal walk, the caption walk that tokenizes the
-whole paragraph prefix, and word bounds cut from ``tokenize_words``.  They
-are slow and plain on purpose."""
+checked against: the citation and sentence-starter patterns as they were
+before each opened with the character it consumes (every one behind a
+leading lookbehind), the per-character sentence-terminal walk, the caption
+walk that tokenizes the whole paragraph prefix, and word bounds cut from
+``tokenize_words``.  They are slow and plain on purpose."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from casebench.citations import (
     _CAPTION_STOPWORDS,
     _CLOSERS,
     _PIN_TAIL,
-    _STARTER_RE,
     KIND_CASE,
     KIND_SHORT_FORM,
     KIND_STATUTE,
@@ -34,6 +33,9 @@ FRCP_RE = re.compile(r"Fed\.[ \t]?R\.[ \t]?Civ\.[ \t]?P\.[ \t]*\d+[A-Za-z0-9().]
 ID_RE = re.compile(rf"(?<![A-Za-z])[Ii]d\.(?:[ \t]+at[ \t]+{_PIN_TAIL})?")
 SUPRA_RE = re.compile(rf"(?<![A-Za-z])supra(?:,?[ \t]+(?:at[ \t]+{_PIN_TAIL}|note[ \t]+\d+))?", re.IGNORECASE)
 VERSUS_RE = re.compile(r"(?<![\w.])vs?\.[ \t]")
+STARTER_RE = re.compile(
+    r"(?<![A-Za-z])(?:See,?[ \t]+e\.g\.,?|See\b|Cf\.|E\.g\.,?|Accord\b|In[ \t]+re\b|Id\.)"
+)
 
 
 def reporter_patterns(table: ReporterTable) -> tuple[re.Pattern, re.Pattern]:
@@ -210,7 +212,7 @@ def citation_sentence_bounds(text, citation, cases):
     if last_terminal is not None:
         m = re.search(r"\S", text[last_terminal : citation.start])
         candidates.append(last_terminal + m.start() if m else citation.start)
-    for m in _STARTER_RE.finditer(text, para_lo, citation.start):
+    for m in STARTER_RE.finditer(text, para_lo, citation.start):
         candidates.append(m.start())
     for m in VERSUS_RE.finditer(text, para_lo, citation.start):
         cap = caption_start(text, para_lo, m.start())

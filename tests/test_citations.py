@@ -426,7 +426,7 @@ _CITE_PIECES = [
     "5 U.S. at 7", "51 F. Supp. 2d at 3–4", "42 U.S.C. § 1983", "28 U.S.C. §§ 1291(a).", "Fed.R.Civ.P. 56(c).",
     "Id.", "id.", "Id. at 5", "supra", "SUPRA", "ſupra", "supra, at 4", "supra note 2", "Kſupra", "ısupra",
     "\u212asupra", "v.", "vs.", "Smith", "of", "the", "See", "See, e.g.,", "Cf.", "In re", "Corp.", "Inc.,", "Co.",
-    "and",
+    "and", "Accord", "Accordingly", "E.g.,", "See\te.g.", "Seen",
     "A B C D E F G H I J K L M N", "“", "”", "’", '"', "said", "words", "1", "22", "8", "P", "§", ".", ",", "(",
     ")", ";", ":", "\n", "U.S.C. §", "F.", "Supp.", "2d",
 ]
@@ -507,6 +507,13 @@ class TestScannersMatchTheOracles:
                 assert citation_sentence_bounds(text, span, cases) == want, (text, span)
                 checked += 1
         assert checked > 5000
+
+    def test_starters_on_random_text(self):
+        rng = random.Random(2307)
+        for _ in range(3000):
+            text = random_citation_text(rng)
+            got = [m.span() for m in citations._STARTER_RE.finditer(text)]
+            assert got == [m.span() for m in citation_oracles.STARTER_RE.finditer(text)], text
 
     def test_long_captions_take_at_most_twelve_words(self):
         rng = random.Random(2304)

@@ -10,6 +10,7 @@ from collections.abc import Mapping
 
 import pytest
 
+import analyzer_oracles
 from casebench.corpus import DataError, fold_words
 from casebench.retrieval import (
     AnalyzerConfig,
@@ -51,6 +52,38 @@ class TestAnalyzer:
 
     def test_lowercase(self):
         assert analyze("Hello WORLD") == ["hello", "world"]
+
+
+class TestAnalyzerMatchesTheOracle:
+    """``analyze`` folds bytes and splits; the token regexes it replaced
+    (``analyzer_oracles``) judge it under every config."""
+
+    @pytest.mark.parametrize("context", ["{}", "a{}b", "a.{}.b", "{}.A", "Z.{}"])
+    def test_every_code_point_in_context(self, context):
+        # A space between instances separates their terms under both
+        # tokenizers, so one text per plane stands for 65,536 short ones.
+        for plane in range(0, 0x110000, 0x10000):
+            text = " ".join(map(context.format, map(chr, range(plane, plane + 0x10000))))
+            for config in analyzer_oracles.CONFIGS:
+                assert analyze(text, config) == analyzer_oracles.analyze(text, config), (hex(plane), config)
+
+    def test_random_strings(self):
+        rng = random.Random(2401)
+        # Periods in runs, ASCII, the Kelvin sign, I with dot above, sharp s,
+        # the fi ligature, lone surrogates, no-break and ideographic spaces.
+        pieces = [".", "..", "...", " ", "a", "z", "\u212a", "\u0130", "\xdf", "\ufb01", "\ud800", "\udfff",
+                  "\xa0", "\u3000", *"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"]
+        for _ in range(20000):
+            text = "".join(rng.choices(pieces, k=rng.randint(0, 24)))
+            for config in analyzer_oracles.CONFIGS:
+                assert analyze(text, config) == analyzer_oracles.analyze(text, config), (text, config)
+
+    def test_mini_corpus_index_terms(self, mini_corpus):
+        units = [(doc.doc_id, doc.text) for doc in mini_corpus]
+        idx = build_index(units)
+        oracle_terms = [analyzer_oracles.analyze(text) for _, text in units]
+        assert idx.terms == sorted(set().union(*oracle_terms))
+        assert idx.lengths.tolist() == list(map(len, oracle_terms))
 
 
 class TestBuildIndex:

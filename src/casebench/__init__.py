@@ -19,7 +19,7 @@ _EXPORTS = {
             "find_statute_citations", "load_reporter_table", "parse_citation_key",
         ),
         "corpus": (
-            "CaseDocument", "DataError", "Passage", "WordSpan", "chunk_document", "load_corpus", "tokenize_words",
+            "CaseDocument", "DataError", "Passage", "chunk_document", "load_corpus",
         ),
         "genset": (
             "DensityProfile", "GenerationInstance", "build_generation_instance", "build_genset",

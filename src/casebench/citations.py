@@ -28,7 +28,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .corpus import DataError, read_jsonl, str_field, write_jsonl
+from .corpus import CLOSE_QUOTE, OPEN_QUOTE, DataError, read_jsonl, str_field, write_jsonl
 
 KIND_CASE = "case"
 KIND_STATUTE = "statute"
@@ -39,8 +39,6 @@ KIND_SHORT_FORM = "short-form"
 # the cap stops pairings across unrelated sections.
 QUOTE_PAIR_WINDOW = 300
 
-OPEN_QUOTE = "“"   # U+201C
-CLOSE_QUOTE = "”"  # U+201D
 _QUOTE_MARK_RE = re.compile(f"[{OPEN_QUOTE}{CLOSE_QUOTE}]")
 
 

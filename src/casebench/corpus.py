@@ -1,5 +1,8 @@
 """Document model: ingest raw case records, normalize text, chunk into passages.
 
+It also defines the text primitives the other stages share: word bounds,
+folded words and their n-gram shingles, and the curly quotation marks.
+
 A raw record is one JSON object with fields ``{id, name, cite, opinions:
 [{type, text}]}``.  Opinion texts may contain hard line breaks (single
 newlines, collapsed to spaces) and paragraph breaks (blank lines, kept as
@@ -12,10 +15,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -35,6 +38,10 @@ DEFAULT_SALIENT_K = 2
 DEFAULT_WORD_BUDGET = 6000
 DEFAULT_RECALL_KS = (10, 100, 1000)
 
+# The curly quotation marks that open and close a direct quote.
+OPEN_QUOTE = "“"   # U+201C
+CLOSE_QUOTE = "”"  # U+201D
+
 _WORD_RE = re.compile(r"\S+")
 # Every byte but an ASCII digit or lowercase letter becomes a space.
 _FOLD_TABLE = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for c in range(256))
@@ -46,17 +53,6 @@ _JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 class DataError(ValueError):
     """An input file is malformed; the message names the file and line."""
-
-
-class WordSpan(NamedTuple):
-    """Character span of one word (maximal non-whitespace run)."""
-
-    start: int
-    end: int
-
-
-# Builds a WordSpan from a (start, end) tuple without a Python-level call.
-_word_span = partial(tuple.__new__, WordSpan)
 
 
 @dataclass(frozen=True)
@@ -96,20 +92,13 @@ class Passage:
     text: str
 
 
-def tokenize_words(text: str) -> list[WordSpan]:
-    """The character spans of the words of ``text``, i.e. of its maximal
-    runs of non-whitespace characters.
+def word_bounds(text: str) -> tuple[list[int], list[int]]:
+    """The start offsets and the end offsets of the words of ``text``, its
+    maximal runs of non-whitespace characters, as two lists.
 
     These are exactly the words of ``text.split()``: ``\\s`` matches a code
     point just when ``str.isspace`` holds for it.  Code that only counts or
     rejoins words calls ``text.split()`` instead.
-    """
-    return list(map(_word_span, map(re.Match.span, _WORD_RE.finditer(text))))
-
-
-def word_bounds(text: str) -> tuple[list[int], list[int]]:
-    """The start offsets and the end offsets of the words of ``text``: the
-    spans of ``tokenize_words`` as two lists, with no object per word.
 
     Word k ends at the sum of the lengths of words 0..k and of the
     whitespace runs before each of them.  Normalized text has one
@@ -135,6 +124,12 @@ def fold_words(text: str) -> list[str]:
     its ASCII letter; every other non-ASCII code point separates words.
     """
     return text.lower().encode("ascii", "replace").translate(_FOLD_TABLE).decode("ascii").split()
+
+
+def shingles(words: Sequence[str], n: int) -> Iterable[tuple[str, ...]]:
+    """Every run of n consecutive words, as a tuple, in text order: the
+    word n-grams that ROUGE-N counts and the quote index looks up."""
+    return zip(*(words[i:] for i in range(n)))
 
 
 def _normalize_opinion(text: str) -> list[str]:

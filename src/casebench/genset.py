@@ -131,10 +131,7 @@ def build_generation_instance(
     gold = doc.paragraph_text(t - 1)
     prefix = doc.text[: doc.paragraphs[t - 2][1]]
 
-    cited_keys: list[CitationKey] = []
-    for span in find_case_citations(gold, reporters):
-        if span.key not in cited_keys:
-            cited_keys.append(span.key)
+    cited_keys = list(dict.fromkeys(span.key for span in find_case_citations(gold, reporters)))
 
     references: list[ReferenceText] = []
     used_words = 0

@@ -24,7 +24,7 @@ from .citations import (
     default_reporter_table,
     find_case_citations,
 )
-from .corpus import DEFAULT_RECALL_KS, fold_words, read_jsonl, str_field
+from .corpus import DEFAULT_RECALL_KS, fold_words, read_jsonl, shingles, str_field
 
 VERDICT_MATCHED = "matched"
 VERDICT_GROUNDED = "prefix-grounded"
@@ -91,10 +91,6 @@ def evaluate_run(
 # ROUGE
 # ---------------------------------------------------------------------------
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
 def _lcs_length(a: list[str], b: list[str]) -> int:
     """Exact LCS length by the bit-vector method of Allison & Dix (1986)
     and Hyyrö (2004): one DP row packed into the int ``v``, whose zero
@@ -134,8 +130,8 @@ def rouge_f(candidate: str, reference: str, variant: int | str = 1) -> float:
     n = int(variant)
     if n not in (1, 2):
         raise ValueError(f"unsupported ROUGE variant {variant!r}")
-    cand_counts = _ngram_counts(cand, n)
-    ref_counts = _ngram_counts(ref, n)
+    cand_counts = Counter(shingles(cand, n))
+    ref_counts = Counter(shingles(ref, n))
     overlap = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
     return _f1(overlap, sum(cand_counts.values()), sum(ref_counts.values()))
 
@@ -188,12 +184,7 @@ def citation_report_from_keys(
     relevant = frozenset(relevant_keys)
     if not relevant:
         raise ValueError("relevant citation set must not be empty")
-    deduped: list[CitationKey] = []
-    seen: set[CitationKey] = set()
-    for key in generated_keys:
-        if key not in seen:
-            seen.add(key)
-            deduped.append(key)
+    deduped = list(dict.fromkeys(generated_keys))
     m = len(deduped)
     if m == 0:
         return CitationReport(
@@ -281,14 +272,11 @@ class MetricReport:
 
 
 def _macro(per_query: dict[str, dict[str, float]]) -> dict[str, float]:
+    """Each metric's mean over the rows, which all carry the same metrics."""
     if not per_query:
         return {}
-    metrics = sorted({m for row in per_query.values() for m in row})
-    return {
-        m: sum(row[m] for row in per_query.values() if m in row)
-        / sum(1 for row in per_query.values() if m in row)
-        for m in metrics
-    }
+    rows = per_query.values()
+    return {m: sum(row[m] for row in rows) / len(rows) for m in sorted(next(iter(rows)))}
 
 
 def extract_answer(output_text: str) -> str:

@@ -35,16 +35,7 @@ from .citations import (
     find_citations,
     parse_citation_key,
 )
-# read_queries_jsonl and read_qrels live in corpus so that search and eval
-# read their inputs without loading this module; they are re-exported here.
-from .corpus import (
-    DEFAULT_QUERY_WINDOW,
-    CaseDocument,
-    read_qrels,
-    read_queries_jsonl,
-    word_bounds,
-    write_jsonl,
-)
+from .corpus import DEFAULT_QUERY_WINDOW, CaseDocument, word_bounds, write_jsonl
 
 VIEW_SINGLE_REMOVED = "single-removed"
 VIEW_ALL_REMOVED = "all-removed"

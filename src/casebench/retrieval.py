@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .corpus import BM25_B, BM25_K1, DataError, _checked_id, fold_words, iter_lines
+from .corpus import BM25_B, BM25_K1, CLOSE_QUOTE, OPEN_QUOTE, DataError, _checked_id, fold_words, iter_lines, shingles
 
 # numpy is imported by the functions that touch index arrays, so the CLI
 # stages that never build, load or search an index start without it.
@@ -452,12 +452,7 @@ class EmptyQuoteError(ValueError):
 
 
 def _strip_curly_quotes(text: str) -> str:
-    return text.replace("“", "").replace("”", "")
-
-
-def _shingles(words: Sequence[str], n: int) -> Iterable[tuple[str, ...]]:
-    """Every run of n consecutive words, as a tuple, in text order."""
-    return zip(*(words[i:] for i in range(n)))
+    return text.replace(OPEN_QUOTE, "").replace(CLOSE_QUOTE, "")
 
 
 class NgramIndex:
@@ -486,12 +481,12 @@ class NgramIndex:
         it, empty for a shingle found nowhere.  Shingles come from the raw
         text: stripping the marks first would join "word“next"."""
         n = self.n
-        grams = {gram: [] for quote in self.quotes for gram in _shingles(fold_words(quote), n)}
+        grams = {gram: [] for quote in self.quotes for gram in shingles(fold_words(quote), n)}
         # The keys view tests each unit shingle in C: no Python loop runs
         # over the collection's shingles, only over the quote shingles found.
         wanted = grams.keys()
         for idx, text in enumerate(self.texts):
-            for gram in wanted & _shingles(fold_words(text), n):
+            for gram in wanted & shingles(fold_words(text), n):
                 grams[gram].append(idx)
         return grams
 
@@ -516,7 +511,7 @@ def ngram_search(index: NgramIndex, quote: str, k: int = 10, query_id: str = "q"
         return exact_match_search(index, quote, k, query_id)
     grams = index.grams
     counts: Counter[int] = Counter()
-    for gram in set(_shingles(quote_words, n)):
+    for gram in set(shingles(quote_words, n)):
         try:
             counts.update(grams[gram])
         except KeyError:

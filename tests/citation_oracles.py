@@ -3,7 +3,8 @@ checked against: the citation and sentence-starter patterns as they were
 before each opened with the character it consumes (every one behind a
 leading lookbehind), the per-character sentence-terminal walk, the caption
 walk that tokenizes the whole paragraph prefix, and word bounds cut from
-``tokenize_words``.  They are slow and plain on purpose."""
+the ``\\S+`` matches of ``re.finditer``.  They are slow and plain on
+purpose."""
 
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from casebench.citations import (
     CitationSpan,
     ReporterTable,
 )
-from casebench.corpus import tokenize_words
 
 USC_RE = re.compile(
     r"(?<![\w.])\d{1,3}[ \t]+U\.[ \t]?S\.[ \t]?C\.(?:A\.)?[ \t]*§{1,2}[ \t]*\d+[A-Za-z0-9().–-]*"
@@ -222,5 +222,6 @@ def citation_sentence_bounds(text, citation, cases):
 
 
 def word_bounds(text: str) -> tuple[list[int], list[int]]:
-    spans = tokenize_words(text)
-    return [s.start for s in spans], [s.end for s in spans]
+    """The starts and the ends of the maximal non-whitespace runs."""
+    spans = [m.span() for m in re.finditer(r"\S+", text)]
+    return [start for start, _ in spans], [end for _, end in spans]

@@ -18,7 +18,7 @@ import pytest
 import casebench
 from casebench.citations import default_reporter_table, load_reporter_table
 from casebench.cli import CONFIG_KEYS, OUTPUT_PATHS, build_parser, main
-from casebench.corpus import fold_words, read_corpus_jsonl, read_passages_jsonl
+from casebench.corpus import fold_words, read_corpus_jsonl, read_passages_jsonl, read_queries_jsonl
 from casebench.minicorpus import mini_corpus_path
 from casebench.queries import (
     KIND_DIRECT,
@@ -26,7 +26,6 @@ from casebench.queries import (
     VIEW_ALL_REMOVED,
     VIEW_SINGLE_REMOVED,
     build_queries,
-    read_queries_jsonl,
 )
 from casebench.retrieval import bm25_rank, build_index, read_trec_run, save_index
 from fixtures import ngram_overlap_oracle

@@ -15,13 +15,12 @@ from casebench.citations import load_reporter_table
 from casebench.corpus import (
     CaseDocument,
     DataError,
-    WordSpan,
     chunk_document,
     fold_words,
     load_corpus,
     passage_windows,
     read_corpus_jsonl,
-    tokenize_words,
+    shingles,
     word_bounds,
     write_corpus_jsonl,
     write_jsonl,
@@ -196,28 +195,61 @@ class TestParagraphPartition:
         }
 
 
+def _word_spans(text):
+    """The (start, end) span of each word of ``text``, from ``word_bounds``."""
+    return list(zip(*word_bounds(text)))
+
+
 class TestTokenizeWords:
+    """Cutting text into words: the spans ``word_bounds`` gives."""
+
     def test_double_space(self):
-        assert len(tokenize_words("a b  c")) == 3
+        assert len(_word_spans("a b  c")) == 3
 
     def test_citation_tokens_split_on_whitespace_only(self):
-        assert len(tokenize_words("Fed.R.Civ.P. 56(c)")) == 2
+        assert len(_word_spans("Fed.R.Civ.P. 56(c)")) == 2
 
     def test_empty(self):
-        assert tokenize_words("") == []
+        assert word_bounds("") == ([], [])
 
     def test_spans_are_nonempty_and_whitespace_free(self):
         text = "  leading, and\ttabs\nnewlines .end  "
-        for span in tokenize_words(text):
-            token = text[span.start : span.end]
+        for start, end in _word_spans(text):
+            token = text[start:end]
             assert token
             assert not any(c.isspace() for c in token)
 
     def test_spans_are_word_span_tuples(self):
-        spans = tokenize_words(" ab\u3000c ")
-        assert spans == [(1, 3), (4, 5)]
-        assert all(type(s) is WordSpan for s in spans)
-        assert spans[0].start == 1 and spans[0].end == 3
+        assert _word_spans(" ab\u3000c ") == [(1, 3), (4, 5)]
+
+
+class TestShingles:
+    """``shingles`` gives every run of n consecutive words, in text order."""
+
+    def test_empty_input(self):
+        assert list(shingles([], 1)) == []
+        assert list(shingles([], 3)) == []
+
+    def test_n_longer_than_the_words(self):
+        assert list(shingles(["a", "b"], 3)) == []
+
+    def test_n_equal_to_the_words(self):
+        assert list(shingles(["a", "b", "c"], 3)) == [("a", "b", "c")]
+
+    def test_unigrams(self):
+        assert list(shingles(["a", "b", "a"], 1)) == [("a",), ("b",), ("a",)]
+
+    def test_text_order_with_repeats(self):
+        words = ["to", "be", "or", "not", "to", "be"]
+        assert list(shingles(words, 2)) == [("to", "be"), ("be", "or"), ("or", "not"), ("not", "to"), ("to", "be")]
+
+    def test_random_words_against_slices(self):
+        rng = random.Random(2509)
+        for _ in range(300):
+            words = [rng.choice("abc") for _ in range(rng.randint(0, 9))]
+            n = rng.randint(1, 5)
+            want = [tuple(words[i : i + n]) for i in range(len(words) - n + 1)]
+            assert list(shingles(words, n)) == want
 
 
 # Whitespace that a split on " " alone would miss: NBSP, the line and
@@ -251,7 +283,7 @@ class TestWordContract:
         for _ in range(300):
             text = _random_text(rng, rng.randint(0, 60))
             want = _span_words(text)
-            assert [text[a:b] for a, b in tokenize_words(text)] == want
+            assert [text[a:b] for a, b in _word_spans(text)] == want
             assert CaseDocument("d", "", "", text).word_count() == len(want)
 
     def test_chunk_document_rejoins_the_oracle_words(self):
@@ -404,8 +436,8 @@ class TestPassageWindows:
 
 
 class TestWordBounds:
-    """``word_bounds`` gives the spans of ``tokenize_words`` as two int
-    lists, without an object per word; ``tokenize_words`` judges it."""
+    """``word_bounds`` gives the spans of the ``\\S+`` runs as two int
+    lists; the ``re.finditer`` oracle of ``citation_oracles`` judges it."""
 
     @pytest.mark.parametrize(
         "text", ["", " ", "a", " a", "a ", "a b", "a  b", "a\nb", "\xa0a", "a\u3000\u3000b", "ab cd\nef g"]

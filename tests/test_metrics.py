@@ -212,6 +212,45 @@ class TestLcsOracle:
             assert rouge_f(ref, cand, "L") == rouge_l_oracle(b, a)
 
 
+def rouge_n_oracle(cand, ref, n):
+    """Clipped n-gram overlap by explicit loops: each candidate n-gram
+    takes the first unused equal n-gram of the reference, if there is one."""
+    cand_grams = [cand[i : i + n] for i in range(len(cand) - n + 1)]
+    ref_grams = [ref[i : i + n] for i in range(len(ref) - n + 1)]
+    used = [False] * len(ref_grams)
+    match = 0
+    for gram in cand_grams:
+        for j, other in enumerate(ref_grams):
+            if not used[j] and other == gram:
+                used[j] = True
+                match += 1
+                break
+    if match == 0:
+        return 0.0
+    p, r = match / len(cand_grams), match / len(ref_grams)
+    return 2 * p * r / (p + r)
+
+
+class TestRougeNOracle:
+    def test_hand_cases(self):
+        # "a a" holds the unigram a twice; "a b" once, so one is clipped.
+        assert rouge_n_oracle(["a", "a"], ["a", "b"], 1) == rouge_f("a a", "a b", 1) == 0.5
+        assert rouge_n_oracle(["a"], ["a"], 2) == rouge_f("a", "a", 2) == 0.0
+
+    def test_random_token_lists_match_oracle(self):
+        # Up to 40 words over 2-6 word vocabularies, so n-grams repeat and
+        # clipping decides the overlap.
+        rng = random.Random(11)
+        for _ in range(400):
+            vocab = [f"w{i}" for i in range(rng.randint(2, 6))]
+            a = rng.choices(vocab, k=rng.randint(0, 40))
+            b = rng.choices(vocab, k=rng.randint(0, 40))
+            cand, ref = " ".join(a), " ".join(b)
+            for n in (1, 2):
+                assert rouge_f(cand, ref, n) == rouge_n_oracle(a, b, n)
+                assert rouge_f(ref, cand, n) == rouge_n_oracle(b, a, n)
+
+
 def keys(*strings):
     return [parse_citation_key(s, TABLE) for s in strings]
 

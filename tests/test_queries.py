@@ -10,7 +10,7 @@ from casebench.citations import (
     find_statute_citations,
     load_reporter_table,
 )
-from casebench.corpus import tokenize_words
+from casebench.corpus import read_qrels
 from casebench.queries import (
     _GAP_RE,
     KIND_DIRECT,
@@ -23,7 +23,6 @@ from casebench.queries import (
     build_query,
     parse_document,
     passage_qrels,
-    read_qrels,
     write_qrels,
 )
 from conftest import make_doc
@@ -72,8 +71,8 @@ class TestBuildQuery:
         doc = make_doc("edge", [" ".join(words)])
         central = find_case_citations(doc.text, TABLE)[0]
         q = one_query(doc, central, window_words=300)
-        assert len(tokenize_words(q.left_context)) == 20
-        combined = len(tokenize_words(q.central_sentence)) + len(tokenize_words(q.right_context))
+        assert len(q.left_context.split()) == 20
+        combined = len(q.central_sentence.split()) + len(q.right_context.split())
         assert combined == 150
 
     def test_interior_window_word_count_bounds(self):
@@ -81,8 +80,8 @@ class TestBuildQuery:
         doc = make_doc("big", [filler + " " + QUERY_PARAGRAPH + " " + filler])
         central = central_of(doc, "601 U.S. 101")
         q = one_query(doc, central, window_words=300)
-        total = len(tokenize_words(q.left_context + q.central_sentence + q.right_context))
-        sentence_words = len(tokenize_words(q.central_sentence))
+        total = len((q.left_context + q.central_sentence + q.right_context).split())
+        sentence_words = len(q.central_sentence.split())
         assert 300 <= total <= 300 + sentence_words
 
     def test_single_removed_keeps_non_central_citations_and_statutes(self):
@@ -358,8 +357,8 @@ class TestSweep:
         doc = make_doc("tiny", [filler + " " + QUERY_PARAGRAPH + " " + filler])
         central = central_of(doc, "601 U.S. 101")
         (q,) = self.sweep(doc, central, lengths=(2,))
-        sentence_words = len(tokenize_words(q.central_sentence))
-        assert len(tokenize_words(q.central_sentence)) == sentence_words
+        sentence_words = len(q.central_sentence.split())
+        assert len(q.central_sentence.split()) == sentence_words
         assert "601 U.S. 101" in q.central_sentence
 
     # A repeated length gave every query id twice, which read_queries_jsonl

@@ -186,7 +186,6 @@ class InvertedIndex:
         self.unit_ids = unit_ids
         self.lengths = lengths
         self.terms = terms
-        self.term_ids = dict(zip(terms, range(len(terms))))
         self.offsets = offsets
         self.units = units
         self.tfs = tfs
@@ -203,6 +202,12 @@ class InvertedIndex:
     @property
     def vocabulary_size(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def term_ids(self) -> dict[str, int]:
+        """Term -> its position in ``terms``, built on first lookup, so a
+        build that is only saved never holds it."""
+        return dict(zip(self.terms, range(len(self.terms))))
 
     @cached_property
     def documents(self) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -233,9 +238,9 @@ class InvertedIndex:
         return norm
 
 
-# Sorted keys are run-length encoded this many at a time (each slice
-# extended to the end of its last run), so the encoding's temporaries stay
-# small beside the keys themselves.
+# An index build rewrites its buffer this many tokens or postings at a time
+# (rounded to whole units when keys are written, to whole runs when they
+# are encoded), so its temporaries stay small beside the buffer.
 _RLE_SLICE = 1 << 12
 
 
@@ -245,8 +250,9 @@ def build_index(units: Iterable[tuple[str, str]], unit_kind: str = "passage") ->
     must be unique ids (``corpus._checked_id``), or ``ValueError`` is
     raised.
 
-    Every token becomes a term id in one flat array; sorting the
-    (term, unit) keys then yields the postings and their tfs at once.
+    The build holds one int64 per token, in one buffer that is rewritten in
+    place: first each token's term id, then its (term, unit) key, then the
+    keys sorted, whose runs are the postings and their tfs.
     """
     import numpy as np
 
@@ -256,66 +262,107 @@ def build_index(units: Iterable[tuple[str, str]], unit_kind: str = "passage") ->
     # vocabulary's size before the term is inserted.
     vocab: defaultdict[str, int] = defaultdict()
     vocab.default_factory = vocab.__len__
-    tokens = array("i")
+    buf = array("q")
     for unit_id, text in units:
         unit_ids.append(_checked_id(unit_id, "unit id"))
         terms = analyze(text)
         lengths.append(len(terms))
-        tokens.fromlist(list(map(vocab.__getitem__, terms)))
+        buf.fromlist(list(map(vocab.__getitem__, terms)))
     if not unit_ids:
         raise ValueError("cannot index an empty unit collection")
     if len(set(unit_ids)) != len(unit_ids):
         raise ValueError("unit ids must be unique")
-    n = len(unit_ids)
     lengths = np.frombuffer(lengths, dtype=np.int64)
 
     terms = sorted(vocab)
     rank = np.empty(len(terms), dtype=np.int64)
     rank[np.fromiter(map(vocab.__getitem__, terms), dtype=np.int64, count=len(terms))] = np.arange(len(terms))
     del vocab
-    # One (sorted term id, unit) key per token; sorted, a key's run length
-    # is its tf.  The steps work in place where they can, and the runs are
-    # encoded a slice at a time, so the build holds about one int64 per
-    # token, and the postings made so far, at its peak.
-    keys = rank[np.frombuffer(tokens, dtype=np.int32)]
-    del tokens, rank
-    keys *= n
-    keys += np.repeat(np.arange(n, dtype=np.int32), lengths)
+    keys = np.frombuffer(buf, dtype=np.int64)
+    _write_keys(keys, rank, lengths)
     keys.sort()
-    dfs, unit_parts, tf_parts = _encode_runs(keys, n, len(terms))
+    dfs, n_runs = _encode_runs(keys, len(unit_ids), len(terms))
+    # The array can shrink only once no numpy view exports its buffer.
     del keys
+    del buf[n_runs:]
+    postings, tfs = _split_runs(buf, n_runs)
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(dfs, out=offsets[1:])
-    postings = np.concatenate(unit_parts)
-    unit_parts.clear()  # freed before the tfs are joined
-    tfs = np.concatenate(tf_parts)
     return InvertedIndex(unit_ids, lengths, terms, offsets, postings, tfs, unit_kind)
 
 
-def _encode_runs(keys: np.ndarray, n_units: int, n_terms: int) -> tuple[np.ndarray, list, list]:
-    """Run-length encode sorted ``term * n_units + unit`` keys: each run is
-    one posting, its length the tf.  Returns each term's posting count and
-    the uint32 unit and tf columns, one piece per slice of ``_RLE_SLICE``
-    keys, each slice extended to the end of its last run."""
+def _write_keys(keys: np.ndarray, rank: np.ndarray, lengths: np.ndarray) -> None:
+    """Turn each token's first-seen term id in ``keys`` into its
+    ``rank[term] * n_units + unit`` key, in place, about ``_RLE_SLICE``
+    tokens (and always at least one unit) at a time."""
     import numpy as np
 
+    n = lengths.size
+    ends = np.cumsum(lengths)
+    unit = 0
+    while unit < n:
+        lo = int(ends[unit] - lengths[unit])
+        stop = max(unit + 1, int(np.searchsorted(ends, lo + _RLE_SLICE, side="right")))
+        part = keys[lo : ends[stop - 1]]
+        part[:] = rank[part] * n + np.repeat(np.arange(unit, stop), lengths[unit:stop])
+        unit = stop
+
+
+def _encode_runs(keys: np.ndarray, n_units: int, n_terms: int) -> tuple[np.ndarray, int]:
+    """Run-length encode sorted ``term * n_units + unit`` keys in place:
+    each run is one posting, its length the tf, and run i is written over
+    key slot i as the two uint32 words (unit, tf).  Returns each term's
+    posting count and the number of runs.
+
+    The keys are read ``_RLE_SLICE`` at a time, each slice extended to the
+    end of its last run, and a slice's runs are written only once its keys
+    are read.  A slice holds at least as many keys as runs, so no run lands
+    past the keys read; the prefix is overwritten, so the end of a slice
+    is searched for in the unread suffix alone.
+    """
+    import numpy as np
+
+    # Each run's pair is written through a uint32 view, so the layout does
+    # not depend on byte order.
+    words = keys.view(np.uint32)
     dfs = np.zeros(n_terms, dtype=np.int64)
-    # The empty first pieces let an index of tokenless units concatenate.
-    unit_parts, tf_parts = [np.empty(0, dtype=np.uint32)], [np.empty(0, dtype=np.uint32)]
-    lo = 0
+    lo = n_runs = 0
     while lo < keys.size:
-        hi = int(np.searchsorted(keys, keys[min(lo + _RLE_SLICE, keys.size) - 1], side="right"))
+        unread = keys[lo:]
+        hi = lo + int(np.searchsorted(unread, unread[min(_RLE_SLICE, unread.size) - 1], side="right"))
         part = keys[lo:hi]
         first = np.empty(part.size, dtype=bool)
         first[0] = True
         np.not_equal(part[1:], part[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        tf_parts.append(np.diff(starts, append=part.size).astype(np.uint32))
+        tfs = np.diff(starts, append=part.size)
         run_terms, run_units = np.divmod(part[starts], n_units)
         dfs[run_terms[0] : run_terms[-1] + 1] += np.bincount(run_terms - run_terms[0])
-        unit_parts.append(run_units.astype(np.uint32))
+        runs = words[2 * n_runs : 2 * (n_runs + starts.size)]
+        runs[0::2] = run_units
+        runs[1::2] = tfs
+        n_runs += starts.size
         lo = hi
-    return dfs, unit_parts, tf_parts
+    return dfs, n_runs
+
+
+def _split_runs(buf: array, n_runs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 unit and tf columns of the ``n_runs`` (unit, tf) pairs
+    that fill ``buf``.  The units are copied out; the tfs are moved to the
+    front of ``buf``, which then shrinks to them, so at most 12 bytes per
+    posting are held."""
+    import numpy as np
+
+    words = np.frombuffer(buf, dtype=np.uint32)
+    units = words[0::2].copy()
+    # Slice i's tfs come from at or past twice its start, so no slice
+    # overwrites a tf that a later one moves.
+    for lo in range(0, n_runs, _RLE_SLICE):
+        hi = min(lo + _RLE_SLICE, n_runs)
+        words[lo:hi] = words[2 * lo + 1 : 2 * hi : 2]
+    del words
+    del buf[(n_runs + 1) // 2 :]
+    return units, np.frombuffer(buf, dtype=np.uint32, count=n_runs)
 
 
 def bm25_idf(n_units: int, df: int) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -24,7 +23,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Generic, NamedTuple, TypeVar
 
 # Every command reads or writes corpus files; each imports the other layer
 # modules it runs, so a stage starts only what it uses.
@@ -33,6 +32,8 @@ from . import corpus
 if TYPE_CHECKING:
     from .citations import ReporterTable
     from .metrics import MetricReport
+
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,10 +109,15 @@ def load_config_file(path) -> dict:
     return out
 
 
+# hashlib maps OpenSSL's pages at import, so a command imports it only to
+# write its manifest, after its work: its peak RSS then need not hold both.
+# A file is hashed in 64 KiB blocks, for the same reason.
 def _sha256(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
+        for block in iter(lambda: f.read(1 << 16), b""):
             h.update(block)
     return h.hexdigest()
 
@@ -130,6 +136,8 @@ OUTPUT_PATHS = ("config", "output", "qrels_out", "quotes_out", "passage_qrels")
 
 def write_manifest(out_path, command: str, config: dict, inputs: dict, counts: dict) -> None:
     """``inputs`` maps each role to the file read in it."""
+    import hashlib
+
     manifest = {
         "command": command,
         "config": {k: config[k] for k in sorted(config)},
@@ -159,6 +167,27 @@ def _output_paths(args, reads: Iterable) -> list[Path]:
         if resolved[i] in resolved[:i]:
             raise ConfigError(f"{args.command} would write {path} twice")
     return paths
+
+
+class _Counted(Generic[T]):
+    """``items``, to be iterated once; ``n`` counts the items yielded so far."""
+
+    def __init__(self, items: Iterable[T]):
+        self.items = items
+        self.n = 0
+
+    def __iter__(self) -> Iterator[T]:
+        for item in self.items:
+            self.n += 1
+            yield item
+
+
+def _nonempty(items: Iterator[T], what: str) -> Iterator[T]:
+    """``items``, unless it yields nothing: that is a ``DataError``, "no ``what``"."""
+    first = next(items, None)
+    if first is None:
+        raise corpus.DataError(f"no {what}")
+    return chain([first], items)
 
 
 def _reporters(args) -> ReporterTable:
@@ -214,16 +243,10 @@ def cmd_ingest(args, cfg) -> dict:
 
 def cmd_chunk(args, cfg) -> dict:
     window, stride = _chunking(cfg)
-    docs = 0
-
-    def passages():
-        nonlocal docs
-        for doc in corpus.iter_corpus_jsonl(args.input):
-            docs += 1
-            yield from corpus.chunk_document(doc, window, stride)
-
-    n = corpus.write_passages_jsonl(passages(), args.output)
-    return {"documents": docs, "passages": n, "window": window, "stride": stride}
+    docs = _Counted(corpus.iter_corpus_jsonl(args.input))
+    passages = chain.from_iterable(corpus.chunk_document(doc, window, stride) for doc in docs)
+    n = corpus.write_passages_jsonl(passages, args.output)
+    return {"documents": docs.n, "passages": n, "window": window, "stride": stride}
 
 
 def cmd_parse_citations(args, cfg) -> dict:
@@ -329,11 +352,8 @@ def _units(path, unit: str) -> Iterator[tuple[str, str]]:
 def cmd_index(args, cfg) -> dict:
     from . import retrieval
 
-    units = _units(args.input, args.unit)
-    first = next(units, None)
-    if first is None:
-        raise corpus.DataError(f"no units in {args.input}")
-    index = retrieval.build_index(chain([first], units), unit_kind=args.unit)
+    units = _nonempty(_units(args.input, args.unit), f"units in {args.input}")
+    index = retrieval.build_index(units, unit_kind=args.unit)
     retrieval.save_index(index, args.output)
     return {"units": index.n_units, "vocabulary": index.vocabulary_size, "unit_kind": args.unit}
 
@@ -345,15 +365,16 @@ def cmd_search(args, cfg) -> dict:
     index = retrieval.load_index(args.index)
     if args.maxp and index.unit_kind != "passage":
         raise ConfigError(f"--maxp ranks a passage index's documents, but {args.index} indexes {index.unit_kind}s")
-    rows = corpus.read_queries_jsonl(args.queries)
     k1, b = cfg["bm25_k1"], cfg["bm25_b"]
-    runs = [
+    # Each query row is read, ranked and written before the next is read.
+    rows = _Counted(corpus.iter_queries_jsonl(args.queries))
+    runs = (
         retrieval.bm25_search(index, row["masked_text"], k, k1=k1, b=b, query_id=row["query_id"], maxp=args.maxp)
         for row in rows
-    ]
+    )
     tag = "bm25-maxp" if args.maxp else "bm25"
     n = retrieval.write_trec_run(runs, args.output, tag=tag)
-    return {"queries": len(runs), "rows": n, "k": k, "tag": tag}
+    return {"queries": rows.n, "rows": n, "k": k, "tag": tag}
 
 
 def cmd_search_quotes(args, cfg) -> dict:
@@ -421,39 +442,38 @@ def _write_report(path, payload: dict, report: MetricReport, scored: str) -> dic
 def cmd_density(args, cfg) -> dict:
     from . import genset
 
-    docs = corpus.read_corpus_jsonl(args.input)
-    if not docs:
-        raise corpus.DataError(f"no documents in {args.input}")
+    docs = _Counted(_nonempty(corpus.iter_corpus_jsonl(args.input), f"documents in {args.input}"))
     profile = genset.citation_density_profile(docs, _reporters(args))
     with open(args.output, "w", encoding="utf-8") as f:
         json.dump(dataclasses.asdict(profile), f, indent=2)
         f.write("\n")
-    return {"documents": len(docs), "total_words": sum(profile.decile_words)}
+    return {"documents": docs.n, "total_words": sum(profile.decile_words)}
 
 
 def cmd_stats(args, cfg) -> dict:
-    docs = corpus.read_corpus_jsonl(args.input)
-    rows = [("documents", len(docs), _avg(d.word_count() for d in docs))]
+    rows = [("documents", *_count_avg(d.word_count() for d in corpus.iter_corpus_jsonl(args.input)))]
     if args.passages:
-        passages = corpus.read_passages_jsonl(args.passages)
-        rows.append(("passages", len(passages), _avg(p.word_end - p.word_start for p in passages)))
+        words = (p.word_end - p.word_start for p in corpus.iter_passages_jsonl(args.passages))
+        rows.append(("passages", *_count_avg(words)))
     if args.queries:
-        qrows = corpus.read_queries_jsonl(args.queries)
-        rows.append(("queries", len(qrows), _avg(len(r["masked_text"].split()) for r in qrows)))
+        words = (len(r["masked_text"].split()) for r in corpus.iter_queries_jsonl(args.queries))
+        rows.append(("queries", *_count_avg(words)))
     if args.genset:
         from . import genset
 
-        insts = genset.read_genset_jsonl(args.genset)
-        rows.append(("generation", len(insts), _avg(len(i.prompt_with_refs.split()) for i in insts)))
+        words = (len(i.prompt_with_refs.split()) for i in genset.iter_genset_jsonl(args.genset))
+        rows.append(("generation", *_count_avg(words)))
     print(f"{'collection':<12} {'count':>10} {'avg words':>10}")
     for name, count, avg in rows:
         print(f"{name:<12} {count:>10} {avg:>10.1f}")
     return {name: count for name, count, _ in rows}
 
 
-def _avg(values) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0
+def _count_avg(values: Iterable[int]) -> tuple[int, float]:
+    """How many ``values`` there are, and their mean (0.0 for none)."""
+    values = _Counted(values)
+    total = sum(values)
+    return values.n, total / values.n if values.n else 0.0
 
 
 def _format_table(macro: dict) -> str:

@@ -370,9 +370,13 @@ def _passage_from_row(row: dict) -> Passage:
     )
 
 
-def read_queries_jsonl(path, text_field: str = "masked_text") -> list[dict]:
+def iter_queries_jsonl(path, text_field: str = "masked_text") -> Iterator[dict]:
     """Query rows, each with a string ``text_field`` (``quote`` in a ``--quotes-out`` file)."""
-    return read_jsonl(path, lambda row: {**row, text_field: str_field(row, text_field)}, "query_id")
+    return iter_jsonl(path, lambda row: {**row, text_field: str_field(row, text_field)}, "query_id")
+
+
+def read_queries_jsonl(path, text_field: str = "masked_text") -> list[dict]:
+    return list(iter_queries_jsonl(path, text_field))
 
 
 def read_qrels(path) -> dict[str, set[str]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .citations import (
     CitationKey,
@@ -27,7 +27,7 @@ from .corpus import (
     DEFAULT_WORD_BUDGET,
     CaseDocument,
     chunk_document,
-    read_jsonl,
+    iter_jsonl,
     str_field,
     write_jsonl,
 )
@@ -233,20 +233,22 @@ def build_genset(
     return instances, diagnostics
 
 
-def citation_density_profile(docs: Sequence[CaseDocument], reporters: ReporterTable) -> DensityProfile:
+def citation_density_profile(docs: Iterable[CaseDocument], reporters: ReporterTable) -> DensityProfile:
     """Case citations per 100 words by paragraph-position decile, pooled
-    across documents.  Bucket word counts partition the corpus words."""
-    if not docs:
-        raise ValueError("citation density requires at least one document")
+    across documents, read once in order.  Bucket word counts partition
+    the corpus words."""
     words = [0] * 10
     cites = [0] * 10
-    for doc in docs:
+    n_docs = 0
+    for n_docs, doc in enumerate(docs, 1):
         n = len(doc.paragraphs)
         for i in range(n):
             decile = (10 * i) // n
             text = doc.paragraph_text(i)
             words[decile] += len(text.split())
             cites[decile] += len(find_case_citations(text, reporters))
+    if not n_docs:
+        raise ValueError("citation density requires at least one document")
     densities = tuple(
         (100.0 * cites[d] / words[d]) if words[d] else 0.0 for d in range(10)
     )
@@ -277,11 +279,15 @@ def write_genset_jsonl(instances: Iterable[GenerationInstance], path) -> int:
     )
 
 
-def read_genset_jsonl(path) -> list[GenerationInstance]:
+def iter_genset_jsonl(path) -> Iterator[GenerationInstance]:
     """Read instances back; keys parse from their own written form, so a
     genset built under any reporter table reads back without it.  Each
-    ``instance_id`` is an id (``read_jsonl``)."""
-    return read_jsonl(path, _instance_from_row, "instance_id")
+    ``instance_id`` is an id (``iter_jsonl``)."""
+    return iter_jsonl(path, _instance_from_row, "instance_id")
+
+
+def read_genset_jsonl(path) -> list[GenerationInstance]:
+    return list(iter_genset_jsonl(path))
 
 
 def _instance_from_row(row: dict) -> GenerationInstance:

@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .citations import (
@@ -132,7 +133,9 @@ def rouge_f(candidate: str, reference: str, variant: int | str = 1) -> float:
         raise ValueError(f"unsupported ROUGE variant {variant!r}")
     cand_counts = Counter(shingles(cand, n))
     ref_counts = Counter(shingles(ref, n))
-    overlap = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+    # Clipped overlap: each candidate n-gram's count, at most its count in
+    # the reference (0 when absent).
+    overlap = sum(map(min, cand_counts.values(), map(ref_counts.get, cand_counts, repeat(0))))
     return _f1(overlap, sum(cand_counts.values()), sum(ref_counts.values()))
 
 

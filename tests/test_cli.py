@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -799,6 +800,43 @@ class TestMaxPRun:
                 assert [score for _, score, _ in ranked] == [pytest.approx(best[doc], abs=1e-6) for doc, _, _ in ranked]
 
 
+class TestSearchStreams:
+    """search reads, ranks and writes one query row at a time: it holds the
+    index and one query, whatever the number of queries."""
+
+    def test_traced_peak_is_flat_in_the_number_of_queries(self, tmp_path):
+        import tracemalloc
+
+        rng = random.Random(28)
+        words = [f"w{i}" for i in range(2000)]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(jsonl(*({**DOC_ROW, "doc_id": f"d{i}", "text": text, "paragraphs": [[0, len(text)]]}
+                                  for i, text in enumerate(" ".join(rng.choices(words, k=200)) for _ in range(200)))))
+        index = tmp_path / "docs.idx"
+        assert main(["index", str(corpus), str(index), "--unit", "document"]) == 0
+        sizes = (20, 2000)
+        for n in sizes:
+            rows = ({"query_id": f"q{i}", "masked_text": " ".join(rng.choices(words, k=100))} for i in range(n))
+            (tmp_path / f"q{n}.jsonl").write_text(jsonl(*rows))
+
+        def search(n: int) -> None:
+            argv = ["search", str(index), str(tmp_path / f"q{n}.jsonl"), str(tmp_path / f"run{n}.trec"), "--k", "10"]
+            assert main(argv) == 0
+
+        search(sizes[0])  # imports numpy and retrieval before tracing
+        peaks = []
+        for n in sizes:
+            tracemalloc.start()
+            try:
+                search(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(read_trec_run(tmp_path / f"run{sizes[1]}.trec")) == sizes[1]
+        # What remains per query is its id, in the reader's duplicate check.
+        assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 256
+
+
 class TestEvalRetrieval:
     def test_recall_at_1_is_hand_counted(self, tmp_path, capsys):
         # q1's positive is ranked first, q2's second.
@@ -941,16 +979,21 @@ class TestDataErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
     @pytest.mark.parametrize("command, content, message", [
-        ("index", "", "no units in {p}"),
-        ("index", jsonl(PASSAGE_ROW, {**PASSAGE_ROW, "passage_id": "d#1"}) + "{\n", "{p}:3: malformed JSON"),
-        ("chunk", jsonl(DOC_ROW) + "{\n", "{p}:2: malformed JSON"),
-    ], ids=["index-empty", "index-malformed-after-valid-rows", "chunk-malformed-after-valid-rows"])
-    def test_streamed_input_error_names_file_and_line(self, tmp_path, capsys, command, content, message):
-        """index and chunk stream their input: a bad row after good ones stops
-        them part-way, and neither output nor manifest is left behind."""
+        (["index"], "", "no units in {p}"),
+        (["index"], jsonl(PASSAGE_ROW, {**PASSAGE_ROW, "passage_id": "d#1"}) + "{\n", "{p}:3: malformed JSON"),
+        (["chunk"], jsonl(DOC_ROW) + "{\n", "{p}:2: malformed JSON"),
+        (["search", "{w}/docs.idx"], jsonl({"query_id": "q1", "masked_text": "summary judgment"},
+                                           {"query_id": "q2", "masked_text": "court"}) + "{\n",
+         "{p}:3: malformed JSON"),
+    ], ids=["index-empty", "index-malformed-after-valid-rows", "chunk-malformed-after-valid-rows",
+            "search-malformed-after-written-rows"])
+    def test_streamed_input_error_names_file_and_line(self, searchable, tmp_path, capsys, command, content, message):
+        """index, chunk and search stream their input: a bad row after good
+        ones stops them part-way, after search has ranked and written the
+        good ones, and neither output nor manifest is left behind."""
         path = tmp_path / "in.jsonl"
         path.write_text(content)
-        assert main([command, str(path), str(tmp_path / "out")]) == 2
+        assert main([*(a.format(w=searchable) for a in command), str(path), str(tmp_path / "out")]) == 2
         assert message.format(p=path) in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
 
@@ -1187,6 +1230,24 @@ with open(sys.argv[2], "w") as f:
 """
 
 
+def command_argv(command: str, searchable: Path, out: Path) -> list[str]:
+    """A run of ``command`` over ``searchable``'s files, writing into ``out``."""
+    return {
+        "ingest": ["ingest", str(mini_corpus_path()), str(out / "corpus.jsonl")],
+        "chunk": ["chunk", str(searchable / "corpus.jsonl"), str(out / "passages.jsonl")],
+        "build-queries": ["build-queries", str(searchable / "corpus.jsonl"), str(out / "q.jsonl"), str(out / "q.txt")],
+        "index": ["index", str(searchable / "corpus.jsonl"), str(out / "docs.idx"), "--unit", "document"],
+        "search": ["search", str(searchable / "docs.idx"), str(searchable / "queries.jsonl"),
+                   str(out / "run.trec"), "--k", "5"],
+    }[command]
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(casebench.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # Runs one command and records its exit code, the casebench modules loaded,
 # and OPENBLAS_NUM_THREADS as numpy's import found it (None: never imported).
 _IMPORTS_SCRIPT = """
@@ -1231,12 +1292,10 @@ class TestNumpyOnlyWhereBM25Runs:
             ("eval-generation", ["eval-generation", str(genset), str(gens), "--output", str(w / "generation.json")]),
             ("index", ["index", corpus, str(w / "docs.idx"), "--unit", "document"]),
         ]
-        src = str(Path(casebench.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         seen = w / "seen.json"
         proc = subprocess.run(
             [sys.executable, "-c", _STAGES_SCRIPT, json.dumps(stages), str(seen)],
-            env=env, capture_output=True, text=True,
+            env=fresh_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         # index runs last: it must load numpy, or the guard could not fail.
@@ -1256,17 +1315,8 @@ class TestNumpyOnlyWhereBM25Runs:
         """In a fresh interpreter, a command loads only its own casebench
         modules, and numpy, where it loads, starts with one BLAS thread
         unless the caller chose a count."""
-        argv = {
-            "ingest": ["ingest", str(mini_corpus_path()), str(tmp_path / "corpus.jsonl")],
-            "chunk": ["chunk", str(searchable / "corpus.jsonl"), str(tmp_path / "passages.jsonl")],
-            "build-queries": ["build-queries", str(searchable / "corpus.jsonl"), str(tmp_path / "q.jsonl"),
-                              str(tmp_path / "q.txt")],
-            "index": ["index", str(searchable / "corpus.jsonl"), str(tmp_path / "docs.idx"), "--unit", "document"],
-            "search": ["search", str(searchable / "docs.idx"), str(searchable / "queries.jsonl"),
-                       str(tmp_path / "run.trec"), "--k", "5"],
-        }[command]
-        src = str(Path(casebench.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = command_argv(command, searchable, tmp_path)
+        env = fresh_env()
         # main() sets the variable in this process too.
         env.pop("OPENBLAS_NUM_THREADS", None)
         if blas == "3":
@@ -1280,6 +1330,43 @@ class TestNumpyOnlyWhereBM25Runs:
             "modules": sorted(["casebench", "casebench.cli", "casebench.corpus", *(f"casebench.{m}" for m in extra)]),
             "blas_at_numpy_import": blas,
         }
+
+
+# Records whether OpenSSL's hashlib backend is loaded when the command's
+# cmd_* function returns, and when main returns.
+_OPENSSL_SCRIPT = """
+import json, sys
+import casebench.cli as cli
+argv = json.loads(sys.argv[1])
+name = "cmd_" + argv[0].replace("-", "_")
+run = getattr(cli, name)
+seen = {}
+
+def spy(args, cfg):
+    counts = run(args, cfg)
+    seen["at_return"] = "_hashlib" in sys.modules
+    return counts
+
+setattr(cli, name, spy)
+seen["exit"] = cli.main(argv)
+seen["at_exit"] = "_hashlib" in sys.modules
+with open(sys.argv[2], "w") as f:
+    json.dump(seen, f)
+"""
+
+
+class TestOpenSSLOnlyForTheManifest:
+    @pytest.mark.parametrize("command", ["ingest", "chunk", "index", "search"])
+    def test_work_ends_before_openssl_loads(self, searchable, tmp_path, command):
+        """A command's peak RSS does not hold OpenSSL's pages on top of its
+        work: hashlib loads only when the manifest is written, after it."""
+        seen = tmp_path / "seen.json"
+        argv = command_argv(command, searchable, tmp_path)
+        proc = subprocess.run([sys.executable, "-c", _OPENSSL_SCRIPT, json.dumps(argv), str(seen)],
+                              env=fresh_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # Loaded at exit: the manifest hashes, so the guard could fail.
+        assert json.loads(seen.read_text()) == {"exit": 0, "at_return": False, "at_exit": True}
 
 
 class TestLazyPackage:

@@ -340,3 +340,8 @@ class TestDensityProfile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             citation_density_profile([], TABLE)
+
+    def test_one_shot_iterator_reads_like_the_list(self, mini_corpus):
+        assert citation_density_profile(iter(mini_corpus), TABLE) == citation_density_profile(mini_corpus, TABLE)
+        with pytest.raises(ValueError):
+            citation_density_profile(iter([]), TABLE)

@@ -46,7 +46,6 @@ _WORD_RE = re.compile(r"\S+")
 # Every byte but an ASCII digit or lowercase letter becomes a space.
 _FOLD_TABLE = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for c in range(256))
 _PARA_BREAK_RE = re.compile(r"\n[ \t]*\n+")
-_HSPACE_RE = re.compile(r"[ \t\f\v]+")
 # json.dumps(row, ensure_ascii=False) without a new encoder per row.
 _JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
@@ -133,11 +132,17 @@ def shingles(words: Sequence[str], n: int) -> Iterable[tuple[str, ...]]:
 
 
 def _normalize_opinion(text: str) -> list[str]:
-    """One opinion text -> list of flattened paragraph strings."""
+    """One opinion text -> list of flattened paragraph strings, each run of
+    spaces, tabs, form feeds, vertical tabs and line breaks one space.
+    Each ``str.replace`` pass halves every run of spaces, so a run of L
+    spaces takes about log2(L) passes."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     paragraphs = []
     for block in _PARA_BREAK_RE.split(text):
-        flat = _HSPACE_RE.sub(" ", block.replace("\n", " ")).strip()
+        flat = block.replace("\n", " ").replace("\t", " ").replace("\f", " ").replace("\v", " ")
+        while "  " in flat:
+            flat = flat.replace("  ", " ")
+        flat = flat.strip()
         if flat:
             paragraphs.append(flat)
     return paragraphs

@@ -5,7 +5,9 @@ cites, rendered into continuation prompts.
 Salience is BM25 rank of each cited case's passages against the gold
 paragraph; the top passages are concatenated under a total word budget.
 A case has a few passages, so ``bm25_rank`` scores them in pure Python
-and no index is built.
+and no index is built.  Only building instances needs ``queries`` and
+``retrieval``; they are imported where they run, so reading a genset or
+profiling citation density loads neither.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .corpus import (
     str_field,
     write_jsonl,
 )
-from .queries import build_corpus_key_index
-from .retrieval import bm25_rank
 
 
 class GensetError(ValueError):
@@ -89,6 +89,8 @@ def _salient_text(cited_doc: CaseDocument, gold_text: str, salient_k: int) -> st
     ``gold_text`` (``bm25_rank``), joined by newlines, or its first
     passages when none scores.  A document of one passage is its own
     salient text."""
+    from .retrieval import bm25_rank
+
     passages = chunk_document(cited_doc)
     if len(passages) <= 1:
         return cited_doc.text
@@ -210,6 +212,8 @@ def build_genset(
     """Sample up to ``per_doc`` gold paragraphs per document (fixed seed)
     and build their instances under ``reporters`` (the default table when
     None).  Returns (instances, diagnostics)."""
+    from .queries import build_corpus_key_index
+
     table = reporters or default_reporter_table()
     corpus = {d.doc_id: d for d in docs}
     key_index, _ = build_corpus_key_index(docs, table)

@@ -12,20 +12,19 @@ rationals.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .citations import (
-    CitationKey,
-    ReporterTable,
-    default_reporter_table,
-    find_case_citations,
-)
 from .corpus import DEFAULT_RECALL_KS, fold_words, read_jsonl, shingles, str_field
+
+# Only the generation scorers read citations; they import it where they run,
+# so scoring a retrieval run does not load it.
+if TYPE_CHECKING:
+    from .citations import CitationKey, ReporterTable
 
 VERDICT_MATCHED = "matched"
 VERDICT_GROUNDED = "prefix-grounded"
@@ -92,7 +91,7 @@ def evaluate_run(
 # ROUGE
 # ---------------------------------------------------------------------------
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
+def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Exact LCS length by the bit-vector method of Allison & Dix (1986)
     and Hyyrö (2004): one DP row packed into the int ``v``, whose zero
     bits mark where the LCS grows, updated per token of the longer list."""
@@ -118,14 +117,22 @@ def _f1(match: float, cand_total: int, ref_total: int) -> float:
     return 2 * p * r / (p + r)
 
 
+@lru_cache(maxsize=4)
+def _folded(text: str) -> tuple[str, ...]:
+    """``fold_words(text)``, kept for the last few texts: a generation is
+    scored in three ROUGE variants against the same gold paragraph, and
+    each text is folded once."""
+    return tuple(fold_words(text))
+
+
 def rouge_f(candidate: str, reference: str, variant: int | str = 1) -> float:
     """ROUGE F1 over case-folded, punctuation-stripped word tokens.
 
     ``variant`` 1 and 2 use clipped n-gram overlap; "L" uses the longest
     common subsequence.  Empty candidate or reference scores 0.
     """
-    cand = fold_words(candidate)
-    ref = fold_words(reference)
+    cand = _folded(candidate)
+    ref = _folded(reference)
     if str(variant).lower() == "l":
         return _f1(_lcs_length(cand, ref), len(cand), len(ref))
     n = int(variant)
@@ -164,8 +171,16 @@ class CitationReport:
 
 def _bounded_in(surface: str, text: str) -> bool:
     """Whether ``surface`` occurs in ``text`` with no letter or digit
-    (``[^\\W_]``) touching it on either side."""
-    return re.search(rf"(?<![^\W_]){re.escape(surface)}(?![^\W_])", text) is not None
+    touching it on either side.  For one code point ``str.isalnum`` is
+    exactly the regex class ``[^\\W_]``."""
+    end = len(text)
+    start = text.find(surface)
+    while start != -1:
+        stop = start + len(surface)
+        if not (start and text[start - 1].isalnum()) and not (stop < end and text[stop].isalnum()):
+            return True
+        start = text.find(surface, start + 1)
+    return False
 
 
 def citation_report_from_keys(
@@ -240,6 +255,8 @@ def citation_report(
 ) -> CitationReport:
     """Extract citations from generated text under ``reporters`` and score
     them against C_r."""
+    from .citations import find_case_citations
+
     spans = find_case_citations(generated_text, reporters)
     raw_forms: dict[CitationKey, str] = {}
     keys: list[CitationKey] = []
@@ -312,6 +329,8 @@ def score_generation_run(
     instance gets ROUGE-1/2/L F1 plus CR/CP/CFP computed against the gold
     paragraph's citation set, with the instance prefix as grounding text.
     """
+    from .citations import default_reporter_table
+
     table = reporters or default_reporter_table()
     by_id = {inst.instance_id: inst for inst in instances}
     missing = sorted(i for i in by_id if i not in outputs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from array import array
 from collections import Counter, defaultdict
@@ -529,11 +530,18 @@ class NgramIndex:
         text: stripping the marks first would join "word“next"."""
         n = self.n
         grams = {gram: [] for quote in self.quotes for gram in shingles(fold_words(quote), n)}
-        # The keys view tests each unit shingle in C: no Python loop runs
-        # over the collection's shingles, only over the quote shingles found.
         wanted = grams.keys()
+        quote_words = {word for gram in grams for word in gram}
+        # A quote shingle lies inside a run of at least n consecutive quote
+        # words, so only those runs are cut into shingles.
+        runs = re.compile(b"\x01{%d,}" % n)
         for idx, text in enumerate(self.texts):
-            for gram in wanted & shingles(fold_words(text), n):
+            words = fold_words(text)
+            found: set[tuple[str, ...]] = set()
+            for run in runs.finditer(bytes(map(quote_words.__contains__, words))):
+                # The keys view tests each shingle in C.
+                found |= wanted & shingles(words[run.start() : run.end()], n)
+            for gram in found:
                 grams[gram].append(idx)
         return grams
 

@@ -2,8 +2,9 @@
 checked against: the citation and sentence-starter patterns as they were
 before each opened with the character it consumes (every one behind a
 leading lookbehind), the per-character sentence-terminal walk, the caption
-walk that tokenizes the whole paragraph prefix, and word bounds cut from
-the ``\\S+`` matches of ``re.finditer``.  They are slow and plain on
+walk that tokenizes the whole paragraph prefix, word bounds cut from
+the ``\\S+`` matches of ``re.finditer``, and an opinion's paragraphs
+flattened by the horizontal-whitespace regex.  They are slow and plain on
 purpose."""
 
 from __future__ import annotations
@@ -225,3 +226,11 @@ def word_bounds(text: str) -> tuple[list[int], list[int]]:
     """The starts and the ends of the maximal non-whitespace runs."""
     spans = [m.span() for m in re.finditer(r"\S+", text)]
     return [start for start, _ in spans], [end for _, end in spans]
+
+
+def normalize_opinion(text: str) -> list[str]:
+    """``corpus._normalize_opinion``: each paragraph's line breaks become
+    spaces and every run of ``[ \\t\\f\\v]`` one space."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    flat = (re.sub(r"[ \t\f\v]+", " ", block.replace("\n", " ")).strip() for block in re.split(r"\n[ \t]*\n+", text))
+    return [paragraph for paragraph in flat if paragraph]

@@ -1239,6 +1239,14 @@ def command_argv(command: str, searchable: Path, out: Path) -> list[str]:
         "index": ["index", str(searchable / "corpus.jsonl"), str(out / "docs.idx"), "--unit", "document"],
         "search": ["search", str(searchable / "docs.idx"), str(searchable / "queries.jsonl"),
                    str(out / "run.trec"), "--k", "5"],
+        "search-quotes": ["search-quotes", str(searchable / "corpus.jsonl"), str(searchable / "quotes.jsonl"),
+                          str(out / "quotes.trec"), "--unit", "document"],
+        "eval-retrieval": ["eval-retrieval", str(searchable / "run.trec"), str(searchable / "qrels.txt"),
+                           "--output", str(out / "retrieval.json")],
+        # every_input's files.
+        "density": ["density", str(searchable / "corpus.jsonl"), str(out / "density.json")],
+        "eval-generation": ["eval-generation", str(searchable / "genset.jsonl"), str(searchable / "gens.jsonl"),
+                            "--output", str(out / "generation.json")],
     }[command]
 
 
@@ -1310,12 +1318,18 @@ class TestNumpyOnlyWhereBM25Runs:
         ("index", ("retrieval",), "1"),
         ("search", ("retrieval",), "1"),
         ("search", ("retrieval",), "3"),
-    ], ids=["ingest", "chunk", "build-queries", "index", "search", "search-caller-threads"])
-    def test_each_command_imports_only_what_it_runs(self, searchable, tmp_path, command, extra, blas):
+        ("search-quotes", ("retrieval",), None),
+        ("density", ("citations", "data", "genset"), None),
+        ("eval-retrieval", ("metrics", "retrieval"), None),
+        ("eval-generation", ("citations", "data", "genset", "metrics"), None),
+    ], ids=["ingest", "chunk", "build-queries", "index", "search", "search-caller-threads", "search-quotes",
+            "density", "eval-retrieval", "eval-generation"])
+    def test_each_command_imports_only_what_it_runs(self, every_input, tmp_path, command, extra, blas):
         """In a fresh interpreter, a command loads only its own casebench
         modules, and numpy, where it loads, starts with one BLAS thread
-        unless the caller chose a count."""
-        argv = command_argv(command, searchable, tmp_path)
+        unless the caller chose a count.  Layer modules import the layers
+        that only some of their functions use inside those functions."""
+        argv = command_argv(command, every_input, tmp_path)
         env = fresh_env()
         # main() sets the variable in this process too.
         env.pop("OPENBLAS_NUM_THREADS", None)

@@ -15,6 +15,7 @@ from casebench.citations import load_reporter_table
 from casebench.corpus import (
     CaseDocument,
     DataError,
+    _normalize_opinion,
     chunk_document,
     fold_words,
     load_corpus,
@@ -48,6 +49,16 @@ class TestLoadCorpus:
     def test_blank_lines_inside_an_opinion_mark_paragraphs(self):
         docs, _ = load_corpus([record(opinions=["First para.\n\nSecond\npara."])])
         assert docs[0].text == "First para.\nSecond para."
+
+    def test_whitespace_runs_collapse_as_the_regex_did(self):
+        # \x1c, NBSP and U+3000 are whitespace to str.strip but not to the
+        # collapse: inside a paragraph they stay as they are.
+        assert _normalize_opinion("a \t\f\v  b\n \x1c\xa0\u3000c" + " " * 9 + "d") == ["a b \x1c\xa0\u3000c d"]
+        pool = [" ", "\t", "\f", "\v", "\n", "\r", "\r\n", "\xa0", "\u3000", "\x1c", "a", "b"]
+        rng = random.Random(29)
+        for _ in range(5000):
+            text = "".join(rng.choices(pool, k=rng.randint(0, 30)))
+            assert _normalize_opinion(text) == citation_oracles.normalize_opinion(text), ascii(text)
 
     def test_empty_opinion_list_rejected(self):
         docs, diags = load_corpus([{"id": "x", "name": "", "cite": "", "opinions": []}])

@@ -2,14 +2,21 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 
 import pytest
 
 import fixtures
+from casebench import metrics
 from casebench.citations import load_reporter_table, parse_citation_key
+from casebench.corpus import fold_words
 from casebench.metrics import (
     MetricReport,
+    _bounded_in,
     _lcs_length,
     citation_report,
     citation_report_from_keys,
@@ -249,6 +256,74 @@ class TestRougeNOracle:
             for n in (1, 2):
                 assert rouge_f(cand, ref, n) == rouge_n_oracle(a, b, n)
                 assert rouge_f(ref, cand, n) == rouge_n_oracle(b, a, n)
+
+
+class TestFoldOncePerText:
+    """``rouge_f`` reuses the folds of its last few texts; it must score
+    exactly as when every call folds both texts afresh."""
+
+    @staticmethod
+    def fresh(cand, ref, variant):
+        a, b = fold_words(cand), fold_words(ref)
+        return rouge_l_oracle(a, b) if variant == "L" else rouge_n_oracle(a, b, variant)
+
+    def test_alternating_texts_match_fold_every_call(self):
+        # Eight texts through a cache of four, so calls both hit and evict,
+        # and no stale fold of another text may score.
+        rng = random.Random(13)
+        vocab = ["a", "b", "c", "A.", "b,", "C’s"]
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(0, 12))) for _ in range(8)]
+        for _ in range(600):
+            cand, ref, variant = rng.choice(texts), rng.choice(texts), rng.choice([1, 2, "L"])
+            assert rouge_f(cand, ref, variant) == self.fresh(cand, ref, variant), (cand, ref, variant)
+
+    def test_generation_scoring_folds_each_text_once(self, monkeypatch):
+        folded = []
+
+        def counting_fold(text):
+            folded.append(text)
+            return fold_words(text)
+
+        monkeypatch.setattr(metrics, "fold_words", counting_fold)
+        metrics._folded.cache_clear()
+        insts = [TestScoreGenerationRun().make_instance(f"i{k}") for k in range(3)]
+        outputs = {inst.instance_id: f"Answer {k}: 912 F.3d 640." for k, inst in enumerate(insts)}
+        score_generation_run(insts, outputs)
+        metrics._folded.cache_clear()
+        # Three ROUGE variants per instance, and the instances share one
+        # gold paragraph: each distinct text is folded once in all.
+        assert sorted(folded) == sorted({*outputs.values(), *(inst.gold for inst in insts)})
+
+
+@lru_cache(maxsize=None)
+def bounded_oracle(surface):
+    """The grounding regex ``_bounded_in`` replaced: no ``[^\\W_]`` on
+    either side of the surface."""
+    return re.compile(rf"(?<![^\W_]){re.escape(surface)}(?![^\W_])")
+
+
+class TestBoundedIn:
+    def test_every_code_point_as_either_neighbour_matches_the_regex(self):
+        # Lone surrogates included; in blocks, to bound memory.
+        surface = "1 U.S. 2"
+        search = bounded_oracle(surface).search
+        for lo in range(0, sys.maxunicode + 1, 1 << 16):
+            chars = list(map(chr, range(lo, lo + (1 << 16))))
+            for texts in ([c + surface for c in chars], [surface + c for c in chars]):
+                want = [m is not None for m in map(search, texts)]
+                assert list(map(_bounded_in, repeat(surface), texts)) == want
+
+    def test_random_strings_match_the_regex(self):
+        # Letters and digits outside ASCII, an underscore (a word character
+        # but no letter or digit), a combining mark, characters whose case
+        # mapping changes length, and a wide space.
+        pool = [*"0123456789", "U.S.", "_", " ", "é", "Ⅻ", "٣", "²", "\u0301", "İ", "ß", "\u3000", "\u212a"]
+        rng = random.Random(17)
+        for _ in range(200_000):
+            surface = "".join(rng.choices(pool, k=rng.randint(1, 2)))
+            left, right = ("".join(rng.choices(pool, k=rng.randint(0, 4))) for _ in range(2))
+            text = left + surface + right if rng.random() < 0.5 else left + right
+            assert _bounded_in(surface, text) == (bounded_oracle(surface).search(text) is not None), (surface, text)
 
 
 def keys(*strings):

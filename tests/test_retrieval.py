@@ -484,6 +484,15 @@ class TestNgramSearch:
         assert index.grams[("the", "purpose", "of", "the", "act")] == [0, 2]
         assert index.grams[("no", "such", "words", "in", "any")] == []
 
+    def test_table_cuts_only_runs_of_n_quote_words(self):
+        # Quote words: a..e.  Unit 0 holds "a b c" in two runs split by a
+        # non-quote word, and lists it once; unit 2's runs are n - 1 long;
+        # unit 3's run of four holds "c d e" but not "b c d".
+        units = [("u0", "a b c x A, b c."), ("u1", "x a b c x"), ("u2", "a b x c d x e"),
+                 ("u3", "b c d e"), ("u4", "c d e a b c"), ("u5", "y z")]
+        index = NgramIndex(units, 3, ["a b c", "c d e"])
+        assert index.grams == {("a", "b", "c"): [0, 1, 4], ("c", "d", "e"): [3, 4]}
+
     def test_quote_outside_the_batch_rejected(self):
         index = NgramIndex(self.CORPUS, 5, ["the purpose of the Act is to assist"])
         with pytest.raises(ValueError, match="not among the quotes"):

@@ -45,7 +45,7 @@ CLOSE_QUOTE = "”"  # U+201D
 _WORD_RE = re.compile(r"\S+")
 # Every byte but an ASCII digit or lowercase letter becomes a space.
 _FOLD_TABLE = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for c in range(256))
-_PARA_BREAK_RE = re.compile(r"\n[ \t]*\n+")
+_PARA_BREAK_RE = re.compile(r"\n[ \t\f\v]*\n+")
 # json.dumps(row, ensure_ascii=False) without a new encoder per row.
 _JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
@@ -132,10 +132,10 @@ def shingles(words: Sequence[str], n: int) -> Iterable[tuple[str, ...]]:
 
 
 def _normalize_opinion(text: str) -> list[str]:
-    """One opinion text -> list of flattened paragraph strings, each run of
-    spaces, tabs, form feeds, vertical tabs and line breaks one space.
-    Each ``str.replace`` pass halves every run of spaces, so a run of L
-    spaces takes about log2(L) passes."""
+    """One opinion text -> its paragraphs, split at lines holding only
+    spaces, tabs, form feeds and vertical tabs (or nothing), each run of
+    those and of line breaks flattened to one space.  Each ``str.replace``
+    pass halves every run of spaces, so a run of L takes about log2(L) passes."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     paragraphs = []
     for block in _PARA_BREAK_RE.split(text):
@@ -359,10 +359,6 @@ def write_passages_jsonl(passages: Iterable[Passage], path) -> int:
 
 def iter_passages_jsonl(path) -> Iterator[Passage]:
     return iter_jsonl(path, _passage_from_row, "passage_id")
-
-
-def read_passages_jsonl(path) -> list[Passage]:
-    return list(iter_passages_jsonl(path))
 
 
 def _passage_from_row(row: dict) -> Passage:

@@ -52,7 +52,7 @@ class RetrievalQuery:
 
     ``left_context`` + ``central_sentence`` + ``right_context`` reassemble
     the pre-mask window text; ``masked_text`` is the retrieval input and
-    ``display_text`` shows a REDACTED marker where the sentence stood.
+    ``redacted_at`` the code-point offset in it where the sentence stood.
     """
 
     query_id: str
@@ -63,12 +63,17 @@ class RetrievalQuery:
     view: str
     kind: str
     masked_text: str
-    display_text: str
+    redacted_at: int
     target_keys: tuple[CitationKey, ...]
     window_words: int
     # Some short form (Id., supra, at-page cite) outside the central sentence
     # stays in the window and may refer to the masked case.  Not serialized.
     residual_short_form: bool
+
+    @property
+    def display_text(self) -> str:
+        """``masked_text`` with a REDACTED marker where the sentence stood."""
+        return _seam_join(self.masked_text[: self.redacted_at], "REDACTED", self.masked_text[self.redacted_at :])
 
 
 @dataclass(frozen=True)
@@ -230,7 +235,7 @@ def build_query(
 
     out = {}
     for view in views:
-        masked, display = _mask(text, lo_c, hi_c, sent_start, sent_end, view, target_keys, window_citations)
+        masked, redacted_at = _mask(text, lo_c, hi_c, sent_start, sent_end, view, target_keys, window_citations)
         out[view] = RetrievalQuery(
             query_id=f"{parsed.doc_id}:{central.start}:{_VIEW_CODES[view]}",
             doc_id=parsed.doc_id,
@@ -240,7 +245,7 @@ def build_query(
             view=view,
             kind=kind,
             masked_text=masked,
-            display_text=display,
+            redacted_at=redacted_at,
             target_keys=target_keys,
             window_words=window_words,
             residual_short_form=residual,
@@ -273,7 +278,8 @@ def _mask(
     view: str,
     target_keys: tuple[CitationKey, ...],
     window_citations: Sequence[CitationSpan],
-) -> tuple[str, str]:
+) -> tuple[str, int]:
+    """The masked window and the offset in it where the sentence stood."""
     def doomed(c: CitationSpan) -> bool:
         if view == VIEW_ALL_REMOVED:
             return c.kind in (KIND_CASE, KIND_SHORT_FORM)
@@ -294,9 +300,7 @@ def _mask(
 
     left_clean = cut(lo_c, sent_start)
     right_clean = cut(sent_end, hi_c)
-    masked = _seam_join(left_clean, right_clean)
-    display = _seam_join(left_clean, "REDACTED", right_clean)
-    return masked, display
+    return _seam_join(left_clean, right_clean), len(left_clean.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +419,7 @@ def write_queries_jsonl(queries: Iterable[RetrievalQuery], path) -> int:
                 "kind": q.kind,
                 "window_words": q.window_words,
                 "masked_text": q.masked_text,
-                "display_text": q.display_text,
+                "redacted_at": q.redacted_at,
                 "target_keys": [str(k) for k in q.target_keys],
             }
             for q in queries

@@ -229,8 +229,9 @@ def word_bounds(text: str) -> tuple[list[int], list[int]]:
 
 
 def normalize_opinion(text: str) -> list[str]:
-    """``corpus._normalize_opinion``: each paragraph's line breaks become
-    spaces and every run of ``[ \\t\\f\\v]`` one space."""
+    """``corpus._normalize_opinion``: a line of ``[ \\t\\f\\v]`` only
+    ends a paragraph, each paragraph's line breaks become spaces and every
+    run of ``[ \\t\\f\\v]`` one space."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    flat = (re.sub(r"[ \t\f\v]+", " ", block.replace("\n", " ")).strip() for block in re.split(r"\n[ \t]*\n+", text))
+    flat = (re.sub(r"[ \t\f\v]+", " ", block.replace("\n", " ")).strip() for block in re.split(r"\n[ \t\f\v]*\n+", text))
     return [paragraph for paragraph in flat if paragraph]

@@ -19,7 +19,7 @@ import pytest
 import casebench
 from casebench.citations import default_reporter_table, load_reporter_table
 from casebench.cli import CONFIG_KEYS, OUTPUT_PATHS, build_parser, main
-from casebench.corpus import fold_words, read_corpus_jsonl, read_passages_jsonl, read_queries_jsonl
+from casebench.corpus import fold_words, iter_passages_jsonl, read_corpus_jsonl, read_queries_jsonl
 from casebench.minicorpus import mini_corpus_path
 from casebench.queries import (
     KIND_DIRECT,
@@ -30,6 +30,7 @@ from casebench.queries import (
 )
 from casebench.retrieval import bm25_rank, build_index, read_trec_run, save_index
 from fixtures import ngram_overlap_oracle
+from query_oracles import seam_join
 
 TABLE = load_reporter_table()
 
@@ -363,7 +364,7 @@ class TestSearchQuotes:
         assert main(["chunk", str(searchable / "corpus.jsonl"), str(passages)]) == 0
         assert main(["search-quotes", str(passages), str(searchable / "quotes.jsonl"), str(run),
                      "--unit", "passage", "--mode", "ngram", "--n", "12", "--k", "5"]) == 0
-        units = [(p.passage_id, p.text) for p in read_passages_jsonl(passages)]
+        units = [(p.passage_id, p.text) for p in iter_passages_jsonl(passages)]
         rows = {}
         for line in run.read_text().splitlines():
             qid, _, unit, rank, score, tag = line.split()
@@ -784,7 +785,7 @@ class TestMaxPRun:
         index = tmp_path / "passages.idx"
         assert main(["chunk", str(searchable / "corpus.jsonl"), str(passages)]) == 0
         assert main(["index", str(passages), str(index)]) == 0
-        units = [(p.passage_id, p.text) for p in read_passages_jsonl(passages)]
+        units = [(p.passage_id, p.text) for p in iter_passages_jsonl(passages)]
         runs = {}
         for k in (10, 100):
             run = tmp_path / f"run{k}.trec"
@@ -798,6 +799,43 @@ class TestMaxPRun:
                 ranked = run.get(row["query_id"], [])
                 assert len(ranked) == min(k, len(best))
                 assert [score for _, score, _ in ranked] == [pytest.approx(best[doc], abs=1e-6) for doc, _, _ in ranked]
+
+
+class TestOldQueryFiles:
+    """A queries.jsonl written before rows carried ``redacted_at`` holds
+    ``display_text`` in its place; search and stats read both alike."""
+
+    def test_search_and_stats_give_the_same_output(self, searchable, tmp_path, capsys):
+        corpus = searchable / "corpus.jsonl"
+        new, old = tmp_path / "queries.jsonl", tmp_path / "old.jsonl"
+        assert main(["build-queries", str(corpus), str(new), str(tmp_path / "qrels.txt"),
+                     "--view", "single-removed,all-removed"]) == 0
+        rows = [json.loads(line) for line in new.read_text(encoding="utf-8").splitlines()]
+        with open(old, "w", encoding="utf-8") as f:
+            for row in rows:
+                # The old field order: display_text sat between masked_text and target_keys.
+                masked, at, keys = row["masked_text"], row.pop("redacted_at"), row.pop("target_keys")
+                row["display_text"] = seam_join(masked[:at], "REDACTED", masked[at:])
+                row["target_keys"] = keys
+                f.write(json.dumps(row, ensure_ascii=False) + "\n")
+        assert "display_text" not in new.read_text(encoding="utf-8")
+        assert "redacted_at" not in old.read_text(encoding="utf-8")
+        passages, index = tmp_path / "passages.jsonl", tmp_path / "passages.idx"
+        assert main(["chunk", str(corpus), str(passages)]) == 0
+        assert main(["index", str(passages), str(index)]) == 0
+        for idx, flags in ((searchable / "docs.idx", []), (index, ["--maxp"])):
+            runs = []
+            for queries in (new, old):
+                run = tmp_path / f"{queries.stem}-{idx.stem}.trec"
+                assert main(["search", str(idx), str(queries), str(run), "--k", "10", *flags]) == 0
+                runs.append(run.read_bytes())
+            assert runs[0] == runs[1] and runs[0], flags
+        tables = []
+        for queries in (new, old):
+            capsys.readouterr()
+            assert main(["stats", str(corpus), "--queries", str(queries)]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] and f"{'queries':<12} {len(rows):>10}" in tables[0]
 
 
 class TestSearchStreams:

@@ -60,6 +60,14 @@ class TestLoadCorpus:
             text = "".join(rng.choices(pool, k=rng.randint(0, 30)))
             assert _normalize_opinion(text) == citation_oracles.normalize_opinion(text), ascii(text)
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t", "\f", "\v", " \f\t\v "])
+    def test_a_line_of_collapsing_whitespace_breaks_the_paragraph(self, blank):
+        assert _normalize_opinion(f"a\n{blank}\nb") == ["a", "b"]
+
+    @pytest.mark.parametrize("kept", ["\xa0", "\u3000", "\x1c"])
+    def test_a_line_of_kept_whitespace_stays_in_the_paragraph(self, kept):
+        assert _normalize_opinion(f"a\n{kept}\nb") == [f"a {kept} b"]
+
     def test_empty_opinion_list_rejected(self):
         docs, diags = load_corpus([{"id": "x", "name": "", "cite": "", "opinions": []}])
         assert docs == []

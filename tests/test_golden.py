@@ -29,7 +29,7 @@ MINI_PIPELINE_SHA256 = {
     "passages.jsonl": "dd72728208345c369a9512d4da25a3eeeaf2e2de7ea21b99f1c409985f67f81d",
     "passages.jsonl.manifest.json": "8959217f0d6366a255a60c2519fe72cd2a96bd111d3c2dc25492fc8487df765f",
     "qrels.txt": "7029d1b4cb7d2d16ebc563c239697b942b5230dbd530587319f399fc30c8290c",
-    "queries.jsonl": "90d23d602f52bba8566444507c88444a47109f74e22bbd392833b700879acb0d",
+    "queries.jsonl": "61c7a9ca0de75b1290e2cfb3e0d670aaba8a76f340d0005c51ab84ea6a284270",
     "queries.jsonl.manifest.json": "82c758024986eeac173ffa0db8673b98b21519ce8a69014d85fa1ff919cb5aee",
     "quote_exact.trec": "7977bc087b9bcd3bf284e7b4f22ccb77d71056b25d28eedb107cb0f56ba0d4c2",
     "quote_exact.trec.manifest.json": "534934ff0d2d674c72e8d4751e9889e6e12c5eca85cbe87e741b760461200a4d",
@@ -39,9 +39,9 @@ MINI_PIPELINE_SHA256 = {
     "retrieval_report.json": "b57ee09abe0244cfb4b15ba650da0fa0c734e283c48c4d5cc5990f5c4186d23c",
     "retrieval_report.json.manifest.json": "2890939b3b4a560fcd805964358c35aca4d6532d8b7f5971703697774c27d71d",
     "run.trec": "c67d6aa75ab805218a6753073b5470a7807c1f10d769158b77a246ad77420dfe",
-    "run.trec.manifest.json": "6bba0b5b1de4bf35709917b323b04b9db002256cb6deb0db08f17e3a81875a10",
+    "run.trec.manifest.json": "d3671b2088ad0b2612c4efc562c7f0726ead67eaaa6280f283304040797e50f3",
     "run_maxp.trec": "cae1bec635345301e8017fc8afd14e503117d9f234fed14a8cd1bd3081285450",
-    "run_maxp.trec.manifest.json": "d6632cbf19052011c3e304e2d26b1962eb16139c8428dbb13288a3c34d3a546e",
+    "run_maxp.trec.manifest.json": "88b741ebcfa8d5f075e9cbf2eb5f616516203711199c1148a9519b1a4569f51d",
 }
 
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
+import query_oracles
 from casebench.citations import (
     KIND_CASE,
     ReporterTable,
@@ -441,6 +445,57 @@ class TestBuildQueriesOverCorpus:
             assert entry.query_id == q.query_id
             assert entry.unit_id in {d.doc_id for d in mini_corpus}
             assert entry.unit_id != q.doc_id
+
+
+# Pieces of random query documents: plain words, case citations (parallel
+# runs among them) and citations that stay in a single-removed window.
+WORDS = ["the", "court", "held", "that", "a", "claim", "fails", "under", "rule"]
+CASES = ["Tilden v. Marsh, 601 U.S. 101, 105 (2023)", "601 U.S. 101, 144 S.Ct. 901",
+         "Orton v. Delmar, 602 U.S. 555 (2024)", "12 F.3d 34"]
+OTHERS = ["Id. at 107", "supra", "Fed.R.Civ.P. 56(c)", "42 U.S.C. § 1983"]
+
+
+def random_sentence(rng, cited):
+    parts = rng.choices(WORDS, k=rng.randint(0, 5))
+    for pool, chance in ((CASES, 1.0 if cited else 0.0), (OTHERS, 0.3), (CASES, 0.2 if cited else 0.0)):
+        if rng.random() < chance:
+            parts.insert(rng.randint(0, len(parts)), rng.choice(pool))
+    return " ".join([rng.choice(("The", "See", "A", "Courts"))] + parts) + "."
+
+
+class TestDisplayText:
+    """``display_text``, rebuilt from ``masked_text`` and ``redacted_at``, is
+    the text that query rows stored before they carried the offset."""
+
+    BOTH = (VIEW_SINGLE_REMOVED, VIEW_ALL_REMOVED)
+
+    def test_mini_corpus_queries_match_the_stored_text(self, mini_corpus):
+        queries, _, _ = build_queries(mini_corpus, views=self.BOTH)
+        parsed = {d.doc_id: parse_document(d, TABLE) for d in mini_corpus}
+        for q in queries:
+            doc = parsed[q.doc_id]
+            central = next(c for c in doc.centrals() if c.start == int(q.query_id.split(":")[1]))
+            assert q.display_text == query_oracles.display_text(doc, central, q), q.query_id
+        assert {q.view for q in queries} == set(self.BOTH)
+
+    def test_random_documents_match_the_stored_text(self):
+        rng = random.Random(30)
+        shapes = Counter()
+        for i in range(400):
+            filler = [random_sentence(rng, False) for _ in range(rng.randint(1, 4))]
+            cited = random_sentence(rng, True)
+            # The cited sentence alone, opening the text, closing it, or inside
+            # it; one paragraph, or one paragraph per sentence.
+            body = ([cited], [cited, *filler], [*filler, cited], [*filler, cited, *filler])[i % 4]
+            parsed = parse_document(make_doc(f"r{i}", body if rng.random() < 0.5 else [" ".join(body)]), TABLE)
+            for central in parsed.centrals():
+                built = build_query(parsed, central, rng.choice((2, 6, 300)), self.BOTH)
+                for q in (built or {}).values():
+                    expected = query_oracles.display_text(parsed, central, q)
+                    assert q.display_text == expected, (parsed.text, q)
+                    shapes[expected.startswith("REDACTED"), expected.endswith("REDACTED")] += 1
+        # "REDACTED", "REDACTED …", "… REDACTED" and "… REDACTED …" each occur.
+        assert len(shapes) == 4 and min(shapes.values()) >= 50, shapes
 
 
 class TestCustomReporterTable:
